@@ -24,7 +24,7 @@ from .cover import (
     product_family_report,
     riemann_hurwitz_euler,
 )
-from .errors import DimensionError, DomainError, IncompleteModelError, NoSuchCoverError
+from .errors import DimensionError, DomainError, IncompleteModelError, NoSuchCoverError, VerificationError
 from .homology import (
     ImmersedComponent,
     ImmersedConfig,

@@ -1,47 +1,42 @@
-"""Command-line front end: family commands, verification verdicts, exit codes.
+"""Command-line front end: the argument parser and one function per command.
 
-Exit codes: 0 when every verdict in the emitted report passes, 1 on a
-verification failure, 2 on usage or parameter errors.
+Each command function takes the parsed arguments and returns the result dict
+that `--format json` prints; `reportio` renders it as JSON or as a table.
+Exit codes: 0 when every verdict in the result passes, 1 on a verification
+failure, 2 on usage or parameter errors.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .cover import (
-    CoverReport,
-    Verdict,
-    build_tower7,
-    kodaira_thurston_family_report,
-    product_family_report,
-)
-from .errors import DimensionError, DomainError, IncompleteModelError
+from .cover import Verdict, build_tower7, kodaira_thurston_family_report, product_family_report
+from .errors import DomainError, VerificationError
 from .homology import SurfaceConfig
-from .intlinalg import det, snf, _as_fraction
+from .intlinalg import det, snf
 from .reportio import (
+    all_pass,
     encode_int,
     matrix_from_json,
     matrix_to_json,
     render_json,
-    render_report_table,
+    render_table,
     report_to_dict,
     verdicts_to_json,
 )
 
 __all__ = [
-    "RunConfig",
-    "IndependenceEntry",
-    "KollarVerdict",
+    "build_parser",
     "cmd_example2",
     "cmd_kodaira_thurston",
     "cmd_tower7",
     "cmd_catalog",
-    "cmd_kollar_check",
+    "cmd_kollar",
     "cmd_snf",
     "main",
     "entry",
@@ -51,128 +46,67 @@ EXIT_PASS = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 
-_COMMANDS = ("example2", "kodaira-thurston", "tower7", "catalog", "kollar", "snf")
+
+def cmd_example2(args: argparse.Namespace) -> dict:
+    cfg = SurfaceConfig(args.g1, args.g2, args.m1, args.m2, args.d, (args.area1, args.area2))
+    return report_to_dict(product_family_report(cfg, kaehler=args.kaehler))
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One run: a command plus its family parameters and output options."""
-
-    command: str
-    g1: int = 1
-    g2: int = 1
-    m1: int = 1
-    m2: int = 1
-    d: int = 2
-    area1: Fraction = Fraction(1)
-    area2: Fraction = Fraction(1)
-    kaehler: bool = False
-    omega_pullback: bool | None = None
-    target_pi2_trivial: bool | None = None
-    matrix_path: str | None = None
-    fmt: str = "table"
-    out: str | None = None
-
-    def __post_init__(self):
-        if self.command not in _COMMANDS:
-            raise DomainError(f"unknown command {self.command!r}")
-        if self.fmt not in ("table", "json"):
-            raise DomainError(f"format must be 'table' or 'json', got {self.fmt!r}")
-        object.__setattr__(self, "area1", _as_fraction(self.area1))
-        object.__setattr__(self, "area2", _as_fraction(self.area2))
+def cmd_kodaira_thurston(args: argparse.Namespace) -> dict:
+    cfg = SurfaceConfig(1, 1, args.m1, args.m2, args.d, (args.area1, args.area2))
+    return report_to_dict(kodaira_thurston_family_report(cfg))
 
 
-def _surface_config(cfg: RunConfig, force_torus: bool = False) -> SurfaceConfig:
-    return SurfaceConfig(
-        g1=1 if force_torus else cfg.g1,
-        g2=1 if force_torus else cfg.g2,
-        m1=cfg.m1,
-        m2=cfg.m2,
-        d=cfg.d,
-        omega_areas=(cfg.area1, cfg.area2),
-    )
+def cmd_tower7(args: argparse.Namespace) -> dict:
+    stages = build_tower7(args.d)
+    return {"family": "tower7", "parameters": {"d": args.d}, "stages": [report_to_dict(s) for s in stages]}
 
 
-def cmd_example2(cfg: RunConfig) -> tuple[CoverReport, int]:
-    report = product_family_report(_surface_config(cfg), kaehler=cfg.kaehler)
-    return report, EXIT_PASS if report.passed else EXIT_VERIFY_FAIL
+def _catalog_entry(name: str, omega_on_pi: str, c1_on_pi: str, witness: str, source: str) -> dict:
+    # "computed" entries are recomputed live, "catalog" entries are classical facts.
+    return {"name": name, "omega_on_pi": omega_on_pi, "c1_on_pi": c1_on_pi, "witness": witness, "source": source}
 
 
-def cmd_kodaira_thurston(
-    cfg: RunConfig, _relator_override: Sequence[Sequence[int]] | None = None
-) -> tuple[CoverReport, int]:
-    report = kodaira_thurston_family_report(
-        _surface_config(cfg, force_torus=True), relator_override=_relator_override
-    )
-    return report, EXIT_PASS if report.passed else EXIT_VERIFY_FAIL
-
-
-def cmd_tower7(cfg: RunConfig) -> tuple[tuple[CoverReport, CoverReport], int]:
-    stage1, stage2 = build_tower7(cfg.d)
-    ok = stage1.passed and stage2.passed
-    return (stage1, stage2), EXIT_PASS if ok else EXIT_VERIFY_FAIL
-
-
-@dataclass(frozen=True)
-class IndependenceEntry:
-    """One corner of the (omega, c1) vanishing square, with its witness."""
-
-    name: str
-    omega_on_pi: str
-    c1_on_pi: str
-    witness: str
-    source: str  # "computed" entries are recomputed live, "catalog" are classical facts
-
-
-def cmd_catalog(cfg: RunConfig) -> tuple[tuple[tuple[IndependenceEntry, ...], tuple[Verdict, ...]], int]:
+def cmd_catalog(args: argparse.Namespace) -> dict:
     """All four combinations of the two vanishing conditions, with witnesses."""
-    d = cfg.d
+    d = args.d
     live = product_family_report(SurfaceConfig(g1=1, g2=1, m1=1, m2=1, d=2))
     stage1, stage2 = build_tower7(d)
     pairing = stage2.chern_pairings[0][1]
-    entries = (
-        IndependenceEntry(
-            name="grid branched cover of the 4-torus",
-            omega_on_pi="zero",
-            c1_on_pi="zero",
-            witness=(
-                f"recomputed live: spherical bound {live.pi_lower_bound}, "
-                f"all omega and c1 pairings exactly 0"
-            ),
-            source="computed",
+    entries = [
+        _catalog_entry(
+            "grid branched cover of the 4-torus",
+            "zero",
+            "zero",
+            f"recomputed live: spherical bound {live.pi_lower_bound}, all omega and c1 pairings exactly 0",
+            "computed",
         ),
-        IndependenceEntry(
-            name="K3 surface",
-            omega_on_pi="nonzero",
-            c1_on_pi="zero",
-            witness=(
-                "catalog fact: simply connected, so spherical classes span all of H2; "
-                "c1 = 0 while the symplectic form has positive total area"
-            ),
-            source="catalog",
+        _catalog_entry(
+            "K3 surface",
+            "nonzero",
+            "zero",
+            "catalog fact: simply connected, so spherical classes span all of H2; "
+            "c1 = 0 while the symplectic form has positive total area",
+            "catalog",
         ),
-        IndependenceEntry(
-            name="simply connected Kaehler surface other than K3",
-            omega_on_pi="nonzero",
-            c1_on_pi="nonzero",
-            witness=(
-                "catalog fact: the projective plane, for instance; both classes pair "
-                "nontrivially with H2, which is spanned by spherical classes"
-            ),
-            source="catalog",
+        _catalog_entry(
+            "simply connected Kaehler surface other than K3",
+            "nonzero",
+            "nonzero",
+            "catalog fact: the projective plane, for instance; both classes pair "
+            "nontrivially with H2, which is spanned by spherical classes",
+            "catalog",
         ),
-        IndependenceEntry(
-            name="two-stage branched-cover tower",
-            omega_on_pi="zero",
-            c1_on_pi="nonzero",
-            witness=(
-                f"recomputed live: lifted-sphere chern pairing {pairing} = 2*(1-{d}), "
-                "omega pairings zero at both stages"
-            ),
-            source="computed",
+        _catalog_entry(
+            "two-stage branched-cover tower",
+            "zero",
+            "nonzero",
+            f"recomputed live: lifted-sphere chern pairing {pairing} = 2*(1-{d}), "
+            "omega pairings zero at both stages",
+            "computed",
         ),
-    )
-    signatures = [(e.omega_on_pi, e.c1_on_pi) for e in entries]
+    ]
+    signatures = [(e["omega_on_pi"], e["c1_on_pi"]) for e in entries]
     wanted = {("zero", "zero"), ("zero", "nonzero"), ("nonzero", "zero"), ("nonzero", "nonzero")}
     verdicts = (
         Verdict("exactly four entries", len(entries) == 4, f"{len(entries)} entries"),
@@ -197,18 +131,16 @@ def cmd_catalog(cfg: RunConfig) -> tuple[tuple[tuple[IndependenceEntry, ...], tu
             f"tower reports {'passed' if stage1.passed and stage2.passed else 'FAILED'}; pairing {pairing}",
         ),
     )
-    ok = all(v.passed for v in verdicts)
-    return (entries, verdicts), EXIT_PASS if ok else EXIT_VERIFY_FAIL
+    return {
+        "family": "catalog",
+        "parameters": {"d": d},
+        "entries": entries,
+        "verdicts": verdicts_to_json(verdicts),
+        "assumptions": ["entries marked 'catalog' cite classical facts and are not recomputed here"],
+    }
 
 
-@dataclass(frozen=True)
-class KollarVerdict:
-    concluded: bool
-    conclusion: str
-    failed_hypotheses: tuple[str, ...]
-
-
-def cmd_kollar_check(omega_pullback_flag: bool, target_pi2_trivial_flag: bool) -> KollarVerdict:
+def cmd_kollar(args: argparse.Namespace) -> dict:
     """Pullback vanishing criterion.
 
     When the symplectic class is pulled back through a map to a space
@@ -216,22 +148,25 @@ def cmd_kollar_check(omega_pullback_flag: bool, target_pi2_trivial_flag: bool) -
     fails, nothing follows.
     """
     failed = []
-    if not omega_pullback_flag:
+    if not args.omega_pullback:
         failed.append("the symplectic class is not given as a pullback from the target")
-    if not target_pi2_trivial_flag:
+    if not args.target_pi2_trivial:
         failed.append("the target is not known to have trivial pi_2")
-    if failed:
-        return KollarVerdict(False, "no conclusion", tuple(failed))
-    return KollarVerdict(True, "omega vanishes on all spherical classes", ())
+    conclusion = "no conclusion" if failed else "omega vanishes on all spherical classes"
+    return {
+        "family": "kollar",
+        "parameters": {"omega_pullback": args.omega_pullback, "target_pi2_trivial": args.target_pi2_trivial},
+        "conclusion": conclusion,
+        "concluded": not failed,
+        "failed_hypotheses": failed,
+        "verdicts": [{"name": "criterion evaluated", "pass": True, "evidence": "; ".join(failed) or conclusion}],
+    }
 
 
-def cmd_snf(cfg: RunConfig) -> tuple[dict, int]:
+def cmd_snf(args: argparse.Namespace) -> dict:
     """Run the exact Smith decomposition on a JSON matrix file."""
-    if cfg.matrix_path is None:
-        raise DomainError("snf needs a matrix file")
-    with open(cfg.matrix_path) as fh:
-        obj = json.load(fh)
-    a = matrix_from_json(obj)
+    with open(args.matrix) as fh:
+        a = matrix_from_json(json.load(fh))
     res = snf(a)
     recomposed = res.u.mul(a).mul(res.v)
     diag = res.divisors
@@ -251,9 +186,9 @@ def cmd_snf(cfg: RunConfig) -> tuple[dict, int]:
         ),
         Verdict("diagonal divisor chain holds", chain_ok, f"divisors {list(diag)}"),
     )
-    result = {
+    return {
         "family": "snf",
-        "parameters": {"matrix": cfg.matrix_path},
+        "parameters": {"matrix": args.matrix},
         "input": matrix_to_json(a),
         "u": matrix_to_json(res.u),
         "d": matrix_to_json(res.d),
@@ -261,138 +196,17 @@ def cmd_snf(cfg: RunConfig) -> tuple[dict, int]:
         "divisors": [encode_int(x) for x in diag],
         "verdicts": verdicts_to_json(checks),
     }
-    ok = all(v.passed for v in checks)
-    return result, EXIT_PASS if ok else EXIT_VERIFY_FAIL
-
-
-# ---------------------------------------------------------------------------
-# Rendering of non-report outputs
-
-
-def tower_to_dict(d: int, stage1: CoverReport, stage2: CoverReport) -> dict:
-    return {
-        "family": "tower7",
-        "parameters": {"d": d},
-        "stages": [report_to_dict(stage1), report_to_dict(stage2)],
-    }
-
-
-def render_tower_table(d: int, stage1: CoverReport, stage2: CoverReport) -> str:
-    parts = [f"tower7: two-stage branched-cover tower (stage-2 degree d={d})", ""]
-    parts.append("== stage 1 ==")
-    parts.append(render_report_table(stage1))
-    parts.append("== stage 2 ==")
-    parts.append(render_report_table(stage2))
-    parts.append(f"overall: {'PASS' if stage1.passed and stage2.passed else 'FAIL'}")
-    return "\n".join(parts) + "\n"
-
-
-def catalog_to_dict(d: int, entries, verdicts) -> dict:
-    return {
-        "family": "catalog",
-        "parameters": {"d": d},
-        "entries": [
-            {
-                "name": e.name,
-                "omega_on_pi": e.omega_on_pi,
-                "c1_on_pi": e.c1_on_pi,
-                "witness": e.witness,
-                "source": e.source,
-            }
-            for e in entries
-        ],
-        "verdicts": verdicts_to_json(verdicts),
-        "assumptions": [
-            "entries marked 'catalog' cite classical facts and are not recomputed here"
-        ],
-    }
-
-
-def render_catalog_table(d: int, entries, verdicts) -> str:
-    lines = [f"catalog: vanishing signatures of (omega, c1) on spherical classes (d={d})", ""]
-    rows = [[e.name, e.omega_on_pi, e.c1_on_pi, e.source] for e in entries]
-    widths = [max(len(r[i]) for r in rows + [["name", "omega", "c1", "source"]]) for i in range(4)]
-    header = ["name", "omega", "c1", "source"]
-    lines.append("  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip())
-    lines.append("  ".join("-" * w for w in widths))
-    for r in rows:
-        lines.append("  ".join(x.ljust(w) for x, w in zip(r, widths)).rstrip())
-    lines.append("")
-    for e in entries:
-        lines.append(f"  {e.name}: {e.witness}")
-    lines.append("")
-    lines.append("verdicts:")
-    for v in verdicts:
-        lines.append(f"  {'PASS' if v.passed else 'FAIL'}  {v.name} | {v.evidence}")
-    ok = all(v.passed for v in verdicts)
-    lines.append("")
-    lines.append(f"result: {'PASS' if ok else 'FAIL'}")
-    return "\n".join(lines) + "\n"
-
-
-def kollar_to_dict(v: KollarVerdict, omega_pullback: bool, target_pi2_trivial: bool) -> dict:
-    return {
-        "family": "kollar",
-        "parameters": {
-            "omega_pullback": omega_pullback,
-            "target_pi2_trivial": target_pi2_trivial,
-        },
-        "conclusion": v.conclusion,
-        "concluded": v.concluded,
-        "failed_hypotheses": list(v.failed_hypotheses),
-        "verdicts": [
-            {
-                "name": "criterion evaluated",
-                "pass": True,
-                "evidence": v.conclusion
-                if v.concluded
-                else "; ".join(v.failed_hypotheses),
-            }
-        ],
-    }
-
-
-def render_kollar_table(v: KollarVerdict, omega_pullback: bool, target_pi2_trivial: bool) -> str:
-    lines = [
-        "kollar: pullback vanishing criterion",
-        f"  symplectic class is a pullback: {'yes' if omega_pullback else 'no'}",
-        f"  target has trivial pi_2:        {'yes' if target_pi2_trivial else 'no'}",
-        f"conclusion: {v.conclusion}",
-    ]
-    for h in v.failed_hypotheses:
-        lines.append(f"  failed hypothesis: {h}")
-    return "\n".join(lines) + "\n"
-
-
-def matrix_table(m) -> str:
-    rows = m.to_rows()
-    if not rows:
-        return "  (empty)\n"
-    widths = [max(len(str(rows[i][j])) for i in range(m.rows)) for j in range(m.cols)] if m.cols else []
-    out = []
-    for r in rows:
-        out.append("  " + "  ".join(str(x).rjust(w) for x, w in zip(r, widths)))
-    return "\n".join(out) + "\n"
-
-
-def render_snf_table(result: dict) -> str:
-    from .reportio import matrix_from_json as _from
-
-    lines = [f"snf: {result['parameters']['matrix']}"]
-    for key in ("input", "u", "d", "v"):
-        lines.append(f"{key}:")
-        lines.append(matrix_table(_from(result[key])).rstrip("\n"))
-    lines.append(f"divisors: {result['divisors']}")
-    lines.append("verdicts:")
-    for v in result["verdicts"]:
-        lines.append(f"  {'PASS' if v['pass'] else 'FAIL'}  {v['name']} | {v['evidence']}")
-    ok = all(v["pass"] for v in result["verdicts"])
-    lines.append(f"result: {'PASS' if ok else 'FAIL'}")
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
 # Argument parsing and dispatch
+
+
+def _rational(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"must be a rational like 3/2, got {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -406,195 +220,138 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--batch", metavar="FILE", help="run a JSON array of run configurations in order")
     sub = p.add_subparsers(dest="command", metavar="command")
+    # Batch entries look up each command's flag defaults here.
+    p.commands = sub.choices
 
-    def common(sp):
-        sp.add_argument("--format", choices=("table", "json"), default="table", dest="fmt")
-        sp.add_argument("--out", metavar="PATH", help="write the report to this file instead of stdout")
+    def command(name, run, summary):
+        sp = sub.add_parser(name, help=summary)
+        sp.set_defaults(run=run)
+        return sp
 
-    e2 = sub.add_parser("example2", help="grid branched cover of a product of positive-genus surfaces")
+    def areas(sp, *classes):
+        for number, name in enumerate(classes, 1):
+            summary = f"symplectic area of the {name} class (rational)"
+            sp.add_argument(f"--area{number}", type=_rational, default=Fraction(1), help=summary)
+
+    e2 = command("example2", cmd_example2, "grid branched cover of a product of positive-genus surfaces")
     e2.add_argument("--g1", type=int, default=1, help="genus of the first factor (default 1)")
     e2.add_argument("--g2", type=int, default=1, help="genus of the second factor (default 1)")
     e2.add_argument("--m1", type=int, default=1, help="multiplicity of the first surface family")
     e2.add_argument("--m2", type=int, default=1, help="multiplicity of the second surface family")
-    e2.add_argument("-d", type=int, default=2, dest="d", help="cover degree (at least 2)")
-    e2.add_argument("--area1", default="1", help="symplectic area of the horizontal class (rational)")
-    e2.add_argument("--area2", default="1", help="symplectic area of the vertical class (rational)")
+    e2.add_argument("-d", type=int, default=2, help="cover degree (at least 2)")
+    areas(e2, "horizontal", "vertical")
     e2.add_argument("--kaehler", action="store_true", help="record the holomorphic-smoothing variant")
-    common(e2)
 
-    kt = sub.add_parser("kodaira-thurston", help="grid branched cover of the symplectic non-Kaehler torus bundle")
+    kt = command(
+        "kodaira-thurston", cmd_kodaira_thurston, "grid branched cover of the symplectic non-Kaehler torus bundle"
+    )
     kt.add_argument("--m1", type=int, default=1, help="number of fiber families is m1*d")
     kt.add_argument("--m2", type=int, default=1, help="number of section copies is m2*d")
-    kt.add_argument("-d", type=int, default=2, dest="d", help="cover degree (at least 2)")
-    kt.add_argument("--area1", default="1", help="symplectic area of the section class (rational)")
-    kt.add_argument("--area2", default="1", help="symplectic area of the fiber class (rational)")
-    common(kt)
+    kt.add_argument("-d", type=int, default=2, help="cover degree (at least 2)")
+    areas(kt, "section", "fiber")
 
-    tw = sub.add_parser("tower7", help="two-stage tower separating the omega and c1 vanishing conditions")
-    tw.add_argument("-d", type=int, default=2, dest="d", help="stage-2 cover degree (at least 2)")
-    common(tw)
+    tw = command("tower7", cmd_tower7, "two-stage tower separating the omega and c1 vanishing conditions")
+    tw.add_argument("-d", type=int, default=2, help="stage-2 cover degree (at least 2)")
 
-    cat = sub.add_parser("catalog", help="all four combinations of the two vanishing conditions")
-    cat.add_argument("-d", type=int, default=2, dest="d", help="degree used for the live tower witness")
-    common(cat)
+    cat = command("catalog", cmd_catalog, "all four combinations of the two vanishing conditions")
+    cat.add_argument("-d", type=int, default=2, help="degree used for the live tower witness")
 
-    ko = sub.add_parser("kollar", help="pullback vanishing criterion")
-    ko.add_argument(
-        "--omega-pullback",
-        action=argparse.BooleanOptionalAction,
-        required=True,
-        dest="omega_pullback",
-        help="the symplectic class is pulled back from the target",
-    )
-    ko.add_argument(
-        "--target-pi2-trivial",
-        action=argparse.BooleanOptionalAction,
-        required=True,
-        dest="target_pi2_trivial",
-        help="the target space has trivial pi_2",
-    )
-    common(ko)
+    ko = command("kollar", cmd_kollar, "pullback vanishing criterion")
+    for flag, summary in (
+        ("--omega-pullback", "the symplectic class is pulled back from the target"),
+        ("--target-pi2-trivial", "the target space has trivial pi_2"),
+    ):
+        ko.add_argument(flag, action=argparse.BooleanOptionalAction, required=True, help=summary)
 
-    sn = sub.add_parser("snf", help="Smith decomposition of a JSON matrix file")
+    sn = command("snf", cmd_snf, "Smith decomposition of a JSON matrix file")
     sn.add_argument("matrix", help="path to a JSON object with rows, cols, entries")
-    common(sn)
+
+    for sp in sub.choices.values():
+        sp.add_argument("--format", choices=("table", "json"), default="table")
+        sp.add_argument("--out", metavar="PATH", help="write the report to this file instead of stdout")
     return p
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    fields = {"command": args.command, "fmt": args.fmt, "out": args.out}
-    for name in ("g1", "g2", "m1", "m2", "d", "kaehler", "omega_pullback", "target_pi2_trivial"):
-        if hasattr(args, name):
-            fields[name] = getattr(args, name)
-    for name in ("area1", "area2"):
-        if hasattr(args, name):
-            try:
-                fields[name] = Fraction(getattr(args, name))
-            except (ValueError, ZeroDivisionError):
-                raise DomainError(f"{name} must be a rational like 3/2, got {getattr(args, name)!r}")
-    if hasattr(args, "matrix"):
-        fields["matrix_path"] = args.matrix
-    return RunConfig(**fields)
+def _entry_options(sp: argparse.ArgumentParser, index: int, entry: dict) -> list[str]:
+    """The command line of one batch entry after its command; keys are the command's option names."""
+    argv = []
+    for key, value in entry.items():
+        if key == "command":
+            continue
+        option = ("-" if len(key) == 1 else "--") + key.replace("_", "-")
+        if key == "matrix" and isinstance(value, str):
+            argv.append(value)
+        elif value is True:
+            argv.append(option)
+        elif value is False:
+            # A flag that is off by default has no --no- form.
+            if sp.get_default(key) is not False:
+                argv.append("--no-" + option.lstrip("-"))
+        elif isinstance(value, (int, str)):
+            argv.append(f"{option}={value}")
+        else:
+            raise DomainError(f"batch entry {index}: {key!r} must be a string, an integer or a boolean")
+    return argv
 
 
-_BATCH_KEYS = {
-    "command",
-    "g1",
-    "g2",
-    "m1",
-    "m2",
-    "d",
-    "area1",
-    "area2",
-    "kaehler",
-    "omega_pullback",
-    "target_pi2_trivial",
-    "matrix",
-    "format",
-    "out",
-}
-
-
-def _config_from_mapping(obj) -> RunConfig:
-    if not isinstance(obj, dict) or "command" not in obj:
-        raise DomainError("each batch entry must be an object with a 'command' key")
-    unknown = set(obj) - _BATCH_KEYS
-    if unknown:
-        raise DomainError(f"unknown batch keys {sorted(unknown)}")
-    fields = dict(obj)
-    if "format" in fields:
-        fields["fmt"] = fields.pop("format")
-    if "matrix" in fields:
-        fields["matrix_path"] = fields.pop("matrix")
-    for name in ("area1", "area2"):
-        if name in fields:
-            try:
-                fields[name] = _as_fraction(fields[name])
-            except (ValueError, ZeroDivisionError):
-                raise DomainError(f"{name} must be a rational like 3/2, got {fields[name]!r}")
-    return RunConfig(**fields)
-
-
-def _run(cfg: RunConfig) -> tuple[str, int]:
-    if cfg.command == "example2":
-        report, code = cmd_example2(cfg)
-        text = render_json(report_to_dict(report)) if cfg.fmt == "json" else render_report_table(report)
-        return text, code
-    if cfg.command == "kodaira-thurston":
-        report, code = cmd_kodaira_thurston(cfg)
-        text = render_json(report_to_dict(report)) if cfg.fmt == "json" else render_report_table(report)
-        return text, code
-    if cfg.command == "tower7":
-        (stage1, stage2), code = cmd_tower7(cfg)
-        if cfg.fmt == "json":
-            return render_json(tower_to_dict(cfg.d, stage1, stage2)), code
-        return render_tower_table(cfg.d, stage1, stage2), code
-    if cfg.command == "catalog":
-        (entries, verdicts), code = cmd_catalog(cfg)
-        if cfg.fmt == "json":
-            return render_json(catalog_to_dict(cfg.d, entries, verdicts)), code
-        return render_catalog_table(cfg.d, entries, verdicts), code
-    if cfg.command == "kollar":
-        if cfg.omega_pullback is None or cfg.target_pi2_trivial is None:
-            raise DomainError("kollar needs both hypothesis flags")
-        verdict = cmd_kollar_check(cfg.omega_pullback, cfg.target_pi2_trivial)
-        if cfg.fmt == "json":
-            return render_json(kollar_to_dict(verdict, cfg.omega_pullback, cfg.target_pi2_trivial)), EXIT_PASS
-        return render_kollar_table(verdict, cfg.omega_pullback, cfg.target_pi2_trivial), EXIT_PASS
-    if cfg.command == "snf":
-        result, code = cmd_snf(cfg)
-        if cfg.fmt == "json":
-            return render_json(result), code
-        return render_snf_table(result), code
-    raise DomainError(f"unknown command {cfg.command!r}")
-
-
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def run_batch(path: str) -> int:
+def _batch_runs(parser: argparse.ArgumentParser, path: str) -> list[argparse.Namespace]:
+    """Parse every entry of a batch file, so that a bad entry stops the batch before any run."""
     with open(path) as fh:
-        data = json.load(fh)
-    if not isinstance(data, list):
+        entries = json.load(fh)
+    if not isinstance(entries, list):
         raise DomainError("batch file must hold a JSON array of run configurations")
-    # Validate every entry before running anything, so usage errors stop the batch.
-    runs = [_config_from_mapping(obj) for obj in data]
-    worst = EXIT_PASS
-    for cfg in runs:
-        text, code = _run(cfg)
-        _emit(text, cfg.out)
-        worst = max(worst, code)
-    return worst
+    runs = []
+    for index, entry in enumerate(entries):
+        command = entry.get("command") if isinstance(entry, dict) else None
+        if not isinstance(command, str) or command not in parser.commands:
+            raise DomainError(f"batch entry {index} needs a 'command' out of {list(parser.commands)}")
+        sp = parser.commands[command]
+        argv = _entry_options(sp, index, entry)
+        try:
+            args = sp.parse_args(argv, argparse.Namespace(command=command))
+        except SystemExit:
+            raise DomainError(f"batch entry {index} rejected: {command} {' '.join(argv)}") from None
+        unknown = set(entry) - set(vars(args))
+        if unknown:
+            raise DomainError(f"batch entry {index}: unknown keys {sorted(unknown)}")
+        runs.append(args)
+    return runs
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        code = exc.code if isinstance(exc.code, int) else EXIT_USAGE
-        return EXIT_PASS if code == 0 else EXIT_USAGE
+        return EXIT_PASS if exc.code == 0 else EXIT_USAGE
     try:
         if args.batch:
-            return run_batch(args.batch)
-        if not getattr(args, "command", None):
+            runs = _batch_runs(parser, args.batch)
+        elif args.command:
+            runs = [args]
+        else:
             parser.print_usage(sys.stderr)
             return EXIT_USAGE
-        text, code = _run(_config_from_args(args))
-        _emit(text, args.out)
-        return code
-    except (DomainError, DimensionError, IncompleteModelError) as exc:
+        worst = EXIT_PASS
+        for run in runs:
+            doc = run.run(run)
+            text = render_json(doc) if run.format == "json" else render_table(doc)
+            if run.out:
+                with open(run.out, "w") as fh:
+                    fh.write(text)
+            else:
+                sys.stdout.write(text)
+            worst = max(worst, EXIT_PASS if all_pass(doc) else EXIT_VERIFY_FAIL)
+        return worst
+    except VerificationError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except json.JSONDecodeError as exc:
-        print(f"error: invalid JSON: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+        return EXIT_VERIFY_FAIL
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

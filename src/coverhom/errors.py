@@ -15,3 +15,7 @@ class NoSuchCoverError(DomainError):
 
 class IncompleteModelError(ValueError):
     """A pairing was requested from a generator that lacks the stored data."""
+
+
+class VerificationError(ArithmeticError):
+    """A computed value contradicts the independent computation that justifies it."""

@@ -85,7 +85,6 @@ class ImmersedConfig:
 
     components: tuple[ImmersedComponent, ...]
     double_points: int
-    all_positive: bool
     pairing: IntMatrix
 
     def __post_init__(self):
@@ -107,7 +106,6 @@ class SmoothedSurface:
     genus: int | None
     class_vector: tuple[int, ...] | None
     connected: bool
-    self_intersection: int
 
     def __post_init__(self):
         if self.connected:
@@ -168,7 +166,6 @@ class ManifoldModel:
     euler_characteristic: int
     h1_generators: int | None
     h1_relators: tuple[tuple[int, ...], ...]
-    h2_rank_known: int | None
     class_basis_labels: tuple[str, ...]
     omega_class: RationalVector
     c1_class: RationalVector
@@ -215,7 +212,6 @@ def grid_immersion(cfg: SurfaceConfig) -> ImmersedConfig:
     return ImmersedConfig(
         components=components,
         double_points=cfg.m1 * cfg.m2 * cfg.d * cfg.d,
-        all_positive=True,
         pairing=HYPERBOLIC_PAIRING,
     )
 
@@ -250,7 +246,6 @@ def smooth_double_points(b: ImmersedConfig) -> SmoothedSurface:
     chi = sum(2 - 2 * c.genus for c in b.components) - 2 * b.double_points
     width = b.pairing.rows
     total = tuple(sum(c.class_vector[i] for c in b.components) for i in range(width))
-    self_int = _pairing_value(b.pairing, total, total)
     connected = _pairing_graph_connected(b)
     genus = None
     if connected:
@@ -262,7 +257,6 @@ def smooth_double_points(b: ImmersedConfig) -> SmoothedSurface:
         genus=genus,
         class_vector=total,
         connected=connected,
-        self_intersection=self_int,
     )
 
 
@@ -283,7 +277,6 @@ def product_base_model(cfg: SurfaceConfig, kaehler: bool = False) -> ManifoldMod
         euler_characteristic=chi,
         h1_generators=b1,
         h1_relators=(),
-        h2_rank_known=chi - 2 + 2 * b1,
         class_basis_labels=("horizontal", "vertical"),
         omega_class=RationalVector(cfg.omega_areas),
         c1_class=RationalVector((2 - 2 * cfg.g1, 2 - 2 * cfg.g2)),
@@ -314,7 +307,6 @@ def kodaira_thurston_model(areas: tuple[Fraction, Fraction] = (Fraction(1), Frac
         euler_characteristic=0,
         h1_generators=4,
         h1_relators=MONODROMY_RELATORS,
-        h2_rank_known=4,
         class_basis_labels=("section", "fiber"),
         omega_class=RationalVector(a),
         c1_class=RationalVector((0, 0)),

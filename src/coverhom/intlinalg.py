@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import DimensionError, DomainError
+from .errors import DimensionError, DomainError, VerificationError
 
 __all__ = [
     "IntMatrix",
@@ -325,7 +325,8 @@ def snf(a: IntMatrix) -> SnfResult:
         IntMatrix.from_rows(d, cols=n),
         IntMatrix.from_rows(v, cols=n),
     )
-    assert res.u.mul(a).mul(res.v).entries == res.d.entries
+    if res.u.mul(a).mul(res.v).entries != res.d.entries:
+        raise VerificationError("smith decomposition does not recompose: u*a*v differs from d")
     return res
 
 

@@ -1,9 +1,9 @@
-"""Report serialization: JSON with exact values on the wire, and ASCII tables.
+"""Report serialization: every command's result dict, as JSON or as an ASCII table.
 
 Rationals serialize as "p/q" strings. Integers serialize as JSON numbers
 while they fit in 53 bits and as decimal strings beyond that, so exactness
 survives any reader. Key order is fixed, so identical runs produce
-byte-identical JSON.
+byte-identical JSON. Tables are rendered from the same dict and nothing else.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .cover import CoverReport, Verdict
+from .cover import CoverReport
 from .errors import DimensionError, DomainError
 from .intlinalg import IntMatrix
 from .plumbing import PlumbingGraph
@@ -24,7 +24,8 @@ __all__ = [
     "matrix_from_json",
     "report_to_dict",
     "render_json",
-    "render_report_table",
+    "render_table",
+    "all_pass",
     "verdicts_to_json",
 ]
 
@@ -151,27 +152,85 @@ def _table_rows(columns, rows) -> list[str]:
     return out
 
 
-def render_report_table(r: CoverReport) -> str:
-    d = report_to_dict(r)
-    lines = [f"family: {d['family']}"]
-    lines.append("parameters: " + " ".join(f"{k}={_fmt(v)}" for k, v in d["parameters"].items()))
+def all_pass(doc: dict) -> bool:
+    """Whether every verdict of a result passes, including those of its stages."""
+    return all(v["pass"] for v in doc.get("verdicts", ())) and all(all_pass(s) for s in doc.get("stages", ()))
+
+
+def _word(ok: bool) -> str:
+    return "PASS" if ok else "FAIL"
+
+
+def _verdict_lines(doc: dict, before_result: tuple[str, ...] = ()) -> list[str]:
+    lines = ["verdicts:"]
+    for v in doc["verdicts"]:
+        lines.append(f"  {_word(v['pass'])}  {v['name']} | {v['evidence']}")
+    return [*lines, *before_result, f"result: {_word(all_pass(doc))}"]
+
+
+def _report_lines(doc: dict) -> list[str]:
+    lines = [f"family: {doc['family']}"]
+    lines.append("parameters: " + " ".join(f"{k}={_fmt(v)}" for k, v in doc["parameters"].items()))
     lines.append("")
     lines.append("invariants:")
-    for k, v in d["invariants"].items():
+    for k, v in doc["invariants"].items():
         lines.append(f"  {k:<22} {_fmt(v)}")
-    for k, v in d["findings"].items():
+    for k, v in doc["findings"].items():
         lines.append(f"  {k:<30} {v}")
     lines.append("")
-    pair_rows = [[p["generator"], p["omega"], _fmt(p["c1"])] for p in d["pairings"]]
+    pair_rows = [[p["generator"], p["omega"], _fmt(p["c1"])] for p in doc["pairings"]]
     lines.extend(_table_rows(("generator", "omega", "c1"), pair_rows))
     lines.append("")
-    lines.append("verdicts:")
-    for v in d["verdicts"]:
-        lines.append(f"  {'PASS' if v['pass'] else 'FAIL'}  {v['name']} | {v['evidence']}")
-    lines.append("")
-    lines.append("assumptions:")
-    for a in d["assumptions"]:
-        lines.append(f"  - {a}")
-    lines.append("")
-    lines.append(f"result: {'PASS' if r.passed else 'FAIL'}")
-    return "\n".join(lines) + "\n"
+    assumptions = ("", "assumptions:", *(f"  - {a}" for a in doc["assumptions"]), "")
+    return lines + _verdict_lines(doc, assumptions)
+
+
+def _tower_lines(doc: dict) -> list[str]:
+    lines = [f"tower7: two-stage branched-cover tower (stage-2 degree d={doc['parameters']['d']})", ""]
+    for number, stage in enumerate(doc["stages"], 1):
+        lines += [f"== stage {number} ==", *_report_lines(stage), ""]
+    return lines + [f"overall: {_word(all_pass(doc))}"]
+
+
+def _catalog_lines(doc: dict) -> list[str]:
+    entries = doc["entries"]
+    lines = [f"catalog: vanishing signatures of (omega, c1) on spherical classes (d={doc['parameters']['d']})", ""]
+    rows = [[e["name"], e["omega_on_pi"], e["c1_on_pi"], e["source"]] for e in entries]
+    lines.extend(_table_rows(("name", "omega", "c1", "source"), rows))
+    lines += ["", *(f"  {e['name']}: {e['witness']}" for e in entries), ""]
+    return lines + _verdict_lines(doc, ("",))
+
+
+def _kollar_lines(doc: dict) -> list[str]:
+    p = doc["parameters"]
+    return [
+        "kollar: pullback vanishing criterion",
+        f"  symplectic class is a pullback: {'yes' if p['omega_pullback'] else 'no'}",
+        f"  target has trivial pi_2:        {'yes' if p['target_pi2_trivial'] else 'no'}",
+        f"conclusion: {doc['conclusion']}",
+        *(f"  failed hypothesis: {h}" for h in doc["failed_hypotheses"]),
+    ]
+
+
+def _matrix_lines(m: dict) -> list[str]:
+    cols = m["cols"]
+    rows = [[str(x) for x in m["entries"][i * cols : (i + 1) * cols]] for i in range(m["rows"])]
+    if not rows:
+        return ["  (empty)"]
+    widths = [max(len(r[j]) for r in rows) for j in range(cols)]
+    return ["  " + "  ".join(x.rjust(w) for x, w in zip(r, widths)) for r in rows]
+
+
+def _snf_lines(doc: dict) -> list[str]:
+    lines = [f"snf: {doc['parameters']['matrix']}"]
+    for key in ("input", "u", "d", "v"):
+        lines += [f"{key}:", *_matrix_lines(doc[key])]
+    return lines + [f"divisors: {doc['divisors']}"] + _verdict_lines(doc)
+
+
+_TABLES = {"tower7": _tower_lines, "catalog": _catalog_lines, "kollar": _kollar_lines, "snf": _snf_lines}
+
+
+def render_table(doc: dict) -> str:
+    """ASCII table of any command's result; example2 and kodaira-thurston share one layout."""
+    return "\n".join(_TABLES.get(doc["family"], _report_lines)(doc)) + "\n"

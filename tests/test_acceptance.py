@@ -9,12 +9,14 @@ from fractions import Fraction
 
 import pytest
 
-from coverhom.cli import RunConfig, cmd_catalog, cmd_kodaira_thurston, cmd_tower7
+from coverhom.cli import build_parser
 from coverhom.cover import (
     CoverSpec,
     BranchComponent,
     build_cyclic_cover,
+    build_tower7,
     complement_euler,
+    kodaira_thurston_family_report,
     product_family_report,
     lift_chern_pairing,
     lift_omega_pairing,
@@ -101,12 +103,12 @@ def test_criterion_3_milnor_determinant():
 def test_criterion_4_kodaira_thurston():
     failures = []
     for m1, m2, d in GRID:
-        report, code = cmd_kodaira_thurston(RunConfig(command="kodaira-thurston", m1=m1, m2=m2, d=d))
+        report = kodaira_thurston_family_report(SurfaceConfig(g1=1, g2=1, m1=m1, m2=m2, d=d))
         odd_flagged = any(
             v.name == "odd b1 rules out Kaehler homotopy type" and v.passed for v in report.verdicts
         )
-        if not (code == 0 and report.cover_b1 == 3 and odd_flagged and not report.kaehler):
-            failures.append((m1, m2, d, report.cover_b1, code))
+        if not (report.passed and report.cover_b1 == 3 and odd_flagged and not report.kaehler):
+            failures.append((m1, m2, d, report.cover_b1, report.passed))
     ok = not failures
     _line(4, ok, f"kodaira-thurston cover has b1 = 3, flagged odd (non-Kaehler), on {len(GRID)} cases")
     assert ok, failures
@@ -115,29 +117,31 @@ def test_criterion_4_kodaira_thurston():
 def test_criterion_5_tower():
     failures = []
     for d in range(2, 7):
-        (stage1, stage2), code = cmd_tower7(RunConfig(command="tower7", d=d))
+        stage1, stage2 = build_tower7(d)
+        passed = stage1.passed and stage2.passed
         pairing = stage2.chern_pairings[0][1]
         omega_zero = all(v == 0 for _, v in stage1.omega_pairings) and all(
             v == 0 for _, v in stage2.omega_pairings
         )
-        if not (code == 0 and pairing == 2 * (1 - d) and omega_zero):
-            failures.append((d, pairing, code))
+        if not (passed and pairing == 2 * (1 - d) and omega_zero):
+            failures.append((d, pairing, passed))
     ok = not failures
     _line(5, ok, "tower stage-2 chern pairing equals 2*(1-d) for d in [2, 6], with all omega pairings zero")
     assert ok, failures
 
 
 def test_criterion_6_catalog():
-    (entries, verdicts), code = cmd_catalog(RunConfig(command="catalog", d=2))
-    signatures = {(e.omega_on_pi, e.c1_on_pi) for e in entries}
+    args = build_parser().parse_args(["catalog", "-d", "2"])
+    doc = args.run(args)
+    entries = doc["entries"]
+    signatures = {(e["omega_on_pi"], e["c1_on_pi"]) for e in entries}
     wanted = {("zero", "zero"), ("zero", "nonzero"), ("nonzero", "zero"), ("nonzero", "nonzero")}
-    computed = [e for e in entries if e.source == "computed"]
+    computed = [e for e in entries if e["source"] == "computed"]
     ok = (
-        code == 0
-        and len(entries) == 4
+        len(entries) == 4
         and signatures == wanted
         and len(computed) == 2
-        and all(v.passed for v in verdicts)
+        and all(v["pass"] for v in doc["verdicts"])
     )
     _line(6, ok, "catalog emits exactly four entries covering all vanishing signatures, live witnesses pass")
     assert ok
@@ -155,12 +159,12 @@ def test_criterion_7_riemann_hurwitz(grid_reports):
         spec, cover = build_cyclic_cover(product_base_model(cfg), cfg)
         if riemann_hurwitz_euler(spec) != complement_euler(spec):
             failures.append(("direct", m1, m2, d))
-        report_kt, _ = cmd_kodaira_thurston(RunConfig(command="kodaira-thurston", m1=m1, m2=m2, d=d))
+        report_kt = kodaira_thurston_family_report(cfg)
         names = {v.name: v.passed for v in report_kt.all_verdicts}
         if not names.get("euler characteristic: cover formula matches complement decomposition"):
             failures.append(("kodaira-thurston", m1, m2, d))
     for d in range(2, 7):
-        (stage1, stage2), _ = cmd_tower7(RunConfig(command="tower7", d=d))
+        stage1, stage2 = build_tower7(d)
         for stage in (stage1, stage2):
             names = {v.name: v.passed for v in stage.all_verdicts}
             if not names.get("euler characteristic: cover formula matches complement decomposition"):
@@ -219,11 +223,11 @@ def test_criterion_8_property_suites():
 
     # Lift-pairing linearity on synthetic generators.
     base_model = product_base_model(SurfaceConfig(g1=2, g2=3, m1=1, m2=1, d=2, omega_areas=("1/2", "7/3")))
-    branch = SmoothedSurface(0, None, None, False, 0)
+    branch = SmoothedSurface(0, None, None, False)
     for i in range(100):
         d = rng.randint(2, 6)
         comps = (BranchComponent("t1", d, 0), BranchComponent("t2", d, 0))
-        spec = CoverSpec(base_model, d, branch, comps, False, True)
+        spec = CoverSpec(base_model, d, branch, comps, False)
 
         def syn(push, b):
             return SphericalGenerator(

@@ -1,27 +1,32 @@
 import json
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
-from coverhom.cli import (
-    RunConfig,
-    cmd_catalog,
-    cmd_example2,
-    cmd_kodaira_thurston,
-    cmd_kollar_check,
-    cmd_snf,
-    cmd_tower7,
-    main,
-)
+import coverhom.cover
+from coverhom.cli import build_parser, main
 from coverhom.intlinalg import IntMatrix
-from coverhom.reportio import matrix_from_json, matrix_to_json
+from coverhom.reportio import all_pass, matrix_from_json, matrix_to_json
 
 
 def run_main(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_command(*argv):
+    """The result dict of one command, through its command function."""
+    args = build_parser().parse_args(list(argv))
+    return args.run(args)
+
+
+def run_batch(capsys, tmp_path, entries):
+    path = tmp_path / "batch.json"
+    path.write_text(json.dumps(entries))
+    return run_main(capsys, "--batch", str(path))
 
 
 class TestExitCodes:
@@ -154,11 +159,18 @@ class TestKodairaThurston:
         assert code == 0
         assert json.loads(out)["invariants"]["b1"] == 3
 
-    def test_mutated_relator_hook_fails(self):
-        cfg = RunConfig(command="kodaira-thurston")
-        report, code = cmd_kodaira_thurston(cfg, _relator_override=((0, 0, 1, 0),))
+    def test_mutated_relator_hook_fails(self, capsys, monkeypatch):
+        build = coverhom.cover.build_cyclic_cover
+
+        def wrong_relators(base, cfg, kaehler=False):
+            spec, cover = build(base, cfg, kaehler)
+            return spec, replace(cover, h1_relators=((0, 0, 1, 0),))
+
+        monkeypatch.setattr(coverhom.cover, "build_cyclic_cover", wrong_relators)
+        code, out, _ = run_main(capsys, "kodaira-thurston", "--format", "json")
         assert code == 1
-        assert not report.passed
+        failed = [v["name"] for v in json.loads(out)["verdicts"] if not v["pass"]]
+        assert "stored relators span the monodromy relation lattice" in failed
 
 
 class TestTowerCli:
@@ -228,9 +240,9 @@ class TestKollarCli:
             assert len(doc["failed_hypotheses"]) == 1
 
     def test_library_level(self):
-        assert cmd_kollar_check(True, True).concluded
-        assert not cmd_kollar_check(True, False).concluded
-        assert not cmd_kollar_check(False, True).concluded
+        assert run_command("kollar", "--omega-pullback", "--target-pi2-trivial")["concluded"]
+        assert not run_command("kollar", "--omega-pullback", "--no-target-pi2-trivial")["concluded"]
+        assert not run_command("kollar", "--no-omega-pullback", "--target-pi2-trivial")["concluded"]
 
     def test_missing_flag_is_usage_error(self, capsys):
         assert run_main(capsys, "kollar", "--omega-pullback")[0] == 2
@@ -302,29 +314,102 @@ class TestBatch:
         path.write_text(json.dumps([{"command": "example2", "area1": 0.5}]))
         assert run_main(capsys, "--batch", str(path))[0] == 2
 
+    @pytest.mark.parametrize("value", [None, [1], {"p": 1}, 0.5])
+    def test_other_json_types_rejected(self, capsys, tmp_path, value):
+        assert run_batch(capsys, tmp_path, [{"command": "example2", "area1": value}])[0] == 2
+
+    def test_kollar_flags_must_be_booleans(self, capsys, tmp_path):
+        entry = {"command": "kollar", "omega_pullback": "no", "target_pi2_trivial": 1}
+        code, out, _ = run_batch(capsys, tmp_path, [entry])
+        assert code == 2
+        assert "conclusion" not in out
+
+    def test_option_of_another_command_rejected(self, capsys, tmp_path):
+        assert run_main(capsys, "tower7", "--m1", "3")[0] == 2
+        assert run_batch(capsys, tmp_path, [{"command": "tower7", "m1": 3}])[0] == 2
+
+    @pytest.mark.parametrize("key", ["omega", "no_omega_pullback", "help", "batch", "run"])
+    def test_only_option_names_are_keys(self, capsys, tmp_path, key):
+        entry = {"command": "kollar", "omega_pullback": True, "target_pi2_trivial": True, key: True}
+        assert run_batch(capsys, tmp_path, [entry])[0] == 2
+
+    def test_false_flags(self, capsys, tmp_path):
+        entries = [
+            {"command": "example2", "kaehler": False, "format": "json"},
+            {"command": "kollar", "omega_pullback": False, "target_pi2_trivial": True, "format": "json"},
+        ]
+        code, out, _ = run_batch(capsys, tmp_path, entries)
+        assert code == 0
+        decoder = json.JSONDecoder()
+        example2, end = decoder.raw_decode(out)
+        kollar, _ = decoder.raw_decode(out, end + 1)
+        assert example2["kaehler"] is False
+        assert kollar["parameters"]["omega_pullback"] is False
+
+    def test_whole_file_parsed_before_any_entry_runs(self, capsys, tmp_path):
+        first = tmp_path / "first.json"
+        entries = [
+            {"command": "example2", "format": "json", "out": str(first)},
+            {"command": "kollar", "omega_pullback": True},
+        ]
+        assert run_batch(capsys, tmp_path, entries)[0] == 2
+        assert not first.exists()
+
+
+class TestErrorBoundary:
+    HUGE = "1" + "0" * 5000
+
+    def assert_one_line_usage_error(self, result):
+        code, _, err = result
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_huge_integer_in_matrix_file(self, capsys, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text('{"rows": 1, "cols": 1, "entries": [%s]}' % self.HUGE)
+        self.assert_one_line_usage_error(run_main(capsys, "snf", str(path)))
+
+    def test_huge_integer_in_batch_file(self, capsys, tmp_path):
+        path = tmp_path / "batch.json"
+        path.write_text('[{"command": "example2", "m1": %s}]' % self.HUGE)
+        self.assert_one_line_usage_error(run_main(capsys, "--batch", str(path)))
+
+    def test_failed_internal_check_is_verification_failure(self, capsys, monkeypatch):
+        monkeypatch.setattr(coverhom.cover, "rank", lambda m: 0)
+        code, out, err = run_main(capsys, "example2")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
 
 class TestLibraryCommands:
     def test_cmd_example2(self):
-        report, code = cmd_example2(RunConfig(command="example2", m1=2, m2=2, d=3))
-        assert code == 0
-        assert report.pi_lower_bound == 72
+        doc = run_command("example2", "--m1", "2", "--m2", "2", "-d", "3")
+        assert all_pass(doc)
+        assert doc["invariants"]["pi_lower_bound"] == 72
 
     def test_cmd_tower7(self):
-        (s1, s2), code = cmd_tower7(RunConfig(command="tower7", d=3))
-        assert code == 0
-        assert s2.chern_pairings[0][1] == -4
+        doc = run_command("tower7", "-d", "3")
+        assert all_pass(doc)
+        assert doc["stages"][1]["pairings"][0]["c1"] == -4
 
     def test_cmd_catalog(self):
-        (entries, verdicts), code = cmd_catalog(RunConfig(command="catalog", d=2))
-        assert code == 0
-        assert len(entries) == 4
-        assert all(v.passed for v in verdicts)
+        doc = run_command("catalog", "-d", "2")
+        assert all_pass(doc)
+        assert len(doc["entries"]) == 4
+        assert all(v["pass"] for v in doc["verdicts"])
 
-    def test_cmd_snf_missing_path(self):
-        from coverhom.errors import DomainError
+    def test_cmd_snf_missing_path(self, capsys, tmp_path):
+        assert run_main(capsys, "snf")[0] == 2
+        with pytest.raises(OSError):
+            run_command("snf", str(tmp_path / "missing.json"))
 
-        with pytest.raises(DomainError):
-            cmd_snf(RunConfig(command="snf"))
+    def test_failed_stage_verdict_fails_result(self):
+        doc = run_command("tower7", "-d", "2")
+        assert all_pass(doc)
+        doc["stages"][1]["verdicts"][0]["pass"] = False
+        assert not all_pass(doc)
 
 
 def test_module_invocation_subprocess():

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
@@ -5,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import coverhom.cover
 from coverhom.cover import (
     BranchComponent,
     CoverSpec,
@@ -20,7 +24,7 @@ from coverhom.cover import (
     riemann_hurwitz_euler,
     _require_divisible,
 )
-from coverhom.errors import DomainError, IncompleteModelError, NoSuchCoverError
+from coverhom.errors import DomainError, IncompleteModelError, NoSuchCoverError, VerificationError
 from coverhom.homology import (
     SmoothedSurface,
     SphericalGenerator,
@@ -45,8 +49,19 @@ def identity_cover(base):
         branch=None,
         components=(),
         preimage_connected=False,
-        injective_on_preimage=True,
     )
+
+
+def kt_report_with_relators(monkeypatch, relators):
+    """Kodaira-Thurston report whose cover model stores the given H1 relators."""
+    build = build_cyclic_cover
+
+    def wrong_relators(base, cfg, kaehler=False):
+        spec, cover = build(base, cfg, kaehler)
+        return spec, replace(cover, h1_relators=relators)
+
+    monkeypatch.setattr(coverhom.cover, "build_cyclic_cover", wrong_relators)
+    return kodaira_thurston_family_report(make_cfg())
 
 
 def gen(pushforward=None, branch=(), omega=0, c1=0, label="test"):
@@ -62,26 +77,19 @@ def gen(pushforward=None, branch=(), omega=0, c1=0, label="test"):
 
 
 class TestCoverSpecValidation:
-    def test_injective_forces_full_multiplicity(self):
-        base = product_base_model(make_cfg())
-        branch = SmoothedSurface(0, 1, (1, 1), True, 2)
-        comp = BranchComponent("b", 1, 0)
-        with pytest.raises(DomainError):
-            CoverSpec(base, 2, branch, (comp,), preimage_connected=True, injective_on_preimage=True)
-
     def test_nontrivial_cover_needs_mult_two(self):
         base = product_base_model(make_cfg())
-        branch = SmoothedSurface(0, 1, (1, 1), True, 2)
+        branch = SmoothedSurface(0, 1, (1, 1), True)
         comp = BranchComponent("b", 1, 0)
         with pytest.raises(DomainError):
-            CoverSpec(base, 2, branch, (comp,), preimage_connected=False, injective_on_preimage=False)
+            CoverSpec(base, 2, branch, (comp,), preimage_connected=False)
 
     def test_connected_preimage_single_component(self):
         base = product_base_model(make_cfg())
-        branch = SmoothedSurface(0, 1, (1, 1), True, 2)
+        branch = SmoothedSurface(0, 1, (1, 1), True)
         comps = (BranchComponent("a", 2, 0), BranchComponent("b", 2, 0))
         with pytest.raises(DomainError):
-            CoverSpec(base, 2, branch, comps, preimage_connected=True, injective_on_preimage=True)
+            CoverSpec(base, 2, branch, comps, preimage_connected=True)
 
 
 class TestLiftPairings:
@@ -108,9 +116,9 @@ class TestLiftPairings:
         # Two branch components of multiplicity d, each met once, pushforward dead.
         base = product_base_model(make_cfg())
         for d in (2, 3, 5):
-            branch = SmoothedSurface(0, None, None, False, 0)
+            branch = SmoothedSurface(0, None, None, False)
             comps = tuple(BranchComponent(f"t{i}", d, 0) for i in (1, 2))
-            spec = CoverSpec(base, d, branch, comps, False, True)
+            spec = CoverSpec(base, d, branch, comps, False)
             g = gen(pushforward=(0, 0), branch=(1, 1))
             assert lift_chern_pairing(spec, g) == 2 * (1 - d)
 
@@ -122,9 +130,9 @@ class TestLiftPairings:
 
     def test_multiplicity_one_component_drops_out(self):
         base = product_base_model(make_cfg(g1=2, g2=1))
-        branch = SmoothedSurface(-2, 2, (1, 1), True, 2)
+        branch = SmoothedSurface(-2, 2, (1, 1), True)
         comp = BranchComponent("b", 1, -2)
-        spec = CoverSpec(base, 1, branch, (comp,), True, True)
+        spec = CoverSpec(base, 1, branch, (comp,), True)
         g = gen(pushforward=(1, 0), branch=(3,))
         assert lift_chern_pairing(spec, g) == -2
 
@@ -154,9 +162,9 @@ class TestLiftPairings:
     )
     def test_lift_pairings_additive(self, u, v, bu, bv, d):
         base = product_base_model(make_cfg(g1=2, g2=3, areas=("1/2", "7/3")))
-        branch = SmoothedSurface(0, None, None, False, 0)
+        branch = SmoothedSurface(0, None, None, False)
         comps = (BranchComponent("t1", d, 0), BranchComponent("t2", d, 0))
-        spec = CoverSpec(base, d, branch, comps, False, True)
+        spec = CoverSpec(base, d, branch, comps, False)
         ga = gen(pushforward=u, branch=(bu, bu))
         gb = gen(pushforward=v, branch=(bv, bv))
         gsum = gen(
@@ -185,7 +193,7 @@ class TestRiemannHurwitz:
 
     def test_unbranched_double_cover(self):
         base = product_base_model(make_cfg())
-        spec = CoverSpec(base, 2, None, (), False, True)
+        spec = CoverSpec(base, 2, None, (), False)
         assert riemann_hurwitz_euler(spec) == 0
         assert complement_euler(spec) == 0
 
@@ -235,6 +243,26 @@ class TestPiDimensionBound:
                 explicit = rank(block_diag(blocks))
                 assert pi_dimension_bound(k, d, injective=True) == explicit == k * (d - 1)
 
+    def test_wrong_chain_rank_raises(self, monkeypatch):
+        monkeypatch.setattr(coverhom.cover, "rank", lambda m: 2)
+        with pytest.raises(VerificationError):
+            pi_dimension_bound(3, 4)
+
+    def test_wrong_chain_rank_raises_without_asserts(self):
+        script = (
+            "import coverhom.cover as c\n"
+            "from coverhom.errors import VerificationError\n"
+            "c.rank = lambda m: 2\n"
+            "try:\n"
+            "    print(c.pi_dimension_bound(3, 4))\n"
+            "except VerificationError:\n"
+            "    print('raised')\n"
+        )
+        src = os.path.dirname(os.path.dirname(coverhom.cover.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env)
+        assert proc.stdout == "raised\n", proc.stderr
+
 
 class TestBuildCyclicCover:
     def test_minimal(self):
@@ -244,7 +272,7 @@ class TestBuildCyclicCover:
         assert all(g.omega_pairing == 0 for g in cover.spherical_generators)
         assert all(g.c1_pairing == 0 for g in cover.spherical_generators)
         assert all(g.pushforward_zero for g in cover.spherical_generators)
-        assert spec.preimage_connected and spec.injective_on_preimage
+        assert spec.preimage_connected
         assert not cover.pi2_trivial
         assert cover.b1 is None
 
@@ -337,15 +365,15 @@ class TestFamilyReports:
         names = [v.name for v in report.verdicts]
         assert "odd b1 rules out Kaehler homotopy type" in names
 
-    def test_mutated_relator_caught(self):
+    def test_mutated_relator_caught(self, monkeypatch):
         # Same b1 but the wrong lattice: must fail.
-        report = kodaira_thurston_family_report(make_cfg(), relator_override=((0, 1, 0, 0),))
+        report = kt_report_with_relators(monkeypatch, ((0, 1, 0, 0),))
         assert not report.passed
         failed = [v.name for v in report.all_verdicts if not v.passed]
         assert "stored relators span the monodromy relation lattice" in failed
 
-    def test_dropped_relator_caught(self):
-        report = kodaira_thurston_family_report(make_cfg(), relator_override=())
+    def test_dropped_relator_caught(self, monkeypatch):
+        report = kt_report_with_relators(monkeypatch, ())
         assert not report.passed
         failed = [v.name for v in report.all_verdicts if not v.passed]
         assert "cover first Betti number equals 3" in failed

@@ -57,7 +57,6 @@ class TestGridImmersion:
         b = grid_immersion(make_cfg())
         assert len(b.components) == 4
         assert b.double_points == 4
-        assert b.all_positive
         genera = [c.genus for c in b.components]
         assert genera == [1, 1, 1, 1]
 
@@ -91,7 +90,6 @@ class TestSmoothDoublePoints:
         b = ImmersedConfig(
             components=(ImmersedComponent(0, (1,)), ImmersedComponent(0, (1,))),
             double_points=1,
-            all_positive=True,
             pairing=pairing,
         )
         s = smooth_double_points(b)
@@ -99,15 +97,14 @@ class TestSmoothDoublePoints:
         assert s.genus == 0
         assert s.connected
         assert s.class_vector == (2,)
-        assert s.self_intersection == 4
 
     def test_minimal_grid(self):
         s = smooth_double_points(grid_immersion(make_cfg()))
         # Oracle route: class (2, 2) against the hyperbolic pairing.
-        assert pairing_square((2, 2), [[0, 1], [1, 0]]) == 8
+        assert s.class_vector == (2, 2)
+        assert pairing_square(s.class_vector, [[0, 1], [1, 0]]) == 8
         assert s.euler_characteristic == -8
         assert s.genus == 5
-        assert s.self_intersection == 8
         assert s.connected
 
     def test_nothing_to_smooth(self):
@@ -115,7 +112,6 @@ class TestSmoothDoublePoints:
         b = ImmersedConfig(
             components=(ImmersedComponent(3, (1,)),),
             double_points=0,
-            all_positive=True,
             pairing=pairing,
         )
         s = smooth_double_points(b)
@@ -128,7 +124,6 @@ class TestSmoothDoublePoints:
         b = ImmersedConfig(
             components=(ImmersedComponent(1, (0, 1)), ImmersedComponent(1, (0, 1))),
             double_points=0,
-            all_positive=True,
             pairing=HYPERBOLIC_PAIRING,
         )
         s = smooth_double_points(b)
@@ -142,7 +137,6 @@ class TestSmoothDoublePoints:
         b = ImmersedConfig(
             components=(ImmersedComponent(0, (1,)), ImmersedComponent(0, (1,))),
             double_points=0,
-            all_positive=True,
             pairing=pairing,
         )
         with pytest.raises(DomainError):
@@ -159,7 +153,6 @@ class TestSmoothDoublePoints:
         assert s.connected
         assert s.genus is not None and s.genus >= 0
         assert s.genus == 1 - s.euler_characteristic // 2
-        assert s.self_intersection == 2 * m1 * m2 * d * d
 
 
 class TestBranchClass:
@@ -182,7 +175,6 @@ class TestProductBaseModel:
         assert m.euler_characteristic == 0
         assert m.b1 == 4
         assert tuple(m.c1_class) == (0, 0)
-        assert m.h2_rank_known == 6
         assert m.pi2_trivial and m.symplectically_aspherical
 
     def test_genus_two_times_torus(self):
@@ -234,7 +226,6 @@ class TestModelValidation:
                 euler_characteristic=0,
                 h1_generators=0,
                 h1_relators=(),
-                h2_rank_known=None,
                 class_basis_labels=("a", "b"),
                 omega_class=RationalVector((1,)),
                 c1_class=RationalVector((0, 0)),
@@ -252,7 +243,6 @@ class TestModelValidation:
                 euler_characteristic=0,
                 h1_generators=0,
                 h1_relators=(),
-                h2_rank_known=None,
                 class_basis_labels=(),
                 omega_class=RationalVector(()),
                 c1_class=RationalVector(()),
@@ -280,5 +270,4 @@ class TestModelValidation:
                 genus=0,
                 class_vector=None,
                 connected=True,
-                self_intersection=0,
             )

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coverhom.errors import DimensionError, DomainError
+from coverhom.errors import DimensionError, DomainError, VerificationError
 from coverhom.intlinalg import (
     IntMatrix,
     RationalVector,
@@ -84,6 +84,11 @@ class TestSnf:
         assert res.d.to_rows() == [[1, 0], [0, 1]]
         assert res.u.to_rows() == [[1, 0], [0, 1]]
         assert res.v.to_rows() == [[1, 0], [0, 1]]
+
+    def test_failed_recomposition_raises(self, monkeypatch):
+        monkeypatch.setattr(IntMatrix, "mul", lambda self, other: IntMatrix.zero(self.rows, other.cols))
+        with pytest.raises(VerificationError):
+            snf(IntMatrix.identity(2))
 
     def test_two_by_two(self):
         # Divisor sequence checked against the gcd-of-minors oracle:
