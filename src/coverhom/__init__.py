@@ -26,6 +26,7 @@ from .cover import (
 )
 from .errors import DimensionError, DomainError, IncompleteModelError, NoSuchCoverError, VerificationError
 from .homology import (
+    ChainBlock,
     ImmersedComponent,
     ImmersedConfig,
     ManifoldModel,

@@ -46,6 +46,10 @@ EXIT_PASS = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 
+# A grid report lists every sphere of its m1*m2*d^2 chains of d-1 spheres;
+# larger grids are refused before anything is built.
+MAX_LISTED_SPHERES = 200_000
+
 
 def cmd_example2(args: argparse.Namespace) -> dict:
     cfg = SurfaceConfig(args.g1, args.g2, args.m1, args.m2, args.d, (args.area1, args.area2))
@@ -202,6 +206,17 @@ def cmd_snf(args: argparse.Namespace) -> dict:
 # Argument parsing and dispatch
 
 
+def _check_listing_size(args: argparse.Namespace) -> None:
+    if args.command not in ("example2", "kodaira-thurston") or min(args.m1, args.m2, args.d) < 1:
+        return
+    spheres = args.m1 * args.m2 * args.d**2 * (args.d - 1)
+    if spheres > MAX_LISTED_SPHERES:
+        raise DomainError(
+            f"{args.command} with m1={args.m1}, m2={args.m2}, d={args.d} lists {spheres} spheres "
+            f"(m1*m2*d^2*(d-1)), above the limit of {MAX_LISTED_SPHERES}"
+        )
+
+
 def _rational(text: str) -> Fraction:
     try:
         return Fraction(text)
@@ -337,6 +352,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         else:
             parser.print_usage(sys.stderr)
             return EXIT_USAGE
+        for run in runs:
+            _check_listing_size(run)
         worst = EXIT_PASS
         for run in runs:
             doc = run.run(run)

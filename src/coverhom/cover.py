@@ -11,11 +11,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from operator import attrgetter
 from typing import Sequence
 
 from .errors import DomainError, IncompleteModelError, NoSuchCoverError, VerificationError
 from .homology import (
+    MONODROMY_MATRIX,
     MONODROMY_RELATORS,
+    ChainBlock,
     ManifoldModel,
     SmoothedSurface,
     SphericalGenerator,
@@ -26,8 +29,8 @@ from .homology import (
     product_base_model,
     smooth_double_points,
 )
-from .intlinalg import IntMatrix, RationalVector, abelianized_b1, rank, same_row_lattice
-from .plumbing import PlumbingGraph, disjoint_union, intersection_matrix, milnor_fiber_2_2_d
+from .intlinalg import IntMatrix, RationalVector, rank, same_row_lattice, snf
+from .plumbing import intersection_matrix, milnor_fiber_2_2_d
 
 __all__ = [
     "BranchComponent",
@@ -98,7 +101,12 @@ class Verdict:
 
 @dataclass(frozen=True)
 class CoverReport:
-    """All computed invariants of one cover plus pass/fail verdicts."""
+    """All computed invariants of one cover plus pass/fail verdicts.
+
+    The spherical classes are the chain_block's spheres, whose pairings are
+    those of its template, followed by the generators listed in
+    omega_pairings and chern_pairings.
+    """
 
     family: str
     parameters: tuple[tuple[str, object], ...]
@@ -107,13 +115,13 @@ class CoverReport:
     pi_lower_bound: int
     omega_vanishes_on_pi: bool
     c1_vanishes_on_pi: bool
+    chain_block: ChainBlock | None
     omega_pairings: tuple[tuple[str, Fraction], ...]
     chern_pairings: tuple[tuple[str, int], ...]
     formula_cross_checks: tuple[Verdict, ...]
     verdicts: tuple[Verdict, ...]
     assumptions: tuple[str, ...]
     kaehler: bool
-    spherical_graph: PlumbingGraph | None
     trace: tuple[tuple[str, str], ...]
 
     @property
@@ -135,8 +143,6 @@ def lift_omega_pairing(spec: CoverSpec, gen: SphericalGenerator) -> Fraction:
     The lifted class is the pullback, so the value is the base pairing with
     the pushforward of gen; it is exactly 0 whenever the pushforward dies.
     """
-    if gen.pushforward_zero:
-        return Fraction(0)
     if gen.pushforward is None:
         raise IncompleteModelError(f"generator {gen.label!r} has no pushforward data")
     return spec.base.omega_class.dot(gen.pushforward)
@@ -153,12 +159,9 @@ def lift_chern_pairing(spec: CoverSpec, gen: SphericalGenerator) -> int:
             f"generator {gen.label!r} stores {len(gen.branch_intersections)} branch "
             f"intersections for {len(spec.components)} components"
         )
-    if gen.pushforward_zero:
-        base_part = Fraction(0)
-    elif gen.pushforward is None:
+    if gen.pushforward is None:
         raise IncompleteModelError(f"generator {gen.label!r} has no pushforward data")
-    else:
-        base_part = spec.base.c1_class.dot(gen.pushforward)
+    base_part = spec.base.c1_class.dot(gen.pushforward)
     if base_part.denominator != 1:
         raise DomainError("chern pairing against an integral class must be an integer")
     branch_part = sum(
@@ -182,12 +185,16 @@ def complement_euler(spec: CoverSpec) -> int:
     )
 
 
-def pi_dimension_bound(k: int, d: int, injective: bool = True, ell: int | None = None) -> int:
+def pi_dimension_bound(
+    k: int, d: int, injective: bool = True, ell: int | None = None, chain_rank: int | None = None
+) -> int:
     """Lower bound for the dimension of the spherical subspace of the cover.
 
     k double points with an injective branch preimage give k*(d-1)
     independent chain spheres; in general k*d - ell, where ell counts the
-    preimage components of the double-point balls.
+    preimage components of the double-point balls. chain_rank is the rank
+    of one installed chain's lattice when the caller has it already; it is
+    computed from milnor_fiber_2_2_d(d) otherwise.
     """
     if k < 0:
         raise DomainError("double point count must be nonnegative")
@@ -195,7 +202,8 @@ def pi_dimension_bound(k: int, d: int, injective: bool = True, ell: int | None =
         raise DomainError(f"cover degree must be at least 2, got {d}")
     if injective:
         bound = k * (d - 1)
-        chain_rank = rank(intersection_matrix(milnor_fiber_2_2_d(d)))
+        if chain_rank is None:
+            chain_rank = rank(intersection_matrix(milnor_fiber_2_2_d(d)))
         # The chains justify the count: their lattice has full rank d - 1.
         if bound != k * chain_rank:
             raise VerificationError(f"{k} chains of rank {chain_rank} do not justify the bound {bound}")
@@ -211,13 +219,17 @@ def kodaira_thurston_cover_b1(cfg: SurfaceConfig) -> int:
     """First Betti number of the torus-bundle-family cover: always 3.
 
     Collapsing the simply connected chain regions gives a singular
-    fibration over the torus; its first homology keeps the four lifted
-    generators, and the lifted monodromy relation kills the first one,
-    independently of (m1, m2, d).
+    fibration over the torus with fiber a torus, independently of
+    (m1, m2, d). Its first homology is the base's Z^2 plus the monodromy
+    coinvariants of the fiber's, coker(M - I); the free rank of that
+    cokernel is read off the Smith form of M - I.
     """
     if cfg.g1 != 1 or cfg.g2 != 1:
         raise DomainError("torus-bundle family needs g1 = g2 = 1")
-    return abelianized_b1(4, MONODROMY_RELATORS)
+    shifted = IntMatrix.from_rows(
+        [[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(MONODROMY_MATRIX.to_rows())]
+    )
+    return 2 + shifted.cols - sum(1 for x in snf(shifted).divisors if x != 0)
 
 
 # ---------------------------------------------------------------------------
@@ -287,15 +299,24 @@ def _check_base_matches(base: ManifoldModel, cfg: SurfaceConfig) -> None:
         raise DomainError("base symplectic areas disagree with the configuration")
 
 
+def _installed_generator(
+    spec: CoverSpec, label: str, pushforward: tuple[int, ...], branch_intersections: tuple[int, ...]
+) -> SphericalGenerator:
+    """A generator whose stored pairings are evaluated through the lift formulas."""
+    gen = SphericalGenerator(label, Fraction(0), 0, branch_intersections, pushforward)
+    return replace(gen, omega_pairing=lift_omega_pairing(spec, gen), c1_pairing=lift_chern_pairing(spec, gen))
+
+
 def build_cyclic_cover(
     base: ManifoldModel, cfg: SurfaceConfig, kaehler: bool = False
 ) -> tuple[CoverSpec, ManifoldModel]:
     """Degree-d cyclic cover branched with multiplicity d over the smoothed grid.
 
-    Installs one chain of d - 1 spheres of square -2 per double point.
-    Every chain sphere gets vanishing pushforward and zero branch
-    intersections, and its stored pairings are evaluated through the lift
-    formulas rather than written down directly.
+    Installs one chain of d - 1 spheres of square -2 per double point, as
+    one chain block. Every chain sphere has vanishing pushforward and zero
+    branch intersections, so one template generator stands for all of
+    them; its stored pairings are evaluated through the lift formulas
+    rather than written down directly.
     """
     _check_base_matches(base, cfg)
     _require_divisible(branch_class(cfg), cfg.d)
@@ -313,28 +334,10 @@ def build_cyclic_cover(
         components=(component,),
         preimage_connected=True,
     )
-    zero_pushforward = (0,) * len(base.class_basis_labels)
-    generators: list[SphericalGenerator] = []
-    chains: list[PlumbingGraph] = []
-    for point in range(1, immersed.double_points + 1):
-        labels = tuple(f"double point {point}, sphere {s}" for s in range(1, cfg.d))
-        chains.append(milnor_fiber_2_2_d(cfg.d, labels=labels))
-        for label in labels:
-            template = SphericalGenerator(
-                label=label,
-                omega_pairing=Fraction(0),
-                c1_pairing=0,
-                branch_intersections=(0,),
-                pushforward_zero=True,
-                pushforward=zero_pushforward,
-            )
-            generators.append(
-                replace(
-                    template,
-                    omega_pairing=lift_omega_pairing(spec, template),
-                    c1_pairing=lift_chern_pairing(spec, template),
-                )
-            )
+    chain = milnor_fiber_2_2_d(cfg.d)
+    template = _installed_generator(
+        spec, f"double point 1, {chain.vertices[0].label}", (0,) * len(base.class_basis_labels), (0,)
+    )
     h1_generators: int | None = None
     h1_relators: tuple[tuple[int, ...], ...] = ()
     if base.kind == "kodaira-thurston":
@@ -349,11 +352,11 @@ def build_cyclic_cover(
         class_basis_labels=(),
         omega_class=RationalVector(()),
         c1_class=RationalVector(()),
-        spherical_generators=tuple(generators),
+        spherical_generators=(),
         pi2_trivial=False,
         symplectically_aspherical=True,
         kaehler=kaehler,
-        spherical_graph=disjoint_union(chains),
+        chain_block=ChainBlock(chain, immersed.double_points, template),
     )
     return spec, cover
 
@@ -362,25 +365,43 @@ def build_cyclic_cover(
 # Verification engine
 
 
-def _zero_evidence(pairs, unit: str) -> str:
-    nonzero = [(label, value) for label, value in pairs if value != 0]
+def _sphere_rows(cover: ManifoldModel) -> list[tuple[SphericalGenerator, int]]:
+    """Each stored generator once, with the number of spheres it stands for."""
+    block = cover.chain_block
+    rows = [] if block is None else [(block.template, block.spheres)]
+    return rows + [(g, 1) for g in cover.spherical_generators]
+
+
+_OMEGA = attrgetter("omega_pairing")
+_C1 = attrgetter("c1_pairing")
+
+
+def _all_zero(rows, pairing) -> bool:
+    return all(pairing(g) == 0 for g, _ in rows)
+
+
+def _zero_evidence(rows, pairing, unit: str) -> str:
+    nonzero = [(g, n) for g, n in rows if pairing(g) != 0]
     if nonzero:
-        label, value = nonzero[0]
-        return f"nonzero {unit} pairing at {label!r}: {value} ({len(nonzero)} nonzero total)"
-    return f"all {len(pairs)} {unit} pairings are exactly 0"
+        g = nonzero[0][0]
+        count = sum(n for _, n in nonzero)
+        return f"nonzero {unit} pairing at {g.label!r}: {pairing(g)} ({count} nonzero total)"
+    return f"all {sum(n for _, n in rows)} {unit} pairings are exactly 0"
 
 
-def _pairing_cross_check(spec: CoverSpec, gens: Sequence[SphericalGenerator]) -> Verdict:
+def _pairing_cross_check(spec: CoverSpec, cover: ManifoldModel) -> Verdict:
+    rows = _sphere_rows(cover)
     bad = []
-    for g in gens:
+    for g, n in rows:
         om = lift_omega_pairing(spec, g)
         c1 = lift_chern_pairing(spec, g)
         if om != g.omega_pairing or c1 != g.c1_pairing:
-            bad.append(f"{g.label!r}: stored ({g.omega_pairing}, {g.c1_pairing}) vs formula ({om}, {c1})")
+            bad.append((n, f"{g.label!r}: stored ({g.omega_pairing}, {g.c1_pairing}) vs formula ({om}, {c1})"))
+    total = sum(n for _, n in rows)
     evidence = (
-        f"all {len(gens)} stored pairings match the lift formulas"
+        f"all {total} stored pairings match the lift formulas"
         if not bad
-        else f"{len(bad)} generator(s) disagree; first: {bad[0]}"
+        else f"{sum(n for n, _ in bad)} generator(s) disagree; first: {bad[0][1]}"
     )
     return Verdict("stored pairings equal lift-formula recomputation", not bad, evidence)
 
@@ -395,24 +416,23 @@ def _euler_cross_check(spec: CoverSpec) -> Verdict:
     )
 
 
-def _prediction_verdicts(spec: CoverSpec, gens: Sequence[SphericalGenerator]) -> list[Verdict]:
+def _prediction_verdicts(spec: CoverSpec, cover: ManifoldModel) -> list[Verdict]:
     out = []
-    omega_pairs = [(g.label, g.omega_pairing) for g in gens]
-    chern_pairs = [(g.label, g.c1_pairing) for g in gens]
+    rows = _sphere_rows(cover)
     if spec.base.symplectically_aspherical:
         out.append(
             Verdict(
                 "aspherical base: omega-vanishing prediction holds",
-                all(v == 0 for _, v in omega_pairs),
-                _zero_evidence(omega_pairs, "omega"),
+                _all_zero(rows, _OMEGA),
+                _zero_evidence(rows, _OMEGA, "omega"),
             )
         )
     if spec.base.pi2_trivial and spec.preimage_connected:
         out.append(
             Verdict(
                 "trivial pi2 and connected branch preimage: c1-vanishing prediction holds",
-                all(v == 0 for _, v in chern_pairs),
-                _zero_evidence(chern_pairs, "c1"),
+                _all_zero(rows, _C1),
+                _zero_evidence(rows, _C1, "c1"),
             )
         )
     return out
@@ -443,25 +463,24 @@ def _assemble_grid_report(
     extra_verdicts: Sequence[Verdict] = (),
     extra_assumptions: Sequence[str] = (),
 ) -> CoverReport:
-    gens = cover.spherical_generators
-    k = cfg.m1 * cfg.m2 * cfg.d**2
-    chain_rank = rank(intersection_matrix(milnor_fiber_2_2_d(cfg.d)))
+    block = cover.chain_block
+    rows = _sphere_rows(cover)
+    k = block.copies
+    chain_rank = rank(intersection_matrix(block.chain))
     block_rank = k * chain_rank
-    bound = pi_dimension_bound(k, cfg.d, injective=True)
+    bound = pi_dimension_bound(k, cfg.d, injective=True, chain_rank=chain_rank)
     formula = cfg.m1 * cfg.m2 * cfg.d**2 * (cfg.d - 1)
-    omega_pairs = tuple((g.label, g.omega_pairing) for g in gens)
-    chern_pairs = tuple((g.label, g.c1_pairing) for g in gens)
     cls = branch_class(cfg)
     verdicts = [
         Verdict(
             "omega pairings on installed spherical generators are all zero",
-            all(v == 0 for _, v in omega_pairs),
-            _zero_evidence(omega_pairs, "omega"),
+            _all_zero(rows, _OMEGA),
+            _zero_evidence(rows, _OMEGA, "omega"),
         ),
         Verdict(
             "c1 pairings on installed spherical generators are all zero",
-            all(v == 0 for _, v in chern_pairs),
-            _zero_evidence(chern_pairs, "c1"),
+            _all_zero(rows, _C1),
+            _zero_evidence(rows, _C1, "c1"),
         ),
         Verdict(
             "spherical bound equals rank of installed chain lattice",
@@ -479,7 +498,7 @@ def _assemble_grid_report(
             f"class {cls}, degree {cfg.d}",
         ),
     ]
-    verdicts.extend(_prediction_verdicts(spec, gens))
+    verdicts.extend(_prediction_verdicts(spec, cover))
     verdicts.extend(extra_verdicts)
     assumptions = [ASSUMPTION_PUSHFORWARD, ASSUMPTION_SIGN, ASSUMPTION_UNIQUE_COVER]
     assumptions.extend(extra_assumptions)
@@ -494,15 +513,15 @@ def _assemble_grid_report(
         cover_euler=cover.euler_characteristic,
         cover_b1=cover_b1,
         pi_lower_bound=bound,
-        omega_vanishes_on_pi=all(v == 0 for _, v in omega_pairs),
-        c1_vanishes_on_pi=all(v == 0 for _, v in chern_pairs),
-        omega_pairings=omega_pairs,
-        chern_pairings=chern_pairs,
-        formula_cross_checks=(_pairing_cross_check(spec, gens), _euler_cross_check(spec)),
+        omega_vanishes_on_pi=_all_zero(rows, _OMEGA),
+        c1_vanishes_on_pi=_all_zero(rows, _C1),
+        chain_block=block,
+        omega_pairings=tuple((g.label, g.omega_pairing) for g in cover.spherical_generators),
+        chern_pairings=tuple((g.label, g.c1_pairing) for g in cover.spherical_generators),
+        formula_cross_checks=(_pairing_cross_check(spec, cover), _euler_cross_check(spec)),
         verdicts=tuple(verdicts),
         assumptions=tuple(assumptions),
         kaehler=cover.kaehler,
-        spherical_graph=cover.spherical_graph,
         trace=_grid_trace(cover_b1 is not None),
     )
 
@@ -583,19 +602,7 @@ def build_tower7(d: int) -> tuple[CoverReport, CoverReport]:
     base = product_base_model(cfg)
     spec1, cover1 = build_cyclic_cover(base, cfg)
 
-    sphere = SphericalGenerator(
-        label="sphere S (two lifted vanishing disks)",
-        omega_pairing=Fraction(0),
-        c1_pairing=0,
-        branch_intersections=(0,),
-        pushforward_zero=True,
-        pushforward=(0, 0),
-    )
-    sphere = replace(
-        sphere,
-        omega_pairing=lift_omega_pairing(spec1, sphere),
-        c1_pairing=lift_chern_pairing(spec1, sphere),
-    )
+    sphere = _installed_generator(spec1, "sphere S (two lifted vanishing disks)", (0, 0), (0,))
     cover1 = replace(cover1, spherical_generators=cover1.spherical_generators + (sphere,))
     report1 = _assemble_grid_report(
         spec1,
@@ -631,17 +638,8 @@ def build_tower7(d: int) -> tuple[CoverReport, CoverReport]:
         components=tori,
         preimage_connected=False,
     )
-    lifted = SphericalGenerator(
-        label="lifted sphere over S",
-        omega_pairing=Fraction(0),
-        c1_pairing=0,
-        branch_intersections=(1, 1),
-        pushforward_zero=False,
-        pushforward=(1,),
-    )
-    om = lift_omega_pairing(spec2, lifted)
-    c1 = lift_chern_pairing(spec2, lifted)
-    lifted = replace(lifted, omega_pairing=om, c1_pairing=c1)
+    lifted = _installed_generator(spec2, "lifted sphere over S", (1,), (1, 1))
+    om, c1 = lifted.omega_pairing, lifted.c1_pairing
     cover2 = ManifoldModel(
         name=f"{d}-fold cover of the stage-1 manifold branched over two parallel tori",
         kind="cover",
@@ -666,7 +664,7 @@ def build_tower7(d: int) -> tuple[CoverReport, CoverReport]:
         ),
         Verdict("chern pairing on lifted sphere is nonzero", c1 != 0, f"pairing {c1}"),
     ]
-    verdicts.extend(_prediction_verdicts(spec2, (lifted,)))
+    verdicts.extend(_prediction_verdicts(spec2, cover2))
     report2 = CoverReport(
         family="tower7-stage2",
         parameters=(("stage", 2), ("d", d)),
@@ -675,9 +673,10 @@ def build_tower7(d: int) -> tuple[CoverReport, CoverReport]:
         pi_lower_bound=1,
         omega_vanishes_on_pi=om == 0,
         c1_vanishes_on_pi=c1 == 0,
+        chain_block=None,
         omega_pairings=((lifted.label, om),),
         chern_pairings=((lifted.label, c1),),
-        formula_cross_checks=(_pairing_cross_check(spec2, (lifted,)), _euler_cross_check(spec2)),
+        formula_cross_checks=(_pairing_cross_check(spec2, cover2), _euler_cross_check(spec2)),
         verdicts=tuple(verdicts),
         assumptions=(
             ASSUMPTION_PUSHFORWARD,
@@ -687,7 +686,6 @@ def build_tower7(d: int) -> tuple[CoverReport, CoverReport]:
             ASSUMPTION_B1_UNKNOWN,
         ),
         kaehler=False,
-        spherical_graph=None,
         trace=(
             ("invariants.euler_characteristic", "riemann_hurwitz_euler"),
             ("invariants.b1", "not determined by the construction"),

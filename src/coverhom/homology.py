@@ -10,6 +10,7 @@ configuration below is (m2*d, m1*d).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -23,6 +24,7 @@ __all__ = [
     "ImmersedConfig",
     "SmoothedSurface",
     "SphericalGenerator",
+    "ChainBlock",
     "ManifoldModel",
     "grid_immersion",
     "smooth_double_points",
@@ -122,18 +124,17 @@ class SmoothedSurface:
 class SphericalGenerator:
     """A sphere class in a cover, stored at the pairing level.
 
-    pushforward holds the image class in the base's named basis; the
-    constructors set it to zero (with pushforward_zero = True) for chain
-    spheres, which live over balls around double points of the branch
-    configuration. branch_intersections pairs the class with each branch
-    component, in component order.
+    pushforward holds the image class in the base's named basis (all zeros
+    for chain spheres, which live over balls around double points of the
+    branch configuration); None means the construction supplies no such
+    data. branch_intersections pairs the class with each branch component,
+    in component order.
     """
 
     label: str
     omega_pairing: Fraction
     c1_pairing: int
     branch_intersections: tuple[int, ...]
-    pushforward_zero: bool
     pushforward: tuple[int, ...] | None = None
 
     def __post_init__(self):
@@ -143,12 +144,36 @@ class SphericalGenerator:
             self, "branch_intersections", tuple(_as_int(x) for x in self.branch_intersections)
         )
         if self.pushforward is not None:
-            pf = tuple(_as_int(x) for x in self.pushforward)
-            object.__setattr__(self, "pushforward", pf)
-            if self.pushforward_zero != all(x == 0 for x in pf):
-                raise DomainError(
-                    f"pushforward_zero flag disagrees with stored pushforward {pf}"
-                )
+            object.__setattr__(self, "pushforward", tuple(_as_int(x) for x in self.pushforward))
+
+
+@dataclass(frozen=True)
+class ChainBlock:
+    """`copies` disjoint copies of one sphere chain, all described by one generator.
+
+    Every sphere of every copy has the template's pushforward, branch
+    intersections and pairings, so the template stands for all of them and
+    carries the label of the first ("double point 1, sphere 1"). Per-sphere
+    labels and lattice indices exist only in the written-out report: sphere
+    s of copy p is vertex (p - 1) * len(chain) + s - 1.
+    """
+
+    chain: PlumbingGraph
+    copies: int
+    template: SphericalGenerator
+
+    def __post_init__(self):
+        if _as_int(self.copies) < 0:
+            raise DomainError("chain copy count must be nonnegative")
+
+    @property
+    def spheres(self) -> int:
+        return self.copies * len(self.chain)
+
+    def labels(self) -> list[str]:
+        """Per-sphere labels in lattice order."""
+        names = [v.label for v in self.chain.vertices]
+        return [f"double point {p}, {name}" for p in range(1, self.copies + 1) for name in names]
 
 
 @dataclass(frozen=True)
@@ -158,7 +183,8 @@ class ManifoldModel:
     h1_generators may be None when the construction does not determine the
     first homology; b1 is then unknown. symplectically_aspherical records
     whether the symplectic class is known to kill every spherical class
-    (always true when pi_2 is trivial).
+    (always true when pi_2 is trivial). The spherical classes are the
+    chain_block's spheres followed by spherical_generators.
     """
 
     name: str
@@ -173,7 +199,7 @@ class ManifoldModel:
     pi2_trivial: bool
     symplectically_aspherical: bool
     kaehler: bool
-    spherical_graph: PlumbingGraph | None = None
+    chain_block: ChainBlock | None = None
 
     def __post_init__(self):
         labels = tuple(self.class_basis_labels)
@@ -223,10 +249,18 @@ def _pairing_value(q: IntMatrix, a: tuple[int, ...], b: tuple[int, ...]) -> int:
 def _pairing_graph_connected(b: ImmersedConfig) -> bool:
     # Components are joined when their classes pair nontrivially; for the
     # grid this is the complete bipartite pattern vertical-horizontal.
-    n = len(b.components)
-    if n == 0:
+    # Components of equal class have equal neighbours, so it suffices to
+    # join the distinct classes: with two or more of them, the graph is
+    # connected exactly when they are, and every class has a neighbour to
+    # join its copies through. A single class of several components needs
+    # a nonzero square.
+    counts = Counter(c.class_vector for c in b.components)
+    classes = list(counts)
+    if not classes:
         return False
-    parent = list(range(n))
+    if len(classes) == 1:
+        return counts[classes[0]] == 1 or _pairing_value(b.pairing, classes[0], classes[0]) != 0
+    parent = list(range(len(classes)))
 
     def find(i):
         while parent[i] != i:
@@ -234,11 +268,11 @@ def _pairing_graph_connected(b: ImmersedConfig) -> bool:
             i = parent[i]
         return i
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            if _pairing_value(b.pairing, b.components[i].class_vector, b.components[j].class_vector):
+    for i in range(len(classes)):
+        for j in range(i + 1, len(classes)):
+            if _pairing_value(b.pairing, classes[i], classes[j]):
                 parent[find(i)] = find(j)
-    return len({find(i) for i in range(n)}) == 1
+    return len({find(i) for i in range(len(classes))}) == 1
 
 
 def smooth_double_points(b: ImmersedConfig) -> SmoothedSurface:
@@ -290,6 +324,10 @@ def product_base_model(cfg: SurfaceConfig, kaehler: bool = False) -> ManifoldMod
 # Abelianized monodromy relation of the torus-bundle quotient: the first
 # base generator dies, leaving b1 = 3.
 MONODROMY_RELATORS: tuple[tuple[int, ...], ...] = ((1, 0, 0, 0),)
+
+# Monodromy of the torus-bundle quotient around the first base loop (the
+# second loop has trivial monodromy), acting on the fiber's first homology.
+MONODROMY_MATRIX = IntMatrix(2, 2, (1, 1, 0, 1))
 
 
 def kodaira_thurston_model(areas: tuple[Fraction, Fraction] = (Fraction(1), Fraction(1))) -> ManifoldModel:

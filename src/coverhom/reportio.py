@@ -13,8 +13,8 @@ from fractions import Fraction
 
 from .cover import CoverReport
 from .errors import DimensionError, DomainError
+from .homology import ChainBlock
 from .intlinalg import IntMatrix
-from .plumbing import PlumbingGraph
 
 __all__ = [
     "encode_int",
@@ -90,15 +90,18 @@ def matrix_from_json(obj) -> IntMatrix:
     return IntMatrix(rows, cols, decoded)
 
 
-def _graph_to_json(g: PlumbingGraph | None):
-    if g is None:
+def _block_to_json(block: ChainBlock | None, labels: list[str]):
+    """The block's disjoint union of chains, one vertex per sphere."""
+    if block is None:
         return None
+    chain = block.chain
+    n = len(chain)
+    kinds = [(v.euler_number, v.genus) for v in chain.vertices] * block.copies
     return {
         "vertices": [
-            {"euler_number": v.euler_number, "genus": v.genus, "label": v.label}
-            for v in g.vertices
+            {"euler_number": e, "genus": g, "label": label} for (e, g), label in zip(kinds, labels)
         ],
-        "edges": [[i, j] for i, j in g.edges],
+        "edges": [[i + p * n, j + p * n] for p in range(block.copies) for i, j in chain.edges],
     }
 
 
@@ -107,6 +110,17 @@ def verdicts_to_json(verdicts) -> list[dict]:
 
 
 def report_to_dict(r: CoverReport) -> dict:
+    """The report with its chain block expanded: one pairing row and one lattice vertex per sphere."""
+    block = r.chain_block
+    labels = [] if block is None else block.labels()
+    pairings = []
+    if block is not None:
+        omega, c1 = encode_fraction(block.template.omega_pairing), encode_int(block.template.c1_pairing)
+        pairings = [{"generator": label, "omega": omega, "c1": c1} for label in labels]
+    pairings += [
+        {"generator": label, "omega": encode_fraction(om), "c1": encode_int(c1)}
+        for (label, om), (_, c1) in zip(r.omega_pairings, r.chern_pairings)
+    ]
     return {
         "family": r.family,
         "parameters": {k: encode_value(v) for k, v in r.parameters},
@@ -119,11 +133,8 @@ def report_to_dict(r: CoverReport) -> dict:
             "omega_on_spherical_classes": "zero" if r.omega_vanishes_on_pi else "nonzero",
             "c1_on_spherical_classes": "zero" if r.c1_vanishes_on_pi else "nonzero",
         },
-        "pairings": [
-            {"generator": label, "omega": encode_fraction(om), "c1": encode_int(c1)}
-            for (label, om), (_, c1) in zip(r.omega_pairings, r.chern_pairings)
-        ],
-        "spherical_lattice": _graph_to_json(r.spherical_graph),
+        "pairings": pairings,
+        "spherical_lattice": _block_to_json(block, labels),
         "verdicts": verdicts_to_json(r.all_verdicts),
         "assumptions": list(r.assumptions),
         "kaehler": r.kaehler,

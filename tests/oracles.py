@@ -117,3 +117,21 @@ def pairing_square(class_vector, pairing_rows):
         for i in range(n)
         for j in range(n)
     )
+
+
+def chain_listing(copies, chain_length, omega, c1):
+    """Pairing rows and lattice of `copies` disjoint chains of -2 spheres, written out sphere by sphere.
+
+    Sphere s of chain p is labelled "double point p, sphere s" and is
+    vertex (p - 1) * chain_length + s - 1; each chain's edges join
+    consecutive spheres.
+    """
+    pairings, vertices, edges = [], [], []
+    for p in range(copies):
+        for s in range(chain_length):
+            label = f"double point {p + 1}, sphere {s + 1}"
+            pairings.append({"generator": label, "omega": omega, "c1": c1})
+            vertices.append({"euler_number": -2, "genus": 0, "label": label})
+            if s > 0:
+                edges.append([p * chain_length + s - 1, p * chain_length + s])
+    return pairings, {"vertices": vertices, "edges": edges}

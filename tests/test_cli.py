@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 from dataclasses import replace
 
 import pytest
@@ -374,6 +375,21 @@ class TestErrorBoundary:
         path = tmp_path / "batch.json"
         path.write_text('[{"command": "example2", "m1": %s}]' % self.HUGE)
         self.assert_one_line_usage_error(run_main(capsys, "--batch", str(path)))
+
+    def test_oversized_grid_refused_before_building(self, capsys):
+        start = time.perf_counter()
+        result = run_main(capsys, "example2", "--m1", "300", "--m2", "300", "-d", "30")
+        assert time.perf_counter() - start < 0.5
+        self.assert_one_line_usage_error(result)
+        assert "2349000000 spheres" in result[2] and "limit of 200000" in result[2]
+
+    def test_oversized_grid_refused_in_batch(self, capsys, tmp_path):
+        first = tmp_path / "first.json"
+        entries = [{"command": "example2", "out": str(first)}, {"command": "kodaira-thurston", "d": 60}]
+        result = run_batch(capsys, tmp_path, entries)
+        self.assert_one_line_usage_error(result)
+        assert "212400 spheres" in result[2]
+        assert not first.exists()
 
     def test_failed_internal_check_is_verification_failure(self, capsys, monkeypatch):
         monkeypatch.setattr(coverhom.cover, "rank", lambda m: 0)

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -32,10 +33,11 @@ from coverhom.homology import (
     kodaira_thurston_model,
     product_base_model,
 )
-from coverhom.intlinalg import block_diag, rank
-from coverhom.plumbing import intersection_matrix, milnor_fiber_2_2_d
+from coverhom.intlinalg import IntMatrix, block_diag, rank
+from coverhom.plumbing import PlumbingVertex, intersection_matrix, milnor_fiber_2_2_d
+from coverhom.reportio import report_to_dict
 
-from oracles import euler_by_complement
+from oracles import chain_listing, euler_by_complement
 
 
 def make_cfg(g1=1, g2=1, m1=1, m2=1, d=2, areas=(1, 1)):
@@ -65,13 +67,11 @@ def kt_report_with_relators(monkeypatch, relators):
 
 
 def gen(pushforward=None, branch=(), omega=0, c1=0, label="test"):
-    zero = pushforward is not None and all(x == 0 for x in pushforward)
     return SphericalGenerator(
         label=label,
         omega_pairing=Fraction(omega),
         c1_pairing=c1,
         branch_intersections=branch,
-        pushforward_zero=zero if pushforward is not None else True,
         pushforward=pushforward,
     )
 
@@ -108,9 +108,9 @@ class TestLiftPairings:
     def test_milnor_generator_zero(self):
         cfg = make_cfg()
         spec, cover = build_cyclic_cover(product_base_model(cfg), cfg)
-        for g in cover.spherical_generators:
-            assert lift_omega_pairing(spec, g) == 0
-            assert lift_chern_pairing(spec, g) == 0
+        g = cover.chain_block.template
+        assert lift_omega_pairing(spec, g) == 0
+        assert lift_chern_pairing(spec, g) == 0
 
     def test_two_component_sphere_pairing(self):
         # Two branch components of multiplicity d, each met once, pushforward dead.
@@ -139,7 +139,7 @@ class TestLiftPairings:
     def test_missing_pushforward_rejected(self):
         base = product_base_model(make_cfg())
         spec = identity_cover(base)
-        bad = SphericalGenerator("no data", Fraction(0), 0, (), pushforward_zero=False, pushforward=None)
+        bad = SphericalGenerator("no data", Fraction(0), 0, (), pushforward=None)
         with pytest.raises(IncompleteModelError):
             lift_omega_pairing(spec, bad)
         with pytest.raises(IncompleteModelError):
@@ -268,10 +268,13 @@ class TestBuildCyclicCover:
     def test_minimal(self):
         cfg = make_cfg()
         spec, cover = build_cyclic_cover(product_base_model(cfg), cfg)
-        assert len(cover.spherical_generators) == 4
-        assert all(g.omega_pairing == 0 for g in cover.spherical_generators)
-        assert all(g.c1_pairing == 0 for g in cover.spherical_generators)
-        assert all(g.pushforward_zero for g in cover.spherical_generators)
+        block = cover.chain_block
+        assert (block.copies, len(block.chain), block.spheres) == (4, 1, 4)
+        assert cover.spherical_generators == ()
+        assert block.template.label == "double point 1, sphere 1"
+        assert block.template.omega_pairing == 0
+        assert block.template.c1_pairing == 0
+        assert block.template.pushforward == (0, 0)
         assert spec.preimage_connected
         assert not cover.pi2_trivial
         assert cover.b1 is None
@@ -279,14 +282,16 @@ class TestBuildCyclicCover:
     def test_degree_three(self):
         cfg = make_cfg(d=3)
         _, cover = build_cyclic_cover(product_base_model(cfg), cfg)
-        assert len(cover.spherical_generators) == 18
-        assert len(cover.spherical_graph) == 18
+        assert cover.chain_block.copies == 9
+        assert len(cover.chain_block.chain) == 2
+        assert cover.chain_block.spheres == 18
+        assert len(cover.chain_block.labels()) == 18
 
     def test_kodaira_thurston_base(self):
         cfg = make_cfg()
         base = kodaira_thurston_model(cfg.omega_areas)
         spec, cover = build_cyclic_cover(base, cfg)
-        assert len(cover.spherical_generators) == 4
+        assert cover.chain_block.spheres == 4
         assert cover.b1 == 3
 
     def test_area_mismatch_rejected(self):
@@ -314,6 +319,18 @@ class TestKodairaThurstonCoverB1:
     def test_needs_torus_factors(self):
         with pytest.raises(DomainError):
             kodaira_thurston_cover_b1(make_cfg(g1=2))
+
+    @pytest.mark.parametrize(
+        "rows, b1",
+        [
+            ([[1, 0], [0, 1]], 4),  # trivial monodromy: the 4-torus
+            ([[1, 2], [0, 1]], 3),  # torsion in the coinvariants does not count
+            ([[-1, 0], [0, -1]], 2),
+        ],
+    )
+    def test_betti_number_follows_monodromy(self, monkeypatch, rows, b1):
+        monkeypatch.setattr(coverhom.cover, "MONODROMY_MATRIX", IntMatrix.from_rows(rows))
+        assert kodaira_thurston_cover_b1(make_cfg()) == b1
 
     def test_free_presentation_is_wrong(self):
         # The degenerate presentation without the monodromy relator must
@@ -345,6 +362,7 @@ class TestFamilyReports:
         assert kaehler.kaehler and not plain.kaehler
         assert kaehler.pi_lower_bound == plain.pi_lower_bound
         assert kaehler.cover_euler == plain.cover_euler
+        assert kaehler.chain_block == plain.chain_block
         assert kaehler.omega_pairings == plain.omega_pairings
         assert kaehler.chern_pairings == plain.chern_pairings
         assert any("holomorphic" in a for a in kaehler.assumptions)
@@ -394,8 +412,10 @@ class TestTower:
         assert stage1.pi_lower_bound == 4
         assert stage1.cover_euler == 8
         # Chain generators plus the lifted-disks sphere.
-        assert len(stage1.omega_pairings) == 5
-        assert all(v == 0 for _, v in stage1.chern_pairings)
+        rows = report_to_dict(stage1)["pairings"]
+        assert [r["generator"] for r in rows][-2:] == ["double point 4, sphere 1", "sphere S (two lifted vanishing disks)"]
+        assert len(rows) == 5
+        assert all(r["c1"] == 0 and r["omega"] == "0/1" for r in rows)
 
     def test_stage_two_euler(self):
         for d in (2, 3, 5):
@@ -414,15 +434,58 @@ class TestTower:
             build_tower7(1)
 
 
+class TestChainBlock:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        st.integers(1, 3), st.integers(1, 3), st.integers(1, 3), st.integers(1, 3), st.integers(2, 5), st.booleans()
+    )
+    def test_listing_matches_per_sphere_reference(self, g1, g2, m1, m2, d, torus_bundle):
+        if torus_bundle:
+            report = kodaira_thurston_family_report(make_cfg(1, 1, m1, m2, d))
+        else:
+            report = product_family_report(make_cfg(g1, g2, m1, m2, d))
+        doc = report_to_dict(report)
+        pairings, lattice = chain_listing(m1 * m2 * d * d, d - 1, "0/1", 0)
+        assert doc["pairings"] == pairings
+        assert doc["spherical_lattice"] == lattice
+        assert doc["invariants"]["pi_lower_bound"] == len(pairings)
+
+    def test_work_per_report_does_not_grow_with_the_grid(self, monkeypatch):
+        counts = Counter()
+
+        def counting(key, fn):
+            def counted(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+
+            return counted
+
+        monkeypatch.setattr(SphericalGenerator, "__post_init__", counting("generator", SphericalGenerator.__post_init__))
+        monkeypatch.setattr(PlumbingVertex, "__post_init__", counting("vertex", PlumbingVertex.__post_init__))
+        for name in ("lift_omega_pairing", "lift_chern_pairing"):
+            monkeypatch.setattr(coverhom.cover, name, counting("lift", getattr(coverhom.cover, name)))
+
+        def work(m1, m2, d):
+            counts.clear()
+            report_to_dict(product_family_report(make_cfg(m1=m1, m2=m2, d=d)))
+            return dict(counts)
+
+        for d in (2, 5):
+            # One template generator (built, then given its lifted pairings),
+            # one chain, both lift formulas at build and at the cross-check.
+            assert work(1, 1, d) == work(8, 8, d) == {"generator": 2, "vertex": d - 1, "lift": 4}
+
+
 class TestCrossChecksAreLive:
     def test_tampered_generator_fails_cross_check(self):
         cfg = make_cfg()
         spec, cover = build_cyclic_cover(product_base_model(cfg), cfg)
-        tampered = replace(
-            cover.spherical_generators[0],
-            c1_pairing=1,
-        )
+        block = cover.chain_block
+        tampered = replace(cover, chain_block=replace(block, template=replace(block.template, c1_pairing=1)))
         from coverhom.cover import _pairing_cross_check
 
-        verdict = _pairing_cross_check(spec, (tampered,))
+        assert _pairing_cross_check(spec, cover).passed
+        verdict = _pairing_cross_check(spec, tampered)
         assert not verdict.passed
+        # The template stands for all four spheres and names the first.
+        assert verdict.evidence.startswith("4 generator(s) disagree; first: 'double point 1, sphere 1'")

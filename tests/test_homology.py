@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+
+import coverhom.homology
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -130,6 +132,37 @@ class TestSmoothDoublePoints:
         assert not s.connected
         assert s.genus is None
 
+    def test_distinct_classes_that_do_not_pair(self):
+        b = ImmersedConfig(
+            components=(ImmersedComponent(1, (1, 0)), ImmersedComponent(1, (2, 0))),
+            double_points=0,
+            pairing=HYPERBOLIC_PAIRING,
+        )
+        assert not smooth_double_points(b).connected
+
+    def test_large_grid_pairs_distinct_classes_only(self, monkeypatch):
+        calls = []
+        pairing_value = coverhom.homology._pairing_value
+
+        def counted(q, a, b):
+            calls.append((a, b))
+            return pairing_value(q, a, b)
+
+        monkeypatch.setattr(coverhom.homology, "_pairing_value", counted)
+
+        def smoothed(m1):
+            calls.clear()
+            b = grid_immersion(make_cfg(g1=2, g2=3, m1=m1, m2=1, d=2))
+            return b, smooth_double_points(b), len(calls)
+
+        _, _, few = smoothed(1)
+        b, s, many = smoothed(20000)
+        assert len(b.components) == 40002
+        assert many == few
+        # 40000 genus-3 verticals and 2 genus-2 horizontals meeting in 80000 points.
+        chi = 40000 * (2 - 6) + 2 * (2 - 4) - 2 * 80000
+        assert s == SmoothedSurface(chi, 1 - chi // 2, (2, 40000), True)
+
     def test_inconsistent_configuration_rejected(self):
         # Two spheres whose classes pair, but no double point recorded:
         # chi would exceed 2 for a connected surface.
@@ -252,16 +285,16 @@ class TestModelValidation:
                 kaehler=False,
             )
 
-    def test_generator_flag_consistency(self):
-        with pytest.raises(DomainError):
-            SphericalGenerator(
-                label="bad",
-                omega_pairing=Fraction(0),
-                c1_pairing=0,
-                branch_intersections=(),
-                pushforward_zero=True,
-                pushforward=(1, 0),
-            )
+    def test_generator_pushforward_entries_validated(self):
+        for bad in ((1, 0.5), (True, 0)):
+            with pytest.raises(DomainError):
+                SphericalGenerator(
+                    label="bad",
+                    omega_pairing=Fraction(0),
+                    c1_pairing=0,
+                    branch_intersections=(),
+                    pushforward=bad,
+                )
 
     def test_smoothed_surface_invariant(self):
         with pytest.raises(DomainError):
