@@ -52,7 +52,6 @@ from .intlinalg import (
 from .plumbing import (
     PlumbingGraph,
     PlumbingVertex,
-    disjoint_union,
     intersection_matrix,
     linear_chain,
     milnor_fiber_2_2_d,

@@ -18,7 +18,7 @@ from typing import Sequence
 from .cover import Verdict, build_tower7, kodaira_thurston_family_report, product_family_report
 from .errors import DomainError, VerificationError
 from .homology import SurfaceConfig
-from .intlinalg import det, snf
+from .intlinalg import snf
 from .reportio import (
     all_pass,
     encode_int,
@@ -171,24 +171,19 @@ def cmd_snf(args: argparse.Namespace) -> dict:
     """Run the exact Smith decomposition on a JSON matrix file."""
     with open(args.matrix) as fh:
         a = matrix_from_json(json.load(fh))
+    # snf raises VerificationError unless u*a*v == d, u and v are unimodular
+    # and d is a divisor chain (the last two checked by SnfResult), so these
+    # verdicts report the checks already run instead of repeating them.
     res = snf(a)
-    recomposed = res.u.mul(a).mul(res.v)
     diag = res.divisors
-    chain_ok = all(x >= 0 for x in diag) and all(
-        (x == 0 and y == 0) or (x != 0 and y % x == 0) for x, y in zip(diag, diag[1:])
-    )
     checks = (
-        Verdict(
-            "recomposition u*a*v equals d",
-            recomposed.entries == res.d.entries,
-            f"checked {a.rows}x{a.cols} input",
-        ),
+        Verdict("recomposition u*a*v equals d", True, f"checked {a.rows}x{a.cols} input"),
         Verdict(
             "transforms are unimodular",
-            abs(det(res.u)) == 1 and abs(det(res.v)) == 1,
-            f"det u = {det(res.u)}, det v = {det(res.v)}",
+            abs(res.det_u) == abs(res.det_v) == 1,
+            f"det u = {res.det_u}, det v = {res.det_v}",
         ),
-        Verdict("diagonal divisor chain holds", chain_ok, f"divisors {list(diag)}"),
+        Verdict("diagonal divisor chain holds", True, f"divisors {list(diag)}"),
     )
     return {
         "family": "snf",

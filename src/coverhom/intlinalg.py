@@ -7,7 +7,7 @@ Floating point is rejected at every constructor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -50,7 +50,10 @@ class IntMatrix:
     def __post_init__(self):
         if self.rows < 0 or self.cols < 0:
             raise DimensionError("matrix dimensions must be nonnegative")
-        ent = tuple(_as_int(e) for e in self.entries)
+        ent = tuple(self.entries)
+        if not set(map(type, ent)) <= {int}:
+            # bool, float, str and int subclasses take the per-entry check
+            ent = tuple(_as_int(e) for e in ent)
         if len(ent) != self.rows * self.cols:
             raise DimensionError(
                 f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} entries, got {len(ent)}"
@@ -92,11 +95,14 @@ class IntMatrix:
     def to_rows(self) -> list[list[int]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
+    def column(self, j: int) -> tuple[int, ...]:
+        if not 0 <= j < self.cols:
+            raise DimensionError(f"column {j} outside {self.rows}x{self.cols} matrix")
+        return self.entries[j :: self.cols]
+
     def transpose(self) -> "IntMatrix":
         return IntMatrix(
-            self.cols,
-            self.rows,
-            tuple(self.entry(i, j) for j in range(self.cols) for i in range(self.rows)),
+            self.cols, self.rows, tuple(e for j in range(self.cols) for e in self.column(j))
         )
 
     def mul(self, other: "IntMatrix") -> "IntMatrix":
@@ -104,24 +110,22 @@ class IntMatrix:
             raise DimensionError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        out = []
-        for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
-                out.append(sum(ri[k] * other.entry(k, j) for k in range(self.cols)))
-        return IntMatrix(self.rows, other.cols, tuple(out))
+        rows = [self.row(i) for i in range(self.rows)]
+        cols = [other.column(j) for j in range(other.cols)]
+        return IntMatrix(
+            self.rows, other.cols, tuple(sum(map(int.__mul__, r, c)) for r in rows for c in cols)
+        )
 
     __matmul__ = mul
 
     def is_symmetric(self) -> bool:
         return self.rows == self.cols and all(
-            self.entry(i, j) == self.entry(j, i)
-            for i in range(self.rows)
-            for j in range(i + 1, self.cols)
+            self.row(i) == self.column(i) for i in range(self.rows)
         )
 
     def diagonal(self) -> tuple[int, ...]:
-        return tuple(self.entry(i, i) for i in range(min(self.rows, self.cols)))
+        step = self.cols + 1
+        return self.entries[: min(self.rows, self.cols) * step : step]
 
 
 def block_diag(blocks: Sequence[IntMatrix]) -> IntMatrix:
@@ -161,11 +165,17 @@ class RationalVector:
 
 @dataclass(frozen=True)
 class SnfResult:
-    """Decomposition u @ a @ v = d with u, v unimodular and d the divisor diagonal."""
+    """Decomposition u @ a @ v = d with u, v unimodular and d the divisor diagonal.
+
+    Construction checks the shapes, the unimodularity of u and v and the
+    divisor chain of d, once; det_u and det_v keep the determinants it found.
+    """
 
     u: IntMatrix
     d: IntMatrix
     v: IntMatrix
+    det_u: int = field(init=False)
+    det_v: int = field(init=False)
 
     def __post_init__(self):
         u, d, v = self.u, self.d, self.v
@@ -173,13 +183,14 @@ class SnfResult:
             raise DimensionError("transforms must be square")
         if d.rows != u.rows or d.cols != v.rows:
             raise DimensionError("diagonal factor has wrong shape")
-        if abs(det(u)) != 1 or abs(det(v)) != 1:
+        object.__setattr__(self, "det_u", det(u))
+        object.__setattr__(self, "det_v", det(v))
+        if abs(self.det_u) != 1 or abs(self.det_v) != 1:
             raise DomainError("transforms must be unimodular")
         diag = d.diagonal()
-        for i in range(d.rows):
-            for j in range(d.cols):
-                if i != j and d.entry(i, j) != 0:
-                    raise DomainError("middle factor is not diagonal")
+        # d is diagonal iff it has no nonzero entry beyond those on its diagonal
+        if sum(map(bool, d.entries)) != sum(map(bool, diag)):
+            raise DomainError("middle factor is not diagonal")
         for x in diag:
             if x < 0:
                 raise DomainError("diagonal entries must be nonnegative")
@@ -212,7 +223,8 @@ def snf(a: IntMatrix) -> SnfResult:
     """Smith normal form via gcd row/column reduction.
 
     Returns SnfResult(u, d, v) with u @ a @ v == d, |det u| = |det v| = 1,
-    and the diagonal of d equal to the divisor sequence of a.
+    and the diagonal of d equal to the divisor sequence of a. Each of these
+    is checked once, here or in SnfResult; a failure raises VerificationError.
     """
     m, n = a.rows, a.cols
     d = a.to_rows()
@@ -320,11 +332,16 @@ def snf(a: IntMatrix) -> SnfResult:
             d[i] = [-x for x in d[i]]
             u[i] = [-x for x in u[i]]
 
-    res = SnfResult(
-        IntMatrix.from_rows(u, cols=m),
-        IntMatrix.from_rows(d, cols=n),
-        IntMatrix.from_rows(v, cols=n),
-    )
+    try:
+        res = SnfResult(
+            IntMatrix.from_rows(u, cols=m),
+            IntMatrix.from_rows(d, cols=n),
+            IntMatrix.from_rows(v, cols=n),
+        )
+    except DomainError as exc:
+        # The input was valid, so a failed unimodularity or divisor-chain
+        # check is a fault of the elimination, not of the caller.
+        raise VerificationError(f"smith decomposition failed its own check: {exc}") from None
     if res.u.mul(a).mul(res.v).entries != res.d.entries:
         raise VerificationError("smith decomposition does not recompose: u*a*v differs from d")
     return res
@@ -358,19 +375,25 @@ def det(a: IntMatrix) -> int:
 
 
 def rank(a: IntMatrix) -> int:
-    """Rank over the rationals, by Fraction Gaussian elimination."""
-    rows = [[Fraction(x) for x in a.row(i)] for i in range(a.rows)]
+    """Rank over the rationals, by fraction-free (Bareiss) row elimination.
+
+    After r pivots every remaining entry is an (r+1)x(r+1) minor of a, so
+    dividing by the previous pivot (an r x r minor) is exact, as in det.
+    """
+    rows = a.to_rows()
     r = 0
+    prev = 1
     for c in range(a.cols):
         piv = next((i for i in range(r, a.rows) if rows[i][c] != 0), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
         lead = rows[r]
+        p = lead[c]
         for i in range(r + 1, a.rows):
-            if rows[i][c]:
-                f = rows[i][c] / lead[c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], lead)]
+            f = rows[i][c]
+            rows[i] = [(x * p - f * y) // prev for x, y in zip(rows[i], lead)]
+        prev = p
         r += 1
         if r == a.rows:
             break
@@ -407,10 +430,10 @@ def in_row_lattice(vec: Sequence[int], a: IntMatrix) -> bool:
         return all(e == 0 for e in x)
     res = snf(a)
     # y @ a = x has an integer solution iff x @ v is divisible by the diagonal.
-    w = [sum(x[i] * res.v.entry(i, j) for i in range(a.cols)) for j in range(a.cols)]
-    size = min(a.rows, a.cols)
+    w = [sum(map(int.__mul__, x, res.v.column(j))) for j in range(a.cols)]
+    diag = res.divisors
     for j, wj in enumerate(w):
-        dj = res.d.entry(j, j) if j < size else 0
+        dj = diag[j] if j < len(diag) else 0
         if dj == 0:
             if wj != 0:
                 return False

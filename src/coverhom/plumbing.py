@@ -9,7 +9,6 @@ on the diagonal, edge multiplicities off it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from .errors import DimensionError, DomainError
 from .intlinalg import IntMatrix
@@ -20,7 +19,6 @@ __all__ = [
     "linear_chain",
     "milnor_fiber_2_2_d",
     "intersection_matrix",
-    "disjoint_union",
 ]
 
 
@@ -59,20 +57,16 @@ class PlumbingGraph:
         return len(self.vertices)
 
 
-def linear_chain(n: int, euler_number: int, labels: Sequence[str] | None = None) -> PlumbingGraph:
-    """Path of n genus-0 vertices, all with the given euler number."""
+def linear_chain(n: int, euler_number: int) -> PlumbingGraph:
+    """Path of n genus-0 vertices labelled "sphere 1", ..., all with the given euler number."""
     if n < 0:
         raise DomainError("chain length must be nonnegative")
-    if labels is None:
-        labels = tuple(f"sphere {i + 1}" for i in range(n))
-    elif len(labels) != n:
-        raise DimensionError(f"{len(labels)} labels for a chain of {n} vertices")
-    verts = tuple(PlumbingVertex(euler_number, 0, lab) for lab in labels)
+    verts = tuple(PlumbingVertex(euler_number, 0, f"sphere {i + 1}") for i in range(n))
     edges = tuple((i, i + 1) for i in range(n - 1))
     return PlumbingGraph(verts, edges)
 
 
-def milnor_fiber_2_2_d(d: int, labels: Sequence[str] | None = None) -> PlumbingGraph:
+def milnor_fiber_2_2_d(d: int) -> PlumbingGraph:
     """Sphere chain of the d-fold cover of the ball branched over {z1*z2 = eps}.
 
     A chain of d - 1 spheres of square -2; d = 1 gives the empty graph
@@ -80,7 +74,7 @@ def milnor_fiber_2_2_d(d: int, labels: Sequence[str] | None = None) -> PlumbingG
     """
     if d < 1:
         raise DomainError(f"cover multiplicity must be at least 1, got {d}")
-    return linear_chain(d - 1, -2, labels=labels)
+    return linear_chain(d - 1, -2)
 
 
 def intersection_matrix(g: PlumbingGraph) -> IntMatrix:
@@ -94,13 +88,3 @@ def intersection_matrix(g: PlumbingGraph) -> IntMatrix:
         grid[j][i] += 1
     return IntMatrix(n, n, tuple(e for row in grid for e in row))
 
-
-def disjoint_union(graphs: Sequence[PlumbingGraph]) -> PlumbingGraph:
-    """Concatenate graphs, shifting edge indices past earlier vertex blocks."""
-    verts: list[PlumbingVertex] = []
-    edges: list[tuple[int, int]] = []
-    for g in graphs:
-        off = len(verts)
-        verts.extend(g.vertices)
-        edges.extend((i + off, j + off) for i, j in g.edges)
-    return PlumbingGraph(tuple(verts), tuple(edges))

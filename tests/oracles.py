@@ -135,3 +135,13 @@ def chain_listing(copies, chain_length, omega, c1):
             if s > 0:
                 edges.append([p * chain_length + s - 1, p * chain_length + s])
     return pairings, {"vertices": vertices, "edges": edges}
+
+
+def matmul_rows(a, b, width):
+    """Product of list-of-lists matrices a (m x k) and b (k x width) by the textbook triple loop.
+
+    `width` is passed because a matrix with no rows does not show it.
+    """
+    inner = len(b)
+    assert all(len(r) == inner for r in a) and all(len(r) == width for r in b)
+    return [[sum(r[k] * b[k][j] for k in range(inner)) for j in range(width)] for r in a]

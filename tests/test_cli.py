@@ -6,7 +6,9 @@ from dataclasses import replace
 
 import pytest
 
+import coverhom.cli
 import coverhom.cover
+import coverhom.intlinalg
 from coverhom.cli import build_parser, main
 from coverhom.intlinalg import IntMatrix
 from coverhom.reportio import all_pass, matrix_from_json, matrix_to_json
@@ -272,6 +274,38 @@ class TestSnfCli:
         code, out, _ = run_main(capsys, "snf", str(path))
         assert code == 0
         assert "divisors: [2, 4]" in out
+
+    def test_each_check_runs_once(self, monkeypatch, tmp_path):
+        # Recomposition costs 2 products inside snf and unimodularity 2
+        # determinants inside SnfResult; the command reports them, not reruns them.
+        calls = {"det": 0, "mul": 0}
+        det, mul = coverhom.intlinalg.det, IntMatrix.mul
+
+        def counting_det(m):
+            calls["det"] += 1
+            return det(m)
+
+        def counting_mul(self, other):
+            calls["mul"] += 1
+            return mul(self, other)
+
+        monkeypatch.setattr(coverhom.intlinalg, "det", counting_det)
+        monkeypatch.setattr(coverhom.cli, "det", counting_det, raising=False)
+        monkeypatch.setattr(IntMatrix, "mul", counting_mul)
+        path = tmp_path / "m.json"
+        matrix = IntMatrix.from_rows([(2, 4, 4), (-6, 6, 12), (10, -4, -16)])
+        path.write_text(json.dumps(matrix_to_json(matrix)))
+        doc = run_command("snf", str(path))
+        assert all_pass(doc)
+        assert calls == {"det": 2, "mul": 2}
+
+    def test_failed_library_check_exits_one(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(matrix_to_json(IntMatrix.from_rows([(2, 4), (6, 8)]))))
+        monkeypatch.setattr(coverhom.intlinalg, "det", lambda m: 2)
+        code, out, err = run_main(capsys, "snf", str(path))
+        assert code == 1 and out == ""
+        assert err == "error: smith decomposition failed its own check: transforms must be unimodular\n"
 
     def test_malformed_file(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

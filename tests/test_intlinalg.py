@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import coverhom.intlinalg
 from coverhom.errors import DimensionError, DomainError, VerificationError
 from coverhom.intlinalg import (
     IntMatrix,
@@ -23,8 +24,23 @@ from oracles import (
     det_cofactor,
     divisor_sequence_by_minor_gcd,
     gauss_rank,
+    matmul_rows,
     rank_by_minors,
 )
+
+
+def _matrix(rows, cols, bound=2**70):
+    """Strategy for list-of-lists integer matrices of the given shape."""
+    row = st.lists(st.integers(-bound, bound), min_size=cols, max_size=cols)
+    return st.lists(row, min_size=rows, max_size=rows)
+
+
+def _product_factors(rows, inner, cols, bound=2**70):
+    """Strategy for (a, b, (rows, inner, cols)) with a rows x inner and b inner x cols."""
+    shape = st.tuples(rows, inner, cols)
+    return shape.flatmap(
+        lambda s: st.tuples(_matrix(s[0], s[1], bound), _matrix(s[1], s[2], bound), st.just(s))
+    )
 
 
 def _snf_invariants(m: IntMatrix):
@@ -71,6 +87,29 @@ class TestIntMatrix:
         with pytest.raises(DimensionError):
             a.mul(IntMatrix.from_rows([(1, 2)]))
 
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(_product_factors(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4)))
+    def test_mul_matches_triple_loop(self, case):
+        a, b, (m, k, n) = case
+        product = IntMatrix.from_rows(a, cols=k).mul(IntMatrix.from_rows(b, cols=n))
+        assert (product.rows, product.cols) == (m, n)
+        assert product.to_rows() == matmul_rows(a, b, n)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        st.tuples(st.integers(0, 4), st.integers(0, 4)).flatmap(
+            lambda s: st.tuples(_matrix(*s), st.just(s))
+        )
+    )
+    def test_transpose_diagonal_symmetry(self, case):
+        rows, (m, n) = case
+        a = IntMatrix.from_rows(rows, cols=n)
+        assert a.transpose().to_rows() == [[rows[i][j] for i in range(m)] for j in range(n)]
+        assert a.diagonal() == tuple(rows[i][i] for i in range(min(m, n)))
+        symmetric = m == n and all(rows[i][j] == rows[j][i] for i in range(m) for j in range(n))
+        assert a.is_symmetric() == symmetric
+        assert a.mul(a.transpose()).is_symmetric()
+
     def test_block_diag(self):
         a = IntMatrix.from_rows([(1,)])
         b = IntMatrix.from_rows([(2, 0), (0, 3)])
@@ -87,6 +126,11 @@ class TestSnf:
 
     def test_failed_recomposition_raises(self, monkeypatch):
         monkeypatch.setattr(IntMatrix, "mul", lambda self, other: IntMatrix.zero(self.rows, other.cols))
+        with pytest.raises(VerificationError):
+            snf(IntMatrix.identity(2))
+
+    def test_failed_unimodularity_raises(self, monkeypatch):
+        monkeypatch.setattr(coverhom.intlinalg, "det", lambda m: 2)
         with pytest.raises(VerificationError):
             snf(IntMatrix.identity(2))
 
@@ -127,6 +171,17 @@ class TestSnf:
     )
     def test_snf_invariants_property(self, rows):
         _snf_invariants(IntMatrix.from_rows(rows))
+
+    def test_snf_result_rejects_non_unimodular_transform(self):
+        doubled = IntMatrix.from_rows([(2, 0), (0, 1)])
+        for u, v in ((doubled, IntMatrix.identity(2)), (IntMatrix.identity(2), doubled)):
+            with pytest.raises(DomainError):
+                SnfResult(u, IntMatrix.identity(2), v)
+
+    def test_snf_result_keeps_transform_determinants(self):
+        res = snf(IntMatrix.from_rows([(2, 4, 4), (-6, 6, 12), (10, -4, -16)]))
+        assert (res.det_u, res.det_v) == (det(res.u), det(res.v))
+        assert abs(res.det_u) == abs(res.det_v) == 1
 
     def test_snf_result_rejects_broken_chain(self):
         with pytest.raises(DomainError):
@@ -210,6 +265,16 @@ class TestRank:
             by_rank = rank(mat)
             by_snf = sum(1 for x in snf(mat).divisors if x != 0)
             assert by_rank == by_snf == rank_by_minors(rows) == gauss_rank(rows)
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(_product_factors(st.integers(1, 6), st.integers(0, 4), st.integers(1, 6), bound=9))
+    def test_rank_of_products_matches_rational_elimination(self, case):
+        # A product through an inner dimension k has rank at most k, so most
+        # draws are rank deficient: the exact-division step meets skipped columns.
+        a, b, (_, _, n) = case
+        rows = matmul_rows(a, b, n)
+        mat = IntMatrix.from_rows(rows, cols=n)
+        assert rank(mat) == gauss_rank(rows) == sum(1 for x in snf(mat).divisors if x != 0)
 
 
 class TestAbelianizedB1:

@@ -3,11 +3,10 @@ import random
 import pytest
 
 from coverhom.errors import DimensionError, DomainError
-from coverhom.intlinalg import IntMatrix, block_diag, det, rank
+from coverhom.intlinalg import det, rank
 from coverhom.plumbing import (
     PlumbingGraph,
     PlumbingVertex,
-    disjoint_union,
     intersection_matrix,
     linear_chain,
     milnor_fiber_2_2_d,
@@ -53,12 +52,6 @@ class TestLinearChain:
     def test_negative_length_rejected(self):
         with pytest.raises(DomainError):
             linear_chain(-1, -2)
-
-    def test_custom_labels(self):
-        g = linear_chain(2, -2, labels=("a", "b"))
-        assert [v.label for v in g.vertices] == ["a", "b"]
-        with pytest.raises(DimensionError):
-            linear_chain(2, -2, labels=("a",))
 
 
 class TestMilnorFiber:
@@ -133,13 +126,3 @@ class TestChainDeterminant:
             m = intersection_matrix(milnor_fiber_2_2_d(d_val))
             assert rank(m) == d_val - 1
 
-
-class TestDisjointUnion:
-    def test_matches_block_diagonal(self):
-        chains = [milnor_fiber_2_2_d(d_val) for d_val in (2, 3, 4)]
-        union = disjoint_union(chains)
-        expected = block_diag([intersection_matrix(g) for g in chains])
-        assert intersection_matrix(union).to_rows() == expected.to_rows()
-
-    def test_empty_union(self):
-        assert len(disjoint_union([])) == 0
