@@ -46,24 +46,28 @@ EXIT_PASS = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 
-# A grid report lists every sphere of its m1*m2*d^2 chains of d-1 spheres;
-# larger grids are refused before anything is built.
+# Grid runs (example2, kodaira-thurston) larger than these are refused before
+# anything is built. A run builds (m1+m2)*d branch components and ranks one
+# chain of d-1 spheres, at a cost cubic in d; with --expand it also lists
+# every sphere of its m1*m2*d^2 chains.
+MAX_DEGREE = 100
+MAX_BRANCH_COMPONENTS = 200_000
 MAX_LISTED_SPHERES = 200_000
 
 
 def cmd_example2(args: argparse.Namespace) -> dict:
     cfg = SurfaceConfig(args.g1, args.g2, args.m1, args.m2, args.d, (args.area1, args.area2))
-    return report_to_dict(product_family_report(cfg, kaehler=args.kaehler))
+    return report_to_dict(product_family_report(cfg, kaehler=args.kaehler), expand=args.expand)
 
 
 def cmd_kodaira_thurston(args: argparse.Namespace) -> dict:
     cfg = SurfaceConfig(1, 1, args.m1, args.m2, args.d, (args.area1, args.area2))
-    return report_to_dict(kodaira_thurston_family_report(cfg))
+    return report_to_dict(kodaira_thurston_family_report(cfg), expand=args.expand)
 
 
 def cmd_tower7(args: argparse.Namespace) -> dict:
-    stages = build_tower7(args.d)
-    return {"family": "tower7", "parameters": {"d": args.d}, "stages": [report_to_dict(s) for s in stages]}
+    stages = [report_to_dict(s, expand=args.expand) for s in build_tower7(args.d)]
+    return {"family": "tower7", "parameters": {"d": args.d}, "stages": stages}
 
 
 def _catalog_entry(name: str, omega_on_pi: str, c1_on_pi: str, witness: str, source: str) -> dict:
@@ -201,14 +205,22 @@ def cmd_snf(args: argparse.Namespace) -> dict:
 # Argument parsing and dispatch
 
 
-def _check_listing_size(args: argparse.Namespace) -> None:
+def _check_grid_size(args: argparse.Namespace) -> None:
     if args.command not in ("example2", "kodaira-thurston") or min(args.m1, args.m2, args.d) < 1:
         return
-    spheres = args.m1 * args.m2 * args.d**2 * (args.d - 1)
-    if spheres > MAX_LISTED_SPHERES:
+    m1, m2, d = args.m1, args.m2, args.d
+    run = f"{args.command} with m1={m1}, m2={m2}, d={d}"
+    if d > MAX_DEGREE:
+        raise DomainError(f"{run} has degree above the limit of {MAX_DEGREE}")
+    components = (m1 + m2) * d
+    if components > MAX_BRANCH_COMPONENTS:
         raise DomainError(
-            f"{args.command} with m1={args.m1}, m2={args.m2}, d={args.d} lists {spheres} spheres "
-            f"(m1*m2*d^2*(d-1)), above the limit of {MAX_LISTED_SPHERES}"
+            f"{run} has {components} branch components ((m1+m2)*d), above the limit of {MAX_BRANCH_COMPONENTS}"
+        )
+    spheres = m1 * m2 * d**2 * (d - 1)
+    if args.expand and spheres > MAX_LISTED_SPHERES:
+        raise DomainError(
+            f"{run} --expand lists {spheres} spheres (m1*m2*d^2*(d-1)), above the limit of {MAX_LISTED_SPHERES}"
         )
 
 
@@ -263,6 +275,11 @@ def build_parser() -> argparse.ArgumentParser:
     tw = command("tower7", cmd_tower7, "two-stage tower separating the omega and c1 vanishing conditions")
     tw.add_argument("-d", type=int, default=2, help="stage-2 cover degree (at least 2)")
 
+    for sp in (e2, kt, tw):
+        sp.add_argument(
+            "--expand", action="store_true", help="list every sphere: one pairing row and one lattice vertex each"
+        )
+
     cat = command("catalog", cmd_catalog, "all four combinations of the two vanishing conditions")
     cat.add_argument("-d", type=int, default=2, help="degree used for the live tower witness")
 
@@ -282,6 +299,10 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _integer_options(sp: argparse.ArgumentParser) -> set[str]:
+    return {action.dest for action in sp._actions if action.type is int}
+
+
 def _entry_options(sp: argparse.ArgumentParser, index: int, entry: dict) -> list[str]:
     """The command line of one batch entry after its command; keys are the command's option names."""
     argv = []
@@ -297,6 +318,8 @@ def _entry_options(sp: argparse.ArgumentParser, index: int, entry: dict) -> list
             # A flag that is off by default has no --no- form.
             if sp.get_default(key) is not False:
                 argv.append("--no-" + option.lstrip("-"))
+        elif isinstance(value, str) and key in _integer_options(sp):
+            raise DomainError(f"batch entry {index}: {key!r} must be a JSON integer, got the string {value!r}")
         elif isinstance(value, (int, str)):
             argv.append(f"{option}={value}")
         else:
@@ -348,7 +371,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             parser.print_usage(sys.stderr)
             return EXIT_USAGE
         for run in runs:
-            _check_listing_size(run)
+            _check_grid_size(run)
         worst = EXIT_PASS
         for run in runs:
             doc = run.run(run)

@@ -4,6 +4,8 @@ Rationals serialize as "p/q" strings. Integers serialize as JSON numbers
 while they fit in 53 bits and as decimal strings beyond that, so exactness
 survives any reader. Key order is fixed, so identical runs produce
 byte-identical JSON. Tables are rendered from the same dict and nothing else.
+A grid cover's chain block is written once unless the caller asks for the
+per-sphere listing (`report_to_dict(..., expand=True)`).
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from .cover import CoverReport
 from .errors import DimensionError, DomainError
 from .homology import ChainBlock
 from .intlinalg import IntMatrix
+from .plumbing import PlumbingGraph
 
 __all__ = [
     "encode_int",
@@ -61,11 +64,13 @@ def encode_value(value):
 
 
 def matrix_to_json(m: IntMatrix) -> dict:
-    return {
-        "rows": m.rows,
-        "cols": m.cols,
-        "entries": [encode_int(e) for e in m.entries],
-    }
+    entries = m.entries
+    # One range test for the whole matrix; entry by entry only when some entry needs a string.
+    if not entries or (-_SAFE < min(entries) and max(entries) < _SAFE):
+        listed = list(entries)
+    else:
+        listed = [encode_int(e) for e in entries]
+    return {"rows": m.rows, "cols": m.cols, "entries": listed}
 
 
 def matrix_from_json(obj) -> IntMatrix:
@@ -90,33 +95,50 @@ def matrix_from_json(obj) -> IntMatrix:
     return IntMatrix(rows, cols, decoded)
 
 
-def _block_to_json(block: ChainBlock | None, labels: list[str]):
-    """The block's disjoint union of chains, one vertex per sphere."""
-    if block is None:
-        return None
-    chain = block.chain
+def _chains_to_json(chain: PlumbingGraph, copies: int, labels: list[str]) -> dict:
+    """`copies` disjoint copies of a chain, one vertex per sphere: copy p has vertices p*n..p*n+n-1."""
     n = len(chain)
-    kinds = [(v.euler_number, v.genus) for v in chain.vertices] * block.copies
+    kinds = [(v.euler_number, v.genus) for v in chain.vertices] * copies
     return {
         "vertices": [
             {"euler_number": e, "genus": g, "label": label} for (e, g), label in zip(kinds, labels)
         ],
-        "edges": [[i + p * n, j + p * n] for p in range(block.copies) for i, j in chain.edges],
+        "edges": [[i + p * n, j + p * n] for p in range(copies) for i, j in chain.edges],
     }
+
+
+def _block_json(block: ChainBlock | None, expand: bool) -> tuple[list[dict], dict | None]:
+    """Pairing rows and spherical lattice of a chain block.
+
+    By default the block is one pairing row for all its spheres and one
+    `blocks` entry (the chain once, with its copy count). With `expand`, it
+    is written out sphere by sphere: one pairing row and one lattice vertex
+    per sphere, labelled "double point p, sphere s".
+    """
+    if block is None:
+        return [], None
+    omega, c1 = encode_fraction(block.template.omega_pairing), encode_int(block.template.c1_pairing)
+    if expand:
+        labels = block.labels()
+        rows = [{"generator": label, "omega": omega, "c1": c1} for label in labels]
+        return rows, _chains_to_json(block.chain, block.copies, labels)
+    row = {
+        "generator": f"double point 1..{block.copies}, sphere 1..{len(block.chain)}",
+        "spheres": encode_int(block.spheres),
+        "omega": omega,
+        "c1": c1,
+    }
+    chain = _chains_to_json(block.chain, 1, [v.label for v in block.chain.vertices])
+    return [row], {"blocks": [{"chain": chain, "copies": encode_int(block.copies)}]}
 
 
 def verdicts_to_json(verdicts) -> list[dict]:
     return [{"name": v.name, "pass": v.passed, "evidence": v.evidence} for v in verdicts]
 
 
-def report_to_dict(r: CoverReport) -> dict:
-    """The report with its chain block expanded: one pairing row and one lattice vertex per sphere."""
-    block = r.chain_block
-    labels = [] if block is None else block.labels()
-    pairings = []
-    if block is not None:
-        omega, c1 = encode_fraction(block.template.omega_pairing), encode_int(block.template.c1_pairing)
-        pairings = [{"generator": label, "omega": omega, "c1": c1} for label in labels]
+def report_to_dict(r: CoverReport, expand: bool = False) -> dict:
+    """The report's result dict; `expand` writes its chain block out sphere by sphere."""
+    pairings, lattice = _block_json(r.chain_block, expand)
     pairings += [
         {"generator": label, "omega": encode_fraction(om), "c1": encode_int(c1)}
         for (label, om), (_, c1) in zip(r.omega_pairings, r.chern_pairings)
@@ -134,7 +156,7 @@ def report_to_dict(r: CoverReport) -> dict:
             "c1_on_spherical_classes": "zero" if r.c1_vanishes_on_pi else "nonzero",
         },
         "pairings": pairings,
-        "spherical_lattice": _block_to_json(block, labels),
+        "spherical_lattice": lattice,
         "verdicts": verdicts_to_json(r.all_verdicts),
         "assumptions": list(r.assumptions),
         "kaehler": r.kaehler,

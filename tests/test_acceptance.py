@@ -61,7 +61,7 @@ def test_criterion_1_bound(grid_reports):
     # Dense check of the block-additivity shortcut on the smaller written-out lattices.
     for m1, m2, d in ((1, 1, 2), (2, 1, 2), (3, 3, 2), (1, 1, 3), (1, 2, 3), (1, 1, 4)):
         report = grid_reports[(m1, m2, d)]
-        lattice = report_to_dict(report)["spherical_lattice"]
+        lattice = report_to_dict(report, expand=True)["spherical_lattice"]
         graph = PlumbingGraph(
             tuple(PlumbingVertex(v["euler_number"], v["genus"], v["label"]) for v in lattice["vertices"]),
             tuple((i, j) for i, j in lattice["edges"]),

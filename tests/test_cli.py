@@ -11,7 +11,9 @@ import coverhom.cover
 import coverhom.intlinalg
 from coverhom.cli import build_parser, main
 from coverhom.intlinalg import IntMatrix
-from coverhom.reportio import all_pass, matrix_from_json, matrix_to_json
+from coverhom.reportio import all_pass, matrix_from_json, matrix_to_json, render_json
+
+from oracles import expand_blocks
 
 
 def run_main(capsys, *argv):
@@ -96,7 +98,7 @@ class TestExample2Json:
         assert doc["parameters"]["area1"] == "1/1"
 
     def test_spherical_lattice_serialized(self, capsys):
-        _, out, _ = run_main(capsys, "example2", "-d", "3", "--format", "json")
+        _, out, _ = run_main(capsys, "example2", "-d", "3", "--format", "json", "--expand")
         doc = json.loads(out)
         lattice = doc["spherical_lattice"]
         # 9 chains of 2 spheres each, edges inside every chain.
@@ -104,6 +106,59 @@ class TestExample2Json:
         assert len(lattice["edges"]) == 9
         assert all(v["euler_number"] == -2 and v["genus"] == 0 for v in lattice["vertices"])
         assert all(isinstance(e, list) and len(e) == 2 for e in lattice["edges"])
+
+    def test_spherical_lattice_blocks(self, capsys):
+        _, out, _ = run_main(capsys, "example2", "-d", "3", "--format", "json")
+        doc = json.loads(out)
+        # One block: 9 copies of a chain of 2 spheres, one pairing row for all 18.
+        (block,) = doc["spherical_lattice"]["blocks"]
+        assert block["copies"] == 9
+        assert [v["label"] for v in block["chain"]["vertices"]] == ["sphere 1", "sphere 2"]
+        assert block["chain"]["edges"] == [[0, 1]]
+        assert doc["pairings"] == [
+            {"generator": "double point 1..9, sphere 1..2", "spheres": 18, "omega": "0/1", "c1": 0}
+        ]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("example2", "--m1", "2", "-d", "3"),
+            ("example2", "--g1", "3", "--m2", "3", "-d", "4", "--area2", "7/3", "--kaehler"),
+            ("kodaira-thurston", "--m1", "2", "--m2", "1", "-d", "5"),
+            ("tower7", "-d", "4"),
+        ],
+    )
+    def test_default_blocks_expand_to_expand_output(self, capsys, argv):
+        _, blocks, _ = run_main(capsys, *argv, "--format", "json")
+        _, listed, _ = run_main(capsys, *argv, "--format", "json", "--expand")
+        doc = json.loads(blocks)
+        if "stages" in doc:
+            doc["stages"] = [expand_blocks(stage) for stage in doc["stages"]]
+        else:
+            doc = expand_blocks(doc)
+        assert render_json(doc) == listed
+
+    @pytest.mark.parametrize("m1, m2, d", [(1, 1, 2), (3, 2, 5), (8, 8, 10), (300, 300, 30)])
+    def test_block_row_counts_every_sphere(self, m1, m2, d):
+        doc = run_command("example2", "--m1", str(m1), "--m2", str(m2), "-d", str(d))
+        assert doc["pairings"][0]["spheres"] == doc["invariants"]["pi_lower_bound"] == m1 * m2 * d * d * (d - 1)
+
+    def test_default_json_does_not_grow_with_the_grid(self, capsys):
+        _, out, _ = run_main(capsys, "example2", "--m1", "8", "--m2", "8", "-d", "10", "--format", "json")
+        assert len(out.encode()) < 10_000
+        _, small, _ = run_main(capsys, "example2", "--m1", "1", "--m2", "1", "-d", "10", "--format", "json")
+        assert len(out) - len(small) < 100
+
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    def test_large_grid_runs_in_a_second(self, capsys, fmt):
+        start = time.perf_counter()
+        code, out, err = run_main(capsys, "example2", "--m1", "300", "--m2", "300", "-d", "30", "--format", fmt)
+        assert time.perf_counter() - start < 1
+        assert code == 0 and err == ""
+        if fmt == "json":
+            assert json.loads(out)["invariants"]["pi_lower_bound"] == 2349000000
+        else:
+            assert "  pi_lower_bound         2349000000\n" in out
 
     def test_traceability(self, capsys):
         _, out, _ = run_main(capsys, "example2", "--format", "json")
@@ -268,6 +323,14 @@ class TestSnfCli:
         assert u.mul(matrix).mul(v).entries == d.entries
         assert all(check["pass"] for check in doc["verdicts"])
 
+    @pytest.mark.parametrize(
+        "entries",
+        [(), (0, 1, -1), (2**53 - 1, -(2**53) + 1), (2**53 - 1, 2**53), (-(2**53), 5), (3, 10**40, -(10**40))],
+    )
+    def test_matrix_encoding_matches_per_entry_rule(self, entries):
+        encoded = matrix_to_json(IntMatrix(1, len(entries), entries))["entries"]
+        assert encoded == [e if -(2**53) < e < 2**53 else str(e) for e in entries]
+
     def test_table_format(self, capsys, tmp_path):
         path = tmp_path / "m.json"
         path.write_text(json.dumps(matrix_to_json(IntMatrix.from_rows([(2, 4), (6, 8)]))))
@@ -381,6 +444,42 @@ class TestBatch:
         assert example2["kaehler"] is False
         assert kollar["parameters"]["omega_pullback"] is False
 
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            {"command": "example2", "d": "3"},
+            {"command": "example2", "g1": "2"},
+            {"command": "kodaira-thurston", "m2": "1"},
+            {"command": "tower7", "d": "2"},
+            {"command": "catalog", "d": "2"},
+        ],
+    )
+    def test_integer_options_refuse_strings(self, capsys, tmp_path, entry):
+        first = tmp_path / "first.json"
+        code, out, err = run_batch(capsys, tmp_path, [{"command": "tower7", "out": str(first)}, entry])
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1 and "must be a JSON integer" in err
+        assert not first.exists()
+
+    def test_rational_and_text_options_keep_strings(self, capsys, tmp_path):
+        out = tmp_path / "e.json"
+        entry = {"command": "example2", "d": 3, "area1": "3/2", "area2": "5", "format": "json", "out": str(out)}
+        assert run_batch(capsys, tmp_path, [entry])[0] == 0
+        assert json.loads(out.read_text())["parameters"]["area1"] == "3/2"
+
+    def test_expand_entry(self, capsys, tmp_path):
+        entries = [
+            {"command": "example2", "d": 3, "format": "json", "expand": True},
+            {"command": "example2", "d": 3, "format": "json", "expand": False},
+        ]
+        code, out, _ = run_batch(capsys, tmp_path, entries)
+        assert code == 0
+        decoder = json.JSONDecoder()
+        listed, end = decoder.raw_decode(out)
+        blocks, _ = decoder.raw_decode(out, end + 1)
+        assert len(listed["spherical_lattice"]["vertices"]) == 18
+        assert blocks["spherical_lattice"]["blocks"][0]["copies"] == 9
+
     def test_whole_file_parsed_before_any_entry_runs(self, capsys, tmp_path):
         first = tmp_path / "first.json"
         entries = [
@@ -412,18 +511,53 @@ class TestErrorBoundary:
 
     def test_oversized_grid_refused_before_building(self, capsys):
         start = time.perf_counter()
-        result = run_main(capsys, "example2", "--m1", "300", "--m2", "300", "-d", "30")
+        result = run_main(capsys, "example2", "--m1", "300", "--m2", "300", "-d", "30", "--expand")
         assert time.perf_counter() - start < 0.5
         self.assert_one_line_usage_error(result)
         assert "2349000000 spheres" in result[2] and "limit of 200000" in result[2]
 
     def test_oversized_grid_refused_in_batch(self, capsys, tmp_path):
         first = tmp_path / "first.json"
-        entries = [{"command": "example2", "out": str(first)}, {"command": "kodaira-thurston", "d": 60}]
+        entries = [
+            {"command": "example2", "out": str(first)},
+            {"command": "kodaira-thurston", "d": 60, "expand": True},
+        ]
         result = run_batch(capsys, tmp_path, entries)
         self.assert_one_line_usage_error(result)
         assert "212400 spheres" in result[2]
         assert not first.exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["example2", "-d", "1000"], "degree above the limit of 100"),
+            (["kodaira-thurston", "-d", "101"], "degree above the limit of 100"),
+            (["example2", "--m1", "3000000", "-d", "2"], "6000002 branch components"),
+            (["kodaira-thurston", "--m1", "99999", "--m2", "2", "-d", "2"], "200002 branch components"),
+        ],
+    )
+    def test_default_run_over_bounds_refused(self, capsys, tmp_path, argv, message):
+        start = time.perf_counter()
+        result = run_main(capsys, *argv)
+        assert time.perf_counter() - start < 0.5
+        self.assert_one_line_usage_error(result)
+        assert message in result[2]
+        # The same run as a batch entry stops the batch before the first entry writes.
+        first = tmp_path / "first.json"
+        args = build_parser().parse_args(argv)
+        entry = {"command": argv[0], "m1": args.m1, "m2": args.m2, "d": args.d}
+        result = run_batch(capsys, tmp_path, [{"command": "example2", "out": str(first)}, entry])
+        self.assert_one_line_usage_error(result)
+        assert message in result[2]
+        assert not first.exists()
+
+    def test_bounds_accept_every_listable_grid(self, capsys):
+        # The largest degree and the most branch components that --expand can list.
+        assert run_main(capsys, "example2", "-d", "58")[0] == 0
+        assert run_main(capsys, "kodaira-thurston", "--m1", "50000", "-d", "2")[0] == 0
+        # The bounds themselves.
+        assert run_main(capsys, "example2", "-d", "100")[0] == 0
+        assert run_main(capsys, "example2", "--m1", "99999", "-d", "2")[0] == 0
 
     def test_failed_internal_check_is_verification_failure(self, capsys, monkeypatch):
         monkeypatch.setattr(coverhom.cover, "rank", lambda m: 0)

@@ -37,7 +37,7 @@ from coverhom.intlinalg import IntMatrix, block_diag, rank
 from coverhom.plumbing import PlumbingVertex, intersection_matrix, milnor_fiber_2_2_d
 from coverhom.reportio import report_to_dict
 
-from oracles import chain_listing, euler_by_complement
+from oracles import chain_listing, euler_by_complement, expand_blocks
 
 
 def make_cfg(g1=1, g2=1, m1=1, m2=1, d=2, areas=(1, 1)):
@@ -412,7 +412,7 @@ class TestTower:
         assert stage1.pi_lower_bound == 4
         assert stage1.cover_euler == 8
         # Chain generators plus the lifted-disks sphere.
-        rows = report_to_dict(stage1)["pairings"]
+        rows = report_to_dict(stage1, expand=True)["pairings"]
         assert [r["generator"] for r in rows][-2:] == ["double point 4, sphere 1", "sphere S (two lifted vanishing disks)"]
         assert len(rows) == 5
         assert all(r["c1"] == 0 and r["omega"] == "0/1" for r in rows)
@@ -444,11 +444,22 @@ class TestChainBlock:
             report = kodaira_thurston_family_report(make_cfg(1, 1, m1, m2, d))
         else:
             report = product_family_report(make_cfg(g1, g2, m1, m2, d))
-        doc = report_to_dict(report)
-        pairings, lattice = chain_listing(m1 * m2 * d * d, d - 1, "0/1", 0)
+        doc = report_to_dict(report, expand=True)
+        copies = m1 * m2 * d * d
+        pairings, lattice = chain_listing(copies, d - 1, "0/1", 0)
         assert doc["pairings"] == pairings
         assert doc["spherical_lattice"] == lattice
         assert doc["invariants"]["pi_lower_bound"] == len(pairings)
+        # The default form: the chain once, and one pairing row for all its spheres.
+        blocks = report_to_dict(report)
+        chain = {
+            "vertices": [dict(v, label=f"sphere {s}") for s, v in enumerate(lattice["vertices"][: d - 1], 1)],
+            "edges": lattice["edges"][: d - 2],
+        }
+        assert blocks["spherical_lattice"] == {"blocks": [{"chain": chain, "copies": copies}]}
+        row = {"generator": f"double point 1..{copies}, sphere 1..{d - 1}", "spheres": len(pairings)}
+        assert blocks["pairings"] == [dict(row, omega="0/1", c1=0)]
+        assert expand_blocks(blocks) == doc
 
     def test_work_per_report_does_not_grow_with_the_grid(self, monkeypatch):
         counts = Counter()

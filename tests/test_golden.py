@@ -29,13 +29,20 @@ EXAMPLE2_FULL = {
     "g1": 2, "g2": 3, "m1": 2, "m2": 1, "d": 3, "area1": "3/2", "area2": "5", "kaehler": True,
 }
 
-# name -> batch entry without "format"; every one runs in both formats.
-RUNS = {
+# Runs with a chain block. Each runs twice: under its own name with
+# --expand (one pairing row and one lattice vertex per sphere), and as
+# "<name>_blocks" with the default output (the block written once).
+GRID_RUNS = {
     "example2_default": {"command": "example2"},
     "example2_full": {"command": "example2", **EXAMPLE2_FULL},
     "kodaira_thurston": {"command": "kodaira-thurston", "m1": 1, "m2": 2, "d": 3},
     "tower7_d2": {"command": "tower7", "d": 2},
     "tower7_d5": {"command": "tower7", "d": 5},
+}
+
+# name -> batch entry without "format"; every one runs in both formats.
+RUNS = {
+    **{name: dict(entry, expand=True) for name, entry in GRID_RUNS.items()},
     "catalog_d2": {"command": "catalog", "d": 2},
     "catalog_d3": {"command": "catalog", "d": 3},
     **{
@@ -48,6 +55,7 @@ RUNS = {
     "snf_3x3": {"command": "snf", "matrix": "tests/golden/snf_3x3.json"},
     "snf_2x3_big": {"command": "snf", "matrix": "tests/golden/snf_2x3_big.json"},
     "snf_0x2": {"command": "snf", "matrix": "tests/golden/snf_0x2.json"},
+    **{f"{name}_blocks": entry for name, entry in GRID_RUNS.items()},
 }
 
 CASES = {f"{name}_{fmt}": dict(entry, format=fmt) for name, entry in RUNS.items() for fmt in ("table", "json")}
