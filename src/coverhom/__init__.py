@@ -44,7 +44,6 @@ from .intlinalg import (
     RationalVector,
     SnfResult,
     abelianized_b1,
-    block_diag,
     det,
     rank,
     snf,

@@ -47,11 +47,9 @@ EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 
 # Grid runs (example2, kodaira-thurston) larger than these are refused before
-# anything is built. A run builds (m1+m2)*d branch components and ranks one
-# chain of d-1 spheres, at a cost cubic in d; with --expand it also lists
-# every sphere of its m1*m2*d^2 chains.
+# anything is built. A run ranks one chain of d-1 spheres, at a cost cubic in
+# d; with --expand it also lists every sphere of its m1*m2*d^2 chains.
 MAX_DEGREE = 100
-MAX_BRANCH_COMPONENTS = 200_000
 MAX_LISTED_SPHERES = 200_000
 
 
@@ -80,7 +78,7 @@ def cmd_catalog(args: argparse.Namespace) -> dict:
     d = args.d
     live = product_family_report(SurfaceConfig(g1=1, g2=1, m1=1, m2=1, d=2))
     stage1, stage2 = build_tower7(d)
-    pairing = stage2.chern_pairings[0][1]
+    pairing = stage2.spherical_generators[0].c1_pairing
     entries = [
         _catalog_entry(
             "grid branched cover of the 4-torus",
@@ -212,11 +210,6 @@ def _check_grid_size(args: argparse.Namespace) -> None:
     run = f"{args.command} with m1={m1}, m2={m2}, d={d}"
     if d > MAX_DEGREE:
         raise DomainError(f"{run} has degree above the limit of {MAX_DEGREE}")
-    components = (m1 + m2) * d
-    if components > MAX_BRANCH_COMPONENTS:
-        raise DomainError(
-            f"{run} has {components} branch components ((m1+m2)*d), above the limit of {MAX_BRANCH_COMPONENTS}"
-        )
     spheres = m1 * m2 * d**2 * (d - 1)
     if args.expand and spheres > MAX_LISTED_SPHERES:
         raise DomainError(

@@ -29,7 +29,7 @@ from .homology import (
     product_base_model,
     smooth_double_points,
 )
-from .intlinalg import IntMatrix, RationalVector, rank, same_row_lattice, snf
+from .intlinalg import IntMatrix, RationalVector, _as_int, rank, same_row_lattice, snf
 from .plumbing import intersection_matrix, milnor_fiber_2_2_d
 
 __all__ = [
@@ -59,7 +59,8 @@ class BranchComponent:
     euler_characteristic: int
 
     def __post_init__(self):
-        if self.multiplicity < 1:
+        _as_int(self.euler_characteristic)
+        if _as_int(self.multiplicity) < 1:
             raise DomainError("branch multiplicity must be at least 1")
 
 
@@ -74,7 +75,7 @@ class CoverSpec:
     preimage_connected: bool
 
     def __post_init__(self):
-        if self.degree < 1:
+        if _as_int(self.degree) < 1:
             raise DomainError("cover degree must be at least 1")
         comps = tuple(self.components)
         object.__setattr__(self, "components", comps)
@@ -104,8 +105,8 @@ class CoverReport:
     """All computed invariants of one cover plus pass/fail verdicts.
 
     The spherical classes are the chain_block's spheres, whose pairings are
-    those of its template, followed by the generators listed in
-    omega_pairings and chern_pairings.
+    those of its template, followed by spherical_generators. The formula
+    cross-checks are the last verdicts.
     """
 
     family: str
@@ -113,24 +114,24 @@ class CoverReport:
     cover_euler: int
     cover_b1: int | None
     pi_lower_bound: int
-    omega_vanishes_on_pi: bool
-    c1_vanishes_on_pi: bool
     chain_block: ChainBlock | None
-    omega_pairings: tuple[tuple[str, Fraction], ...]
-    chern_pairings: tuple[tuple[str, int], ...]
-    formula_cross_checks: tuple[Verdict, ...]
+    spherical_generators: tuple[SphericalGenerator, ...]
     verdicts: tuple[Verdict, ...]
     assumptions: tuple[str, ...]
     kaehler: bool
     trace: tuple[tuple[str, str], ...]
 
     @property
-    def all_verdicts(self) -> tuple[Verdict, ...]:
-        return self.verdicts + self.formula_cross_checks
+    def omega_vanishes_on_pi(self) -> bool:
+        return _all_zero(_sphere_rows(self), _OMEGA)
+
+    @property
+    def c1_vanishes_on_pi(self) -> bool:
+        return _all_zero(_sphere_rows(self), _C1)
 
     @property
     def passed(self) -> bool:
-        return all(v.passed for v in self.all_verdicts)
+        return all(v.passed for v in self.verdicts)
 
 
 # ---------------------------------------------------------------------------
@@ -185,34 +186,21 @@ def complement_euler(spec: CoverSpec) -> int:
     )
 
 
-def pi_dimension_bound(
-    k: int, d: int, injective: bool = True, ell: int | None = None, chain_rank: int | None = None
-) -> int:
+def pi_dimension_bound(k: int, d: int, chain_rank: int) -> int:
     """Lower bound for the dimension of the spherical subspace of the cover.
 
-    k double points with an injective branch preimage give k*(d-1)
-    independent chain spheres; in general k*d - ell, where ell counts the
-    preimage components of the double-point balls. chain_rank is the rank
-    of one installed chain's lattice when the caller has it already; it is
-    computed from milnor_fiber_2_2_d(d) otherwise.
+    k double points give k chains of d-1 independent spheres each;
+    chain_rank is the rank of one installed chain's lattice.
     """
-    if k < 0:
+    if _as_int(k) < 0:
         raise DomainError("double point count must be nonnegative")
-    if d < 2:
+    if _as_int(d) < 2:
         raise DomainError(f"cover degree must be at least 2, got {d}")
-    if injective:
-        bound = k * (d - 1)
-        if chain_rank is None:
-            chain_rank = rank(intersection_matrix(milnor_fiber_2_2_d(d)))
-        # The chains justify the count: their lattice has full rank d - 1.
-        if bound != k * chain_rank:
-            raise VerificationError(f"{k} chains of rank {chain_rank} do not justify the bound {bound}")
-        return bound
-    if ell is None:
-        raise DomainError("non-injective bound needs the preimage component count")
-    if not k <= ell <= k * d:
-        raise DomainError(f"component count {ell} outside [{k}, {k * d}]")
-    return k * d - ell
+    bound = k * (d - 1)
+    # The chains justify the count: their lattice has full rank d - 1.
+    if bound != k * _as_int(chain_rank):
+        raise VerificationError(f"{k} chains of rank {chain_rank} do not justify the bound {bound}")
+    return bound
 
 
 def kodaira_thurston_cover_b1(cfg: SurfaceConfig) -> int:
@@ -365,7 +353,7 @@ def build_cyclic_cover(
 # Verification engine
 
 
-def _sphere_rows(cover: ManifoldModel) -> list[tuple[SphericalGenerator, int]]:
+def _sphere_rows(cover: ManifoldModel | CoverReport) -> list[tuple[SphericalGenerator, int]]:
     """Each stored generator once, with the number of spheres it stands for."""
     block = cover.chain_block
     rows = [] if block is None else [(block.template, block.spheres)]
@@ -468,7 +456,7 @@ def _assemble_grid_report(
     k = block.copies
     chain_rank = rank(intersection_matrix(block.chain))
     block_rank = k * chain_rank
-    bound = pi_dimension_bound(k, cfg.d, injective=True, chain_rank=chain_rank)
+    bound = pi_dimension_bound(k, cfg.d, chain_rank)
     formula = cfg.m1 * cfg.m2 * cfg.d**2 * (cfg.d - 1)
     cls = branch_class(cfg)
     verdicts = [
@@ -500,6 +488,7 @@ def _assemble_grid_report(
     ]
     verdicts.extend(_prediction_verdicts(spec, cover))
     verdicts.extend(extra_verdicts)
+    verdicts.extend((_pairing_cross_check(spec, cover), _euler_cross_check(spec)))
     assumptions = [ASSUMPTION_PUSHFORWARD, ASSUMPTION_SIGN, ASSUMPTION_UNIQUE_COVER]
     assumptions.extend(extra_assumptions)
     cover_b1 = cover.b1
@@ -513,12 +502,8 @@ def _assemble_grid_report(
         cover_euler=cover.euler_characteristic,
         cover_b1=cover_b1,
         pi_lower_bound=bound,
-        omega_vanishes_on_pi=_all_zero(rows, _OMEGA),
-        c1_vanishes_on_pi=_all_zero(rows, _C1),
         chain_block=block,
-        omega_pairings=tuple((g.label, g.omega_pairing) for g in cover.spherical_generators),
-        chern_pairings=tuple((g.label, g.c1_pairing) for g in cover.spherical_generators),
-        formula_cross_checks=(_pairing_cross_check(spec, cover), _euler_cross_check(spec)),
+        spherical_generators=cover.spherical_generators,
         verdicts=tuple(verdicts),
         assumptions=tuple(assumptions),
         kaehler=cover.kaehler,
@@ -665,18 +650,15 @@ def build_tower7(d: int) -> tuple[CoverReport, CoverReport]:
         Verdict("chern pairing on lifted sphere is nonzero", c1 != 0, f"pairing {c1}"),
     ]
     verdicts.extend(_prediction_verdicts(spec2, cover2))
+    verdicts.extend((_pairing_cross_check(spec2, cover2), _euler_cross_check(spec2)))
     report2 = CoverReport(
         family="tower7-stage2",
         parameters=(("stage", 2), ("d", d)),
         cover_euler=cover2.euler_characteristic,
         cover_b1=None,
         pi_lower_bound=1,
-        omega_vanishes_on_pi=om == 0,
-        c1_vanishes_on_pi=c1 == 0,
         chain_block=None,
-        omega_pairings=((lifted.label, om),),
-        chern_pairings=((lifted.label, c1),),
-        formula_cross_checks=(_pairing_cross_check(spec2, cover2), _euler_cross_check(spec2)),
+        spherical_generators=cover2.spherical_generators,
         verdicts=tuple(verdicts),
         assumptions=(
             ASSUMPTION_PUSHFORWARD,

@@ -76,25 +76,27 @@ class ImmersedComponent:
     class_vector: tuple[int, ...]
 
     def __post_init__(self):
-        if self.genus < 0:
+        if _as_int(self.genus) < 0:
             raise DomainError("component genus must be nonnegative")
         object.__setattr__(self, "class_vector", tuple(_as_int(x) for x in self.class_vector))
 
 
 @dataclass(frozen=True)
 class ImmersedConfig:
-    """A generically immersed surface: components with classes, plus a double-point count."""
+    """A generically immersed surface: (component, count) pairs, plus a double-point count."""
 
-    components: tuple[ImmersedComponent, ...]
+    components: tuple[tuple[ImmersedComponent, int], ...]
     double_points: int
     pairing: IntMatrix
 
     def __post_init__(self):
-        if self.double_points < 0:
+        if _as_int(self.double_points) < 0:
             raise DomainError("double point count must be nonnegative")
         if self.pairing.rows != self.pairing.cols or not self.pairing.is_symmetric():
             raise DomainError("ambient pairing must be a symmetric square matrix")
-        for comp in self.components:
+        for comp, count in self.components:
+            if _as_int(count) < 1:
+                raise DomainError("component count must be at least 1")
             if len(comp.class_vector) != self.pairing.rows:
                 raise DimensionError("component class vector does not match ambient pairing size")
         object.__setattr__(self, "components", tuple(self.components))
@@ -110,6 +112,9 @@ class SmoothedSurface:
     connected: bool
 
     def __post_init__(self):
+        _as_int(self.euler_characteristic)
+        if self.genus is not None:
+            _as_int(self.genus)
         if self.connected:
             chi = self.euler_characteristic
             if chi % 2 != 0:
@@ -234,9 +239,8 @@ def grid_immersion(cfg: SurfaceConfig) -> ImmersedConfig:
     """
     vertical = ImmersedComponent(cfg.g2, (0, 1))
     horizontal = ImmersedComponent(cfg.g1, (1, 0))
-    components = (vertical,) * (cfg.m1 * cfg.d) + (horizontal,) * (cfg.m2 * cfg.d)
     return ImmersedConfig(
-        components=components,
+        components=((vertical, cfg.m1 * cfg.d), (horizontal, cfg.m2 * cfg.d)),
         double_points=cfg.m1 * cfg.m2 * cfg.d * cfg.d,
         pairing=HYPERBOLIC_PAIRING,
     )
@@ -254,7 +258,9 @@ def _pairing_graph_connected(b: ImmersedConfig) -> bool:
     # connected exactly when they are, and every class has a neighbour to
     # join its copies through. A single class of several components needs
     # a nonzero square.
-    counts = Counter(c.class_vector for c in b.components)
+    counts = Counter()
+    for c, n in b.components:
+        counts[c.class_vector] += n
     classes = list(counts)
     if not classes:
         return False
@@ -277,9 +283,9 @@ def _pairing_graph_connected(b: ImmersedConfig) -> bool:
 
 def smooth_double_points(b: ImmersedConfig) -> SmoothedSurface:
     """Smooth all double points: chi drops by 2 per point, the class is the sum."""
-    chi = sum(2 - 2 * c.genus for c in b.components) - 2 * b.double_points
+    chi = sum(n * (2 - 2 * c.genus) for c, n in b.components) - 2 * b.double_points
     width = b.pairing.rows
-    total = tuple(sum(c.class_vector[i] for c in b.components) for i in range(width))
+    total = tuple(sum(n * c.class_vector[i] for c, n in b.components) for i in range(width))
     connected = _pairing_graph_connected(b)
     genus = None
     if connected:

@@ -21,7 +21,6 @@ __all__ = [
     "det",
     "rank",
     "abelianized_b1",
-    "block_diag",
     "in_row_lattice",
     "same_row_lattice",
 ]
@@ -126,20 +125,6 @@ class IntMatrix:
     def diagonal(self) -> tuple[int, ...]:
         step = self.cols + 1
         return self.entries[: min(self.rows, self.cols) * step : step]
-
-
-def block_diag(blocks: Sequence[IntMatrix]) -> IntMatrix:
-    """Block-diagonal sum of the given matrices (empty input gives the 0x0 matrix)."""
-    rows = sum(b.rows for b in blocks)
-    cols = sum(b.cols for b in blocks)
-    grid = [[0] * cols for _ in range(rows)]
-    r0 = c0 = 0
-    for b in blocks:
-        for i in range(b.rows):
-            grid[r0 + i][c0 : c0 + b.cols] = list(b.row(i))
-        r0 += b.rows
-        c0 += b.cols
-    return IntMatrix(rows, cols, tuple(e for row in grid for e in row))
 
 
 @dataclass(frozen=True)

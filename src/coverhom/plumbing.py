@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DimensionError, DomainError
-from .intlinalg import IntMatrix
+from .intlinalg import IntMatrix, _as_int
 
 __all__ = [
     "PlumbingVertex",
@@ -29,7 +29,8 @@ class PlumbingVertex:
     label: str = ""
 
     def __post_init__(self):
-        if self.genus < 0:
+        _as_int(self.euler_number)
+        if _as_int(self.genus) < 0:
             raise DomainError("vertex genus must be nonnegative")
 
 

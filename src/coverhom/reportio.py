@@ -140,8 +140,8 @@ def report_to_dict(r: CoverReport, expand: bool = False) -> dict:
     """The report's result dict; `expand` writes its chain block out sphere by sphere."""
     pairings, lattice = _block_json(r.chain_block, expand)
     pairings += [
-        {"generator": label, "omega": encode_fraction(om), "c1": encode_int(c1)}
-        for (label, om), (_, c1) in zip(r.omega_pairings, r.chern_pairings)
+        {"generator": g.label, "omega": encode_fraction(g.omega_pairing), "c1": encode_int(g.c1_pairing)}
+        for g in r.spherical_generators
     ]
     return {
         "family": r.family,
@@ -157,7 +157,7 @@ def report_to_dict(r: CoverReport, expand: bool = False) -> dict:
         },
         "pairings": pairings,
         "spherical_lattice": lattice,
-        "verdicts": verdicts_to_json(r.all_verdicts),
+        "verdicts": verdicts_to_json(r.verdicts),
         "assumptions": list(r.assumptions),
         "kaehler": r.kaehler,
         "trace": {k: v for k, v in r.trace},

@@ -104,6 +104,16 @@ def chain_determinant_recurrence(n):
     return d_cur
 
 
+def block_diag(blocks):
+    """Block-diagonal sum of square list-of-lists matrices."""
+    n = sum(len(b) for b in blocks)
+    out, offset = [], 0
+    for b in blocks:
+        out += [[0] * offset + list(row) + [0] * (n - offset - len(b)) for row in b]
+        offset += len(b)
+    return out
+
+
 def euler_by_complement(degree, chi_base, chi_branch, component_chis):
     """Cover Euler characteristic via chi(cover) = d * chi(base - branch) + sum chi(B_i)."""
     return degree * (chi_base - chi_branch) + sum(component_chis)

@@ -23,7 +23,7 @@ from coverhom.cover import (
     riemann_hurwitz_euler,
 )
 from coverhom.homology import SmoothedSurface, SphericalGenerator, SurfaceConfig, product_base_model
-from coverhom.intlinalg import IntMatrix, abelianized_b1, block_diag, det, rank, snf
+from coverhom.intlinalg import IntMatrix, abelianized_b1, det, rank, snf
 from coverhom.plumbing import PlumbingGraph, PlumbingVertex, intersection_matrix, milnor_fiber_2_2_d
 from coverhom.reportio import report_to_dict
 
@@ -81,10 +81,9 @@ def test_criterion_2_vanishing(grid_reports):
         stored_zero = (
             template.omega_pairing == 0
             and template.c1_pairing == 0
-            and all(v == 0 for _, v in report.omega_pairings)
-            and all(v == 0 for _, v in report.chern_pairings)
+            and all(g.omega_pairing == 0 and g.c1_pairing == 0 for g in report.spherical_generators)
         )
-        cross = {v.name: v.passed for v in report.all_verdicts}
+        cross = {v.name: v.passed for v in report.verdicts}
         formula_ok = cross.get("stored pairings equal lift-formula recomputation", False)
         predictions_ok = cross.get("aspherical base: omega-vanishing prediction holds", False) and cross.get(
             "trivial pi2 and connected branch preimage: c1-vanishing prediction holds", False
@@ -129,10 +128,8 @@ def test_criterion_5_tower():
     for d in range(2, 7):
         stage1, stage2 = build_tower7(d)
         passed = stage1.passed and stage2.passed
-        pairing = stage2.chern_pairings[0][1]
-        omega_zero = all(v == 0 for _, v in stage1.omega_pairings) and all(
-            v == 0 for _, v in stage2.omega_pairings
-        )
+        pairing = stage2.spherical_generators[0].c1_pairing
+        omega_zero = all(g.omega_pairing == 0 for g in stage1.spherical_generators + stage2.spherical_generators)
         if not (passed and pairing == 2 * (1 - d) and omega_zero):
             failures.append((d, pairing, passed))
     ok = not failures
@@ -161,7 +158,7 @@ def test_criterion_7_riemann_hurwitz(grid_reports):
     failures = []
     # Every constructed cover: the grid family over both bases, and the tower.
     for (m1, m2, d), report in grid_reports.items():
-        euler_names = {v.name: v.passed for v in report.all_verdicts}
+        euler_names = {v.name: v.passed for v in report.verdicts}
         if not euler_names.get("euler characteristic: cover formula matches complement decomposition"):
             failures.append(("example2", m1, m2, d))
     for m1, m2, d in GRID:
@@ -170,13 +167,13 @@ def test_criterion_7_riemann_hurwitz(grid_reports):
         if riemann_hurwitz_euler(spec) != complement_euler(spec):
             failures.append(("direct", m1, m2, d))
         report_kt = kodaira_thurston_family_report(cfg)
-        names = {v.name: v.passed for v in report_kt.all_verdicts}
+        names = {v.name: v.passed for v in report_kt.verdicts}
         if not names.get("euler characteristic: cover formula matches complement decomposition"):
             failures.append(("kodaira-thurston", m1, m2, d))
     for d in range(2, 7):
         stage1, stage2 = build_tower7(d)
         for stage in (stage1, stage2):
-            names = {v.name: v.passed for v in stage.all_verdicts}
+            names = {v.name: v.passed for v in stage.verdicts}
             if not names.get("euler characteristic: cover formula matches complement decomposition"):
                 failures.append(("tower", d, stage.family))
     minimal = grid_reports[(1, 1, 2)]

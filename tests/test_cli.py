@@ -532,8 +532,6 @@ class TestErrorBoundary:
         [
             (["example2", "-d", "1000"], "degree above the limit of 100"),
             (["kodaira-thurston", "-d", "101"], "degree above the limit of 100"),
-            (["example2", "--m1", "3000000", "-d", "2"], "6000002 branch components"),
-            (["kodaira-thurston", "--m1", "99999", "--m2", "2", "-d", "2"], "200002 branch components"),
         ],
     )
     def test_default_run_over_bounds_refused(self, capsys, tmp_path, argv, message):
@@ -552,12 +550,35 @@ class TestErrorBoundary:
         assert not first.exists()
 
     def test_bounds_accept_every_listable_grid(self, capsys):
-        # The largest degree and the most branch components that --expand can list.
+        # The largest degree and the largest multiplicity that --expand can list.
         assert run_main(capsys, "example2", "-d", "58")[0] == 0
         assert run_main(capsys, "kodaira-thurston", "--m1", "50000", "-d", "2")[0] == 0
-        # The bounds themselves.
+        # The degree bound itself.
         assert run_main(capsys, "example2", "-d", "100")[0] == 0
-        assert run_main(capsys, "example2", "--m1", "99999", "-d", "2")[0] == 0
+
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    @pytest.mark.parametrize("m1, m2", [(1, 1), (10**6, 10**6), (10**12, 1)])
+    def test_large_multiplicities_run_in_bounded_time(self, capsys, tmp_path, m1, m2, fmt):
+        # Branch components are counted, not listed, so no multiplicity limit is needed.
+        bound = str(m1 * m2 * 4)
+        start = time.perf_counter()
+        code, out, err = run_main(capsys, "example2", "--m1", str(m1), "--m2", str(m2), "-d", "2", "--format", fmt)
+        assert time.perf_counter() - start < 0.5
+        assert (code, err) == (0, "") and bound in out
+        entries = [{"command": c, "m1": m1, "m2": m2, "d": 2, "format": fmt} for c in ("example2", "kodaira-thurston")]
+        start = time.perf_counter()
+        code, out, err = run_batch(capsys, tmp_path, entries)
+        assert time.perf_counter() - start < 0.5
+        assert (code, err) == (0, "") and out.count(bound) >= 2
+
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    def test_multiplicities_past_int_str_limit_refused(self, capsys, fmt):
+        # 3,001 digits each: the bound m1*m2*d^2*(d-1) has 6,002, past the 4,300-digit str() limit.
+        big = str(10**3000)
+        start = time.perf_counter()
+        result = run_main(capsys, "example2", "--m1", big, "--m2", big, "-d", "2", "--format", fmt)
+        assert time.perf_counter() - start < 0.5
+        self.assert_one_line_usage_error(result)
 
     def test_failed_internal_check_is_verification_failure(self, capsys, monkeypatch):
         monkeypatch.setattr(coverhom.cover, "rank", lambda m: 0)

@@ -33,11 +33,11 @@ from coverhom.homology import (
     kodaira_thurston_model,
     product_base_model,
 )
-from coverhom.intlinalg import IntMatrix, block_diag, rank
+from coverhom.intlinalg import IntMatrix, rank
 from coverhom.plumbing import PlumbingVertex, intersection_matrix, milnor_fiber_2_2_d
 from coverhom.reportio import report_to_dict
 
-from oracles import chain_listing, euler_by_complement, expand_blocks
+from oracles import block_diag, chain_listing, euler_by_complement, expand_blocks
 
 
 def make_cfg(g1=1, g2=1, m1=1, m2=1, d=2, areas=(1, 1)):
@@ -215,46 +215,37 @@ def cfg_chi(g1, g2):
 
 class TestPiDimensionBound:
     def test_injective_values(self):
-        assert pi_dimension_bound(4, 2, injective=True) == 4
-        assert pi_dimension_bound(1, 5, injective=True) == 4
-
-    def test_non_injective(self):
-        assert pi_dimension_bound(3, 2, injective=False, ell=4) == 2
-
-    def test_missing_ell_rejected(self):
-        with pytest.raises(DomainError):
-            pi_dimension_bound(3, 2, injective=False)
-
-    def test_ell_range_checked(self):
-        with pytest.raises(DomainError):
-            pi_dimension_bound(3, 2, injective=False, ell=2)
-        with pytest.raises(DomainError):
-            pi_dimension_bound(3, 2, injective=False, ell=7)
+        assert pi_dimension_bound(4, 2, 1) == 4
+        assert pi_dimension_bound(1, 5, 4) == 4
 
     def test_degree_bound(self):
         with pytest.raises(DomainError):
-            pi_dimension_bound(3, 1, injective=True)
+            pi_dimension_bound(3, 1, 0)
 
     def test_matches_explicit_block_rank(self):
         # rank additivity over diagonal blocks, checked densely.
         for k in (1, 2, 5, 6):
             for d in (2, 3, 6):
-                blocks = [intersection_matrix(milnor_fiber_2_2_d(d)) for _ in range(k)]
-                explicit = rank(block_diag(blocks))
-                assert pi_dimension_bound(k, d, injective=True) == explicit == k * (d - 1)
+                chain = intersection_matrix(milnor_fiber_2_2_d(d))
+                explicit = rank(IntMatrix.from_rows(block_diag([chain.to_rows()] * k)))
+                assert pi_dimension_bound(k, d, rank(chain)) == explicit == k * (d - 1)
 
     def test_wrong_chain_rank_raises(self, monkeypatch):
+        with pytest.raises(VerificationError):
+            pi_dimension_bound(3, 4, 2)
+        # The grid report ranks its chain and passes the rank on.
         monkeypatch.setattr(coverhom.cover, "rank", lambda m: 2)
         with pytest.raises(VerificationError):
-            pi_dimension_bound(3, 4)
+            product_family_report(make_cfg(d=4))
 
     def test_wrong_chain_rank_raises_without_asserts(self):
         script = (
             "import coverhom.cover as c\n"
             "from coverhom.errors import VerificationError\n"
+            "from coverhom.homology import SurfaceConfig\n"
             "c.rank = lambda m: 2\n"
             "try:\n"
-            "    print(c.pi_dimension_bound(3, 4))\n"
+            "    print(c.product_family_report(SurfaceConfig(1, 1, 1, 1, 4)).pi_lower_bound)\n"
             "except VerificationError:\n"
             "    print('raised')\n"
         )
@@ -363,8 +354,7 @@ class TestFamilyReports:
         assert kaehler.pi_lower_bound == plain.pi_lower_bound
         assert kaehler.cover_euler == plain.cover_euler
         assert kaehler.chain_block == plain.chain_block
-        assert kaehler.omega_pairings == plain.omega_pairings
-        assert kaehler.chern_pairings == plain.chern_pairings
+        assert kaehler.spherical_generators == plain.spherical_generators
         assert any("holomorphic" in a for a in kaehler.assumptions)
 
     def test_bound_monotone_in_each_parameter(self):
@@ -387,13 +377,13 @@ class TestFamilyReports:
         # Same b1 but the wrong lattice: must fail.
         report = kt_report_with_relators(monkeypatch, ((0, 1, 0, 0),))
         assert not report.passed
-        failed = [v.name for v in report.all_verdicts if not v.passed]
+        failed = [v.name for v in report.verdicts if not v.passed]
         assert "stored relators span the monodromy relation lattice" in failed
 
     def test_dropped_relator_caught(self, monkeypatch):
         report = kt_report_with_relators(monkeypatch, ())
         assert not report.passed
-        failed = [v.name for v in report.all_verdicts if not v.passed]
+        failed = [v.name for v in report.verdicts if not v.passed]
         assert "cover first Betti number equals 3" in failed
 
 
@@ -402,10 +392,9 @@ class TestTower:
         for d in (2, 3, 4, 5, 6):
             stage1, stage2 = build_tower7(d)
             assert stage1.passed and stage2.passed
-            assert stage2.chern_pairings[0][1] == 2 * (1 - d)
-            assert stage2.chern_pairings[0][1] != 0
-            assert all(v == 0 for _, v in stage1.omega_pairings)
-            assert all(v == 0 for _, v in stage2.omega_pairings)
+            assert stage2.spherical_generators[0].c1_pairing == 2 * (1 - d)
+            assert stage2.spherical_generators[0].c1_pairing != 0
+            assert all(g.omega_pairing == 0 for g in stage1.spherical_generators + stage2.spherical_generators)
 
     def test_stage_one_is_minimal_grid(self):
         stage1, _ = build_tower7(3)

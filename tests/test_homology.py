@@ -6,6 +6,7 @@ import coverhom.homology
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coverhom.cover import BranchComponent, CoverSpec, pi_dimension_bound
 from coverhom.errors import DimensionError, DomainError
 from coverhom.homology import (
     HYPERBOLIC_PAIRING,
@@ -22,6 +23,7 @@ from coverhom.homology import (
     smooth_double_points,
 )
 from coverhom.intlinalg import IntMatrix, RationalVector, abelianized_b1
+from coverhom.plumbing import PlumbingVertex
 
 from oracles import pairing_square
 
@@ -57,23 +59,19 @@ class TestSurfaceConfig:
 class TestGridImmersion:
     def test_minimal_torus_grid(self):
         b = grid_immersion(make_cfg())
-        assert len(b.components) == 4
+        assert sum(n for _, n in b.components) == 4
         assert b.double_points == 4
-        genera = [c.genus for c in b.components]
-        assert genera == [1, 1, 1, 1]
+        assert [(c.genus, n) for c, n in b.components] == [(1, 2), (1, 2)]
 
     def test_higher_genus_components(self):
         b = grid_immersion(make_cfg(g1=2, g2=3))
         # m1*d copies of the vertical factor (genus g2), then m2*d of genus g1.
-        assert [c.genus for c in b.components] == [3, 3, 2, 2]
+        assert [(c.genus, n) for c, n in b.components] == [(3, 2), (2, 2)]
         assert b.double_points == 4
 
     def test_counts(self):
         b = grid_immersion(make_cfg(m1=2, m2=3, d=3))
-        vertical = [c for c in b.components if c.class_vector == (0, 1)]
-        horizontal = [c for c in b.components if c.class_vector == (1, 0)]
-        assert len(vertical) == 6
-        assert len(horizontal) == 9
+        assert [(c.class_vector, n) for c, n in b.components] == [((0, 1), 6), ((1, 0), 9)]
         assert b.double_points == 54
 
     @settings(max_examples=60, deadline=None, derandomize=True)
@@ -82,7 +80,7 @@ class TestGridImmersion:
         g1, g2, m1, m2, d = params
         b = grid_immersion(make_cfg(g1, g2, m1, m2, d))
         assert b.double_points == m1 * m2 * d * d
-        assert len(b.components) == m1 * d + m2 * d
+        assert sum(n for _, n in b.components) == m1 * d + m2 * d
 
 
 class TestSmoothDoublePoints:
@@ -90,7 +88,7 @@ class TestSmoothDoublePoints:
         # Two spheres meeting once smooth to a sphere: chi = 4 - 2 = 2.
         pairing = IntMatrix.from_rows([[1]])
         b = ImmersedConfig(
-            components=(ImmersedComponent(0, (1,)), ImmersedComponent(0, (1,))),
+            components=((ImmersedComponent(0, (1,)), 2),),
             double_points=1,
             pairing=pairing,
         )
@@ -112,7 +110,7 @@ class TestSmoothDoublePoints:
     def test_nothing_to_smooth(self):
         pairing = IntMatrix.from_rows([[0]])
         b = ImmersedConfig(
-            components=(ImmersedComponent(3, (1,)),),
+            components=((ImmersedComponent(3, (1,)), 1),),
             double_points=0,
             pairing=pairing,
         )
@@ -124,7 +122,7 @@ class TestSmoothDoublePoints:
 
     def test_disconnected_parallel_copies(self):
         b = ImmersedConfig(
-            components=(ImmersedComponent(1, (0, 1)), ImmersedComponent(1, (0, 1))),
+            components=((ImmersedComponent(1, (0, 1)), 2),),
             double_points=0,
             pairing=HYPERBOLIC_PAIRING,
         )
@@ -134,7 +132,7 @@ class TestSmoothDoublePoints:
 
     def test_distinct_classes_that_do_not_pair(self):
         b = ImmersedConfig(
-            components=(ImmersedComponent(1, (1, 0)), ImmersedComponent(1, (2, 0))),
+            components=((ImmersedComponent(1, (1, 0)), 1), (ImmersedComponent(1, (2, 0)), 1)),
             double_points=0,
             pairing=HYPERBOLIC_PAIRING,
         )
@@ -156,19 +154,31 @@ class TestSmoothDoublePoints:
             return b, smooth_double_points(b), len(calls)
 
         _, _, few = smoothed(1)
-        b, s, many = smoothed(20000)
-        assert len(b.components) == 40002
+        b, s, many = smoothed(10**12)
+        assert b.components == ((ImmersedComponent(3, (0, 1)), 2 * 10**12), (ImmersedComponent(2, (1, 0)), 2))
         assert many == few
-        # 40000 genus-3 verticals and 2 genus-2 horizontals meeting in 80000 points.
-        chi = 40000 * (2 - 6) + 2 * (2 - 4) - 2 * 80000
-        assert s == SmoothedSurface(chi, 1 - chi // 2, (2, 40000), True)
+        # 2*10^12 genus-3 verticals and 2 genus-2 horizontals meeting in 4*10^12 points.
+        chi = 2 * 10**12 * (2 - 6) + 2 * (2 - 4) - 2 * 4 * 10**12
+        assert s == SmoothedSurface(chi, 1 - chi // 2, (2, 2 * 10**12), True)
+
+    def test_counted_equals_listed(self):
+        torus = ImmersedComponent(1, (0, 1))
+        line = ImmersedComponent(1, (1, 0))
+        counted = ImmersedConfig(((torus, 3), (line, 2)), 6, HYPERBOLIC_PAIRING)
+        listed = ImmersedConfig(((torus, 1),) * 3 + ((line, 1),) * 2, 6, HYPERBOLIC_PAIRING)
+        assert smooth_double_points(counted) == smooth_double_points(listed)
+
+    @pytest.mark.parametrize("count", [0, -1, True])
+    def test_bad_component_count_rejected(self, count):
+        with pytest.raises(DomainError):
+            ImmersedConfig(((ImmersedComponent(1, (0, 1)), count),), 0, HYPERBOLIC_PAIRING)
 
     def test_inconsistent_configuration_rejected(self):
         # Two spheres whose classes pair, but no double point recorded:
         # chi would exceed 2 for a connected surface.
         pairing = IntMatrix.from_rows([[1]])
         b = ImmersedConfig(
-            components=(ImmersedComponent(0, (1,)), ImmersedComponent(0, (1,))),
+            components=((ImmersedComponent(0, (1,)), 1), (ImmersedComponent(0, (1,)), 1)),
             double_points=0,
             pairing=pairing,
         )
@@ -181,7 +191,7 @@ class TestSmoothDoublePoints:
         g1, g2, m1, m2, d = params
         b = grid_immersion(make_cfg(g1, g2, m1, m2, d))
         s = smooth_double_points(b)
-        chi_disjoint = sum(2 - 2 * c.genus for c in b.components)
+        chi_disjoint = m1 * d * (2 - 2 * g2) + m2 * d * (2 - 2 * g1)
         assert s.euler_characteristic == chi_disjoint - 2 * b.double_points
         assert s.connected
         assert s.genus is not None and s.genus >= 0
@@ -304,3 +314,44 @@ class TestModelValidation:
                 class_vector=None,
                 connected=True,
             )
+
+
+_TORUS = ImmersedComponent(1, (0, 1))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: ImmersedComponent(0.5, (1, 0)),
+        lambda: ImmersedConfig(((_TORUS, 1),), 1.5, HYPERBOLIC_PAIRING),
+        lambda: ImmersedConfig(((_TORUS, 2.0),), 0, HYPERBOLIC_PAIRING),
+        lambda: PlumbingVertex(-2.0, 0),
+        lambda: PlumbingVertex(-2, 0.5),
+        lambda: BranchComponent("x", 2.5, 0),
+        lambda: BranchComponent("x", 2, 0.5),
+        lambda: SmoothedSurface(0.0, 1.0, None, True),
+        lambda: SmoothedSurface(0, 1.0, None, True),
+        lambda: CoverSpec(product_base_model(make_cfg()), 2.0, None, (), False),
+        lambda: pi_dimension_bound(1.5, 2, 1),
+        lambda: pi_dimension_bound(1, 2.0, 1),
+        lambda: pi_dimension_bound(1, 2, 1.0),
+    ],
+    ids=[
+        "component-genus",
+        "double-points",
+        "component-count",
+        "vertex-euler-number",
+        "vertex-genus",
+        "branch-multiplicity",
+        "branch-euler",
+        "smoothed-euler",
+        "smoothed-genus",
+        "cover-degree",
+        "bound-k",
+        "bound-d",
+        "bound-chain-rank",
+    ],
+)
+def test_float_rejected_at_constructor(build):
+    with pytest.raises(DomainError):
+        build()

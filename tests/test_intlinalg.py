@@ -12,7 +12,6 @@ from coverhom.intlinalg import (
     RationalVector,
     SnfResult,
     abelianized_b1,
-    block_diag,
     det,
     in_row_lattice,
     rank,
@@ -109,12 +108,6 @@ class TestIntMatrix:
         symmetric = m == n and all(rows[i][j] == rows[j][i] for i in range(m) for j in range(n))
         assert a.is_symmetric() == symmetric
         assert a.mul(a.transpose()).is_symmetric()
-
-    def test_block_diag(self):
-        a = IntMatrix.from_rows([(1,)])
-        b = IntMatrix.from_rows([(2, 0), (0, 3)])
-        assert block_diag([a, b]).to_rows() == [[1, 0, 0], [0, 2, 0], [0, 0, 3]]
-        assert block_diag([]).rows == 0
 
 
 class TestSnf:
