@@ -4,31 +4,22 @@ Each command function takes the parsed arguments and returns the result dict
 that `--format json` prints; `reportio` renders it as JSON or as a table.
 Exit codes: 0 when every verdict in the result passes, 1 on a verification
 failure, 2 on usage or parameter errors.
+
+Only this module and `errors` load at start, so `--help`, usage errors and a
+malformed `--batch` file exit before the exact-arithmetic layers are
+imported. `main` imports them once every run has been parsed and checked,
+and the command functions reach library functions through the layer
+modules (`cover.build_tower7`), so that a replaced module attribute applies.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
-from fractions import Fraction
-from typing import Sequence
+from collections.abc import Sequence
 
-from .cover import Verdict, build_tower7, kodaira_thurston_family_report, product_family_report
 from .errors import DomainError, VerificationError
-from .homology import SurfaceConfig
-from .intlinalg import snf
-from .reportio import (
-    all_pass,
-    encode_int,
-    matrix_from_json,
-    matrix_to_json,
-    render_json,
-    render_table,
-    report_to_dict,
-    verdicts_to_json,
-)
 
 __all__ = [
     "build_parser",
@@ -54,17 +45,23 @@ MAX_LISTED_SPHERES = 200_000
 
 
 def cmd_example2(args: argparse.Namespace) -> dict:
-    cfg = SurfaceConfig(args.g1, args.g2, args.m1, args.m2, args.d, (args.area1, args.area2))
-    return report_to_dict(product_family_report(cfg, kaehler=args.kaehler), expand=args.expand)
+    from . import cover, homology, reportio
+
+    cfg = homology.SurfaceConfig(args.g1, args.g2, args.m1, args.m2, args.d, (args.area1, args.area2))
+    return reportio.report_to_dict(cover.product_family_report(cfg, kaehler=args.kaehler), expand=args.expand)
 
 
 def cmd_kodaira_thurston(args: argparse.Namespace) -> dict:
-    cfg = SurfaceConfig(1, 1, args.m1, args.m2, args.d, (args.area1, args.area2))
-    return report_to_dict(kodaira_thurston_family_report(cfg), expand=args.expand)
+    from . import cover, homology, reportio
+
+    cfg = homology.SurfaceConfig(1, 1, args.m1, args.m2, args.d, (args.area1, args.area2))
+    return reportio.report_to_dict(cover.kodaira_thurston_family_report(cfg), expand=args.expand)
 
 
 def cmd_tower7(args: argparse.Namespace) -> dict:
-    stages = [report_to_dict(s, expand=args.expand) for s in build_tower7(args.d)]
+    from . import cover, reportio
+
+    stages = [reportio.report_to_dict(s, expand=args.expand) for s in cover.build_tower7(args.d)]
     return {"family": "tower7", "parameters": {"d": args.d}, "stages": stages}
 
 
@@ -75,9 +72,11 @@ def _catalog_entry(name: str, omega_on_pi: str, c1_on_pi: str, witness: str, sou
 
 def cmd_catalog(args: argparse.Namespace) -> dict:
     """All four combinations of the two vanishing conditions, with witnesses."""
+    from . import cover, homology, reportio
+
     d = args.d
-    live = product_family_report(SurfaceConfig(g1=1, g2=1, m1=1, m2=1, d=2))
-    stage1, stage2 = build_tower7(d)
+    live = cover.product_family_report(homology.SurfaceConfig(g1=1, g2=1, m1=1, m2=1, d=2))
+    stage1, stage2 = cover.build_tower7(d)
     pairing = stage2.spherical_generators[0].c1_pairing
     entries = [
         _catalog_entry(
@@ -115,23 +114,23 @@ def cmd_catalog(args: argparse.Namespace) -> dict:
     signatures = [(e["omega_on_pi"], e["c1_on_pi"]) for e in entries]
     wanted = {("zero", "zero"), ("zero", "nonzero"), ("nonzero", "zero"), ("nonzero", "nonzero")}
     verdicts = (
-        Verdict("exactly four entries", len(entries) == 4, f"{len(entries)} entries"),
-        Verdict(
+        cover.Verdict("exactly four entries", len(entries) == 4, f"{len(entries)} entries"),
+        cover.Verdict(
             "all four vanishing signatures covered",
             set(signatures) == wanted,
             f"signatures {sorted(set(signatures))}",
         ),
-        Verdict(
+        cover.Verdict(
             "entries mutually distinct in signature",
             len(set(signatures)) == len(entries),
             f"{len(set(signatures))} distinct signatures for {len(entries)} entries",
         ),
-        Verdict(
+        cover.Verdict(
             "live witness for (zero, zero) verified",
             live.passed and live.omega_vanishes_on_pi and live.c1_vanishes_on_pi,
             f"grid cover report {'passed' if live.passed else 'FAILED'}",
         ),
-        Verdict(
+        cover.Verdict(
             "live witness for (zero, nonzero) verified",
             stage1.passed and stage2.passed and pairing == 2 * (1 - d) and pairing != 0,
             f"tower reports {'passed' if stage1.passed and stage2.passed else 'FAILED'}; pairing {pairing}",
@@ -141,7 +140,7 @@ def cmd_catalog(args: argparse.Namespace) -> dict:
         "family": "catalog",
         "parameters": {"d": d},
         "entries": entries,
-        "verdicts": verdicts_to_json(verdicts),
+        "verdicts": reportio.verdicts_to_json(verdicts),
         "assumptions": ["entries marked 'catalog' cite classical facts and are not recomputed here"],
     }
 
@@ -171,31 +170,35 @@ def cmd_kollar(args: argparse.Namespace) -> dict:
 
 def cmd_snf(args: argparse.Namespace) -> dict:
     """Run the exact Smith decomposition on a JSON matrix file."""
+    import json
+
+    from . import cover, intlinalg, reportio
+
     with open(args.matrix) as fh:
-        a = matrix_from_json(json.load(fh))
+        a = reportio.matrix_from_json(json.load(fh))
     # snf raises VerificationError unless u*a*v == d, u and v are unimodular
     # and d is a divisor chain (the last two checked by SnfResult), so these
     # verdicts report the checks already run instead of repeating them.
-    res = snf(a)
+    res = intlinalg.snf(a)
     diag = res.divisors
     checks = (
-        Verdict("recomposition u*a*v equals d", True, f"checked {a.rows}x{a.cols} input"),
-        Verdict(
+        cover.Verdict("recomposition u*a*v equals d", True, f"checked {a.rows}x{a.cols} input"),
+        cover.Verdict(
             "transforms are unimodular",
             abs(res.det_u) == abs(res.det_v) == 1,
             f"det u = {res.det_u}, det v = {res.det_v}",
         ),
-        Verdict("diagonal divisor chain holds", True, f"divisors {list(diag)}"),
+        cover.Verdict("diagonal divisor chain holds", True, f"divisors {list(diag)}"),
     )
     return {
         "family": "snf",
         "parameters": {"matrix": args.matrix},
-        "input": matrix_to_json(a),
-        "u": matrix_to_json(res.u),
-        "d": matrix_to_json(res.d),
-        "v": matrix_to_json(res.v),
-        "divisors": [encode_int(x) for x in diag],
-        "verdicts": verdicts_to_json(checks),
+        "input": reportio.matrix_to_json(a),
+        "u": reportio.matrix_to_json(res.u),
+        "d": reportio.matrix_to_json(res.d),
+        "v": reportio.matrix_to_json(res.v),
+        "divisors": [reportio.encode_int(x) for x in diag],
+        "verdicts": reportio.verdicts_to_json(checks),
     }
 
 
@@ -215,9 +218,26 @@ def _check_grid_size(args: argparse.Namespace) -> None:
         raise DomainError(
             f"{run} --expand lists {spheres} spheres (m1*m2*d^2*(d-1)), above the limit of {MAX_LISTED_SPHERES}"
         )
+    # Every integer a grid report prints, the Euler characteristic the
+    # largest, is at most 8*d^3*(m1+g1+1)*(m2+g2+1) in absolute value. It is
+    # sized from its bit length (log10(2) < 0.30103): str() of an integer past
+    # the interpreter's limit is the failure this check prevents.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    g1, g2 = getattr(args, "g1", 1), getattr(args, "g2", 1)
+    largest = 8 * d**3 * (m1 + abs(g1) + 1) * (m2 + abs(g2) + 1)
+    digits = largest.bit_length() * 30103 // 100000 + 1
+    if limit and digits > limit:
+        names = "g1, g2, m1, m2 and d" if args.command == "example2" else "m1, m2 and d"
+        raise DomainError(
+            f"{args.command}: {names} give report integers of up to {digits} digits, "
+            f"above the limit of {limit} digits for printing an integer"
+        )
 
 
-def _rational(text: str) -> Fraction:
+def _rational(text: str):
+    """The exact rational that text like 3/2 names; argparse also applies it to the default "1"."""
+    from fractions import Fraction
+
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -246,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     def areas(sp, *classes):
         for number, name in enumerate(classes, 1):
             summary = f"symplectic area of the {name} class (rational)"
-            sp.add_argument(f"--area{number}", type=_rational, default=Fraction(1), help=summary)
+            sp.add_argument(f"--area{number}", type=_rational, default="1", help=summary)
 
     e2 = command("example2", cmd_example2, "grid branched cover of a product of positive-genus surfaces")
     e2.add_argument("--g1", type=int, default=1, help="genus of the first factor (default 1)")
@@ -322,6 +342,8 @@ def _entry_options(sp: argparse.ArgumentParser, index: int, entry: dict) -> list
 
 def _batch_runs(parser: argparse.ArgumentParser, path: str) -> list[argparse.Namespace]:
     """Parse every entry of a batch file, so that a bad entry stops the batch before any run."""
+    import json
+
     with open(path) as fh:
         entries = json.load(fh)
     if not isinstance(entries, list):
@@ -365,16 +387,18 @@ def main(argv: Sequence[str] | None = None) -> int:
             return EXIT_USAGE
         for run in runs:
             _check_grid_size(run)
+        from . import reportio  # imports every library layer
+
         worst = EXIT_PASS
         for run in runs:
             doc = run.run(run)
-            text = render_json(doc) if run.format == "json" else render_table(doc)
+            text = reportio.render_json(doc) if run.format == "json" else reportio.render_table(doc)
             if run.out:
                 with open(run.out, "w") as fh:
                     fh.write(text)
             else:
                 sys.stdout.write(text)
-            worst = max(worst, EXIT_PASS if all_pass(doc) else EXIT_VERIFY_FAIL)
+            worst = max(worst, EXIT_PASS if reportio.all_pass(doc) else EXIT_VERIFY_FAIL)
         return worst
     except VerificationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -433,7 +433,7 @@ def _grid_trace(b1_known: bool) -> tuple[tuple[str, str], ...]:
             "invariants.b1",
             "abelianized_b1 on the stored presentation" if b1_known else "not determined by the construction",
         ),
-        ("invariants.pi_lower_bound", "pi_dimension_bound (injective case)"),
+        ("invariants.pi_lower_bound", "pi_dimension_bound: chain copies times rank of one chain"),
         ("pairings[].omega", "lift_omega_pairing"),
         ("pairings[].c1", "lift_chern_pairing"),
         ("findings.omega_on_spherical_classes", "installed pairings plus aspherical-base prediction"),

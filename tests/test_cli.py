@@ -580,6 +580,23 @@ class TestErrorBoundary:
         assert time.perf_counter() - start < 0.5
         self.assert_one_line_usage_error(result)
 
+    @pytest.mark.parametrize(
+        "entry, names",
+        [
+            ({"command": "example2", "m1": 10**3000, "m2": 10**3000}, "g1, g2, m1, m2 and d"),
+            ({"command": "example2", "g1": 10**3000, "g2": 10**3000}, "g1, g2, m1, m2 and d"),
+            ({"command": "kodaira-thurston", "m1": 10**3000, "m2": 10**3000}, "m1, m2 and d"),
+        ],
+    )
+    def test_report_past_int_str_limit_refused_before_batch_runs(self, capsys, tmp_path, entry, names):
+        first = tmp_path / "first.json"
+        result = run_batch(capsys, tmp_path, [{"command": "example2", "out": str(first)}, entry])
+        self.assert_one_line_usage_error(result)
+        assert names in result[2]
+        assert f"limit of {sys.get_int_max_str_digits()} digits" in result[2]
+        assert "set_int_max_str_digits" not in result[2]
+        assert not first.exists()
+
     def test_failed_internal_check_is_verification_failure(self, capsys, monkeypatch):
         monkeypatch.setattr(coverhom.cover, "rank", lambda m: 0)
         code, out, err = run_main(capsys, "example2")

@@ -1,0 +1,79 @@
+"""The import boundary of the command line.
+
+`python -m coverhom` loads only `cli` and `errors` until a command is about
+to run, so help, usage errors and a malformed `--batch` file cost no more
+than the parser. Once a command runs, every library layer is loaded; the
+benchmark's tracer wraps functions in all of them after its untraced passes.
+"""
+
+import importlib.util
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import coverhom
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# Runs `python -m coverhom ARGS...` in process, then prints its exit code and
+# the coverhom modules it loaded.
+SCRIPT = """
+import contextlib, io, json, runpy, sys
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    try:
+        runpy.run_module("coverhom", run_name="__main__", alter_sys=True)
+    except SystemExit as exc:
+        code = exc.code
+print(json.dumps({"code": code, "loaded": sorted(m for m in sys.modules if m.startswith("coverhom"))}))
+"""
+
+
+def run_module(tmp_path, *argv):
+    src = os.path.dirname(os.path.dirname(coverhom.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", SCRIPT, *argv], capture_output=True, text=True, env=env, cwd=tmp_path
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    return result["code"], set(result["loaded"])
+
+
+def spans_modules():
+    spec = importlib.util.spec_from_file_location("spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return {f"coverhom.{name}" for name in spans.MODULES}
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["--help"], 0),
+        (["snf", "--help"], 0),
+        (["no-such-command"], 2),
+        (["example2", "--no-such-flag"], 2),
+        (["--batch", "batch.json"], 2),
+    ],
+    ids=["help", "command-help", "unknown-command", "bad-flag", "malformed-batch"],
+)
+def test_no_library_layer_before_a_command_runs(tmp_path, argv, code):
+    # The second entry is malformed, so the batch stops after parsing.
+    (tmp_path / "batch.json").write_text(json.dumps([{"command": "kollar", "omega_pullback": True,
+                                                      "target_pi2_trivial": True}, {"command": "snf"}]))
+    got, loaded = run_module(tmp_path, *argv)
+    assert got == code
+    assert loaded == {"coverhom", "coverhom.cli", "coverhom.errors"}
+
+
+@pytest.mark.parametrize("command", ["kollar", "snf"])
+def test_every_layer_loaded_after_one_command(tmp_path, command):
+    (tmp_path / "m.json").write_text(json.dumps({"rows": 1, "cols": 1, "entries": [2]}))
+    argv = ["kollar", "--omega-pullback", "--target-pi2-trivial"] if command == "kollar" else ["snf", "m.json"]
+    got, loaded = run_module(tmp_path, *argv)
+    assert got == 0
+    assert spans_modules() <= loaded

@@ -154,6 +154,32 @@ class TestSnf:
             res = _snf_invariants(IntMatrix.from_rows(rows))
             assert list(res.divisors) == divisor_sequence_by_minor_gcd(rows)
 
+    def test_divisors_match_sympy_invariant_factors(self):
+        # An independent implementation: sympy's invariant factors share no code with snf.
+        sympy = pytest.importorskip("sympy")
+        from sympy.matrices.normalforms import invariant_factors
+
+        rng = random.Random(20261018)
+
+        def random_rows(m, n):
+            return [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
+
+        cases = []
+        for _ in range(15):
+            n = rng.randint(1, 12)
+            cases.append(random_rows(n, n))
+            m, n = rng.sample(range(1, 13), 2)
+            cases.append(random_rows(m, n))
+            n = rng.randint(2, 12)
+            r = rng.randint(1, n - 1)
+            cases.append(matmul_rows(random_rows(n, r), random_rows(r, n), n))  # rank at most r
+        for n in range(1, 13):
+            cases.append([[-2 if i == j else int(abs(i - j) == 1) for j in range(n)] for i in range(n)])
+        for rows in cases:
+            ours = [x for x in snf(IntMatrix.from_rows(rows)).divisors if x]
+            theirs = [int(x) for x in invariant_factors(sympy.Matrix(rows), domain=sympy.ZZ) if x]
+            assert ours == theirs, rows
+
     @settings(max_examples=120, deadline=None, derandomize=True)
     @given(
         st.lists(
