@@ -327,8 +327,9 @@ def product_base_model(cfg: SurfaceConfig, kaehler: bool = False) -> ManifoldMod
     )
 
 
-# Abelianized monodromy relation of the torus-bundle quotient: the first
-# base generator dies, leaving b1 = 3.
+# Abelianized monodromy relation of the torus-bundle quotient, in generator
+# order (fiber x, fiber y, base a, base b): the first fiber generator dies,
+# leaving b1 = 3.
 MONODROMY_RELATORS: tuple[tuple[int, ...], ...] = ((1, 0, 0, 0),)
 
 # Monodromy of the torus-bundle quotient around the first base loop (the

@@ -11,6 +11,7 @@ per-sphere listing (`report_to_dict(..., expand=True)`).
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 
 from .cover import CoverReport
@@ -45,6 +46,10 @@ def decode_int(value) -> int:
     if isinstance(value, int):
         return value
     if isinstance(value, str):
+        digits = value.strip().lstrip("+-").replace("_", "")
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit and len(digits) > limit and digits.isdigit():
+            raise DomainError(f"integer string of {len(digits)} digits, above the limit of {limit} digits")
         return int(value, 10)
     raise DomainError(f"integer entry required, got {value!r}")
 

@@ -15,7 +15,6 @@ from coverhom.cover import (
     BranchComponent,
     build_cyclic_cover,
     build_tower7,
-    complement_euler,
     kodaira_thurston_family_report,
     product_family_report,
     lift_chern_pairing,
@@ -27,7 +26,7 @@ from coverhom.intlinalg import IntMatrix, abelianized_b1, det, rank, snf
 from coverhom.plumbing import PlumbingGraph, PlumbingVertex, intersection_matrix, milnor_fiber_2_2_d
 from coverhom.reportio import report_to_dict
 
-from oracles import chain_determinant_recurrence, det_cofactor
+from oracles import chain_determinant_recurrence, det_cofactor, euler_by_complement
 
 GRID = [
     (m1, m2, d)
@@ -84,14 +83,14 @@ def test_criterion_2_vanishing(grid_reports):
             and all(g.omega_pairing == 0 and g.c1_pairing == 0 for g in report.spherical_generators)
         )
         cross = {v.name: v.passed for v in report.verdicts}
-        formula_ok = cross.get("stored pairings equal lift-formula recomputation", False)
+        formula_ok = cross.get("c1 on chain spheres: lift formula matches adjunction", False)
         predictions_ok = cross.get("aspherical base: omega-vanishing prediction holds", False) and cross.get(
             "trivial pi2 and connected branch preimage: c1-vanishing prediction holds", False
         )
         if not (stored_zero and formula_ok and predictions_ok and report.passed):
             failures.append(key)
     ok = not failures
-    _line(2, ok, "all omega and c1 pairings exactly 0, stored and via the lift-formula cross-check")
+    _line(2, ok, "all omega and c1 pairings exactly 0; lifted c1 on chain spheres matches adjunction")
     assert ok, failures
 
 
@@ -114,7 +113,8 @@ def test_criterion_4_kodaira_thurston():
     for m1, m2, d in GRID:
         report = kodaira_thurston_family_report(SurfaceConfig(g1=1, g2=1, m1=m1, m2=m2, d=d))
         odd_flagged = any(
-            v.name == "odd b1 rules out Kaehler homotopy type" and v.passed for v in report.verdicts
+            v.name == "cover first Betti number equals 3; odd b1 rules out Kaehler homotopy type" and v.passed
+            for v in report.verdicts
         )
         if not (report.passed and report.cover_b1 == 3 and odd_flagged and not report.kaehler):
             failures.append((m1, m2, d, report.cover_b1, report.passed))
@@ -154,28 +154,34 @@ def test_criterion_6_catalog():
     assert ok
 
 
+EULER_VERDICT = "euler characteristic: branch surface by adjunction matches smoothing count"
+
+
 def test_criterion_7_riemann_hurwitz(grid_reports):
     failures = []
-    # Every constructed cover: the grid family over both bases, and the tower.
+    # Every grid cover: the family over both bases, and tower stage 1.
     for (m1, m2, d), report in grid_reports.items():
         euler_names = {v.name: v.passed for v in report.verdicts}
-        if not euler_names.get("euler characteristic: cover formula matches complement decomposition"):
+        if not euler_names.get(EULER_VERDICT):
             failures.append(("example2", m1, m2, d))
     for m1, m2, d in GRID:
         cfg = SurfaceConfig(g1=1, g2=1, m1=m1, m2=m2, d=d)
         spec, cover = build_cyclic_cover(product_base_model(cfg), cfg)
-        if riemann_hurwitz_euler(spec) != complement_euler(spec):
+        chi_b = spec.branch.euler_characteristic
+        if riemann_hurwitz_euler(spec) != euler_by_complement(d, 0, chi_b, [chi_b]):
             failures.append(("direct", m1, m2, d))
         report_kt = kodaira_thurston_family_report(cfg)
         names = {v.name: v.passed for v in report_kt.verdicts}
-        if not names.get("euler characteristic: cover formula matches complement decomposition"):
+        if not names.get(EULER_VERDICT):
             failures.append(("kodaira-thurston", m1, m2, d))
     for d in range(2, 7):
         stage1, stage2 = build_tower7(d)
-        for stage in (stage1, stage2):
-            names = {v.name: v.passed for v in stage.verdicts}
-            if not names.get("euler characteristic: cover formula matches complement decomposition"):
-                failures.append(("tower", d, stage.family))
+        names = {v.name: v.passed for v in stage1.verdicts}
+        if not names.get(EULER_VERDICT):
+            failures.append(("tower", d, stage1.family))
+        # Stage 2 tracks no class for its branch tori: the complement route alone.
+        if stage2.cover_euler != euler_by_complement(d, 8, 0, [0, 0]):
+            failures.append(("tower", d, stage2.family))
     minimal = grid_reports[(1, 1, 2)]
     if minimal.cover_euler != 8:
         failures.append(("minimal-chi", minimal.cover_euler))

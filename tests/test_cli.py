@@ -209,7 +209,7 @@ class TestKodairaThurston:
         doc = json.loads(out)
         assert doc["invariants"]["b1"] == 3
         names = [v["name"] for v in doc["verdicts"]]
-        assert "odd b1 rules out Kaehler homotopy type" in names
+        assert "cover first Betti number equals 3; odd b1 rules out Kaehler homotopy type" in names
         assert doc["kaehler"] is False
 
     def test_parameter_independent(self, capsys):
@@ -509,6 +509,29 @@ class TestErrorBoundary:
         path.write_text('[{"command": "example2", "m1": %s}]' % self.HUGE)
         self.assert_one_line_usage_error(run_main(capsys, "--batch", str(path)))
 
+    @pytest.mark.parametrize(
+        "command, text, fragment",
+        [
+            ("--batch", '[{"command": "example2", "m1": 1%s}]' % ("0" * 5000), "{path} holds an integer above"),
+            ("snf", '{"rows": 1, "cols": 1, "entries": [1%s]}' % ("0" * 5000), "{path} holds an integer above"),
+            ("snf", '{"rows": 1, "cols": 1, "entries": ["1%s"]}' % ("0" * 5000), "5001 digits, above the limit"),
+            ("--batch", '[{"command": "kollar"', "{path} is not valid JSON: Expecting"),
+            ("snf", '{"rows": 1, "cols"', "{path} is not valid JSON: Expecting"),
+            ("snf", "[" * 100000, "{path} nests its JSON too deeply"),
+            ("snf", "\xff[", "{path} is not"),
+        ],
+        ids=["batch-digits", "matrix-digits", "matrix-string-digits", "batch-truncated", "matrix-truncated",
+             "matrix-deep", "matrix-not-utf8"],
+    )
+    def test_json_input_errors_name_the_file(self, capsys, tmp_path, command, text, fragment):
+        path = tmp_path / "input.json"
+        path.write_bytes(text.encode("latin-1"))
+        code, out, err = run_main(capsys, command, str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1 and len(err) < 300
+        assert fragment.format(path=path) in err
+        assert "set_int_max_str_digits" not in err
+
     def test_oversized_grid_refused_before_building(self, capsys):
         start = time.perf_counter()
         result = run_main(capsys, "example2", "--m1", "300", "--m2", "300", "-d", "30", "--expand")
@@ -579,6 +602,12 @@ class TestErrorBoundary:
         result = run_main(capsys, "example2", "--m1", big, "--m2", big, "-d", "2", "--format", fmt)
         assert time.perf_counter() - start < 0.5
         self.assert_one_line_usage_error(result)
+        # The degree and --expand checks run first; their messages give sizes, not values.
+        for more in (["--m2", "1", "--expand"], ["--m2", big, "--expand"], ["-d", "101"]):
+            result = run_main(capsys, "example2", "--m1", big, *more, "--format", fmt)
+            self.assert_one_line_usage_error(result)
+            assert len(result[2].encode()) < 300 and "set_int_max_str_digits" not in result[2]
+            assert "m1=<up to 3001 digits>" in result[2]
 
     @pytest.mark.parametrize(
         "entry, names",
@@ -597,12 +626,16 @@ class TestErrorBoundary:
         assert "set_int_max_str_digits" not in result[2]
         assert not first.exists()
 
-    def test_failed_internal_check_is_verification_failure(self, capsys, monkeypatch):
-        monkeypatch.setattr(coverhom.cover, "rank", lambda m: 0)
-        code, out, err = run_main(capsys, "example2")
+    def test_failed_internal_check_is_verification_failure(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(matrix_to_json(IntMatrix.from_rows([(2, 4), (6, 8)]))))
+        # snf recomposes u*a*v and compares it with d; a wrong product fails that check.
+        monkeypatch.setattr(IntMatrix, "mul", lambda self, other: IntMatrix.zero(self.rows, other.cols))
+        code, out, err = run_main(capsys, "snf", str(path))
         assert code == 1
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+        assert "does not recompose" in err
 
 
 class TestLibraryCommands:

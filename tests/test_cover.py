@@ -1,3 +1,4 @@
+import argparse
 import os
 import subprocess
 import sys
@@ -9,13 +10,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import coverhom.cli
 import coverhom.cover
 from coverhom.cover import (
     BranchComponent,
+    CoverReport,
     CoverSpec,
+    adjunction_euler,
     build_cyclic_cover,
     build_tower7,
-    complement_euler,
+    coinvariant_relators,
     kodaira_thurston_cover_b1,
     kodaira_thurston_family_report,
     lift_chern_pairing,
@@ -25,19 +29,22 @@ from coverhom.cover import (
     riemann_hurwitz_euler,
     _require_divisible,
 )
-from coverhom.errors import DomainError, IncompleteModelError, NoSuchCoverError, VerificationError
+from coverhom.errors import DomainError, IncompleteModelError, NoSuchCoverError
 from coverhom.homology import (
+    HYPERBOLIC_PAIRING,
+    MONODROMY_RELATORS,
     SmoothedSurface,
     SphericalGenerator,
     SurfaceConfig,
     kodaira_thurston_model,
     product_base_model,
+    smooth_double_points,
 )
 from coverhom.intlinalg import IntMatrix, rank
-from coverhom.plumbing import PlumbingVertex, intersection_matrix, milnor_fiber_2_2_d
+from coverhom.plumbing import PlumbingVertex, intersection_matrix, linear_chain, milnor_fiber_2_2_d
 from coverhom.reportio import report_to_dict
 
-from oracles import block_diag, chain_listing, euler_by_complement, expand_blocks
+from oracles import block_diag, chain_listing, euler_by_complement, expand_blocks, pairing_square
 
 
 def make_cfg(g1=1, g2=1, m1=1, m2=1, d=2, areas=(1, 1)):
@@ -54,8 +61,8 @@ def identity_cover(base):
     )
 
 
-def kt_report_with_relators(monkeypatch, relators):
-    """Kodaira-Thurston report whose cover model stores the given H1 relators."""
+def store_relators(monkeypatch, relators):
+    """Make the cover models built from now on store the given H1 relators."""
     build = build_cyclic_cover
 
     def wrong_relators(base, cfg, kaehler=False):
@@ -63,6 +70,11 @@ def kt_report_with_relators(monkeypatch, relators):
         return spec, replace(cover, h1_relators=relators)
 
     monkeypatch.setattr(coverhom.cover, "build_cyclic_cover", wrong_relators)
+
+
+def kt_report_with_relators(monkeypatch, relators):
+    """Kodaira-Thurston report whose cover model stores the given H1 relators."""
+    store_relators(monkeypatch, relators)
     return kodaira_thurston_family_report(make_cfg())
 
 
@@ -180,7 +192,6 @@ class TestRiemannHurwitz:
         base = product_base_model(make_cfg(g1=2, g2=2))
         spec = identity_cover(base)
         assert riemann_hurwitz_euler(spec) == 4
-        assert complement_euler(spec) == 4
 
     def test_minimal_grid_cover(self):
         cfg = make_cfg()
@@ -188,14 +199,12 @@ class TestRiemannHurwitz:
         assert riemann_hurwitz_euler(spec) == 8
         # Independent route: d*(chi(X) - chi(B)) + sum chi(B_i).
         assert euler_by_complement(2, 0, -8, [-8]) == 8
-        assert complement_euler(spec) == 8
         assert cover.euler_characteristic == 8
 
     def test_unbranched_double_cover(self):
         base = product_base_model(make_cfg())
         spec = CoverSpec(base, 2, None, (), False)
         assert riemann_hurwitz_euler(spec) == 0
-        assert complement_euler(spec) == 0
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3), st.integers(1, 3), st.integers(2, 5))
@@ -203,10 +212,19 @@ class TestRiemannHurwitz:
         cfg = make_cfg(g1, g2, m1, m2, d)
         spec, cover = build_cyclic_cover(product_base_model(cfg), cfg)
         chi_b = spec.branch.euler_characteristic
-        assert riemann_hurwitz_euler(spec) == complement_euler(spec)
         assert cover.euler_characteristic == euler_by_complement(
             d, cfg_chi(g1, g2), chi_b, [chi_b]
         )
+        # Adjunction on the branch class: <c1, B> - B.B, with B = (m2*d, m1*d).
+        c1_on_class = m2 * d * (2 - 2 * g1) + m1 * d * (2 - 2 * g2)
+        square = pairing_square((m2 * d, m1 * d), HYPERBOLIC_PAIRING.to_rows())
+        assert adjunction_euler(spec.base, spec.branch.class_vector) == c1_on_class - square == chi_b
+
+    def test_adjunction_on_torus_bundle_base(self):
+        cfg = make_cfg(m1=3, m2=2, d=4)
+        spec, _ = build_cyclic_cover(kodaira_thurston_model(cfg.omega_areas), cfg)
+        # Both named classes have c1 pairing 0, so chi(B) = -B.B = -2*m1*m2*d^2.
+        assert adjunction_euler(spec.base, spec.branch.class_vector) == spec.branch.euler_characteristic == -192
 
 
 def cfg_chi(g1, g2):
@@ -215,12 +233,12 @@ def cfg_chi(g1, g2):
 
 class TestPiDimensionBound:
     def test_injective_values(self):
-        assert pi_dimension_bound(4, 2, 1) == 4
-        assert pi_dimension_bound(1, 5, 4) == 4
+        assert pi_dimension_bound(4, 2) == 4
+        assert pi_dimension_bound(1, 5) == 4
 
     def test_degree_bound(self):
         with pytest.raises(DomainError):
-            pi_dimension_bound(3, 1, 0)
+            pi_dimension_bound(3, 1)
 
     def test_matches_explicit_block_rank(self):
         # rank additivity over diagonal blocks, checked densely.
@@ -228,31 +246,28 @@ class TestPiDimensionBound:
             for d in (2, 3, 6):
                 chain = intersection_matrix(milnor_fiber_2_2_d(d))
                 explicit = rank(IntMatrix.from_rows(block_diag([chain.to_rows()] * k)))
-                assert pi_dimension_bound(k, d, rank(chain)) == explicit == k * (d - 1)
+                assert pi_dimension_bound(k, d) == explicit == k * rank(chain) == k * (d - 1)
 
-    def test_wrong_chain_rank_raises(self, monkeypatch):
-        with pytest.raises(VerificationError):
-            pi_dimension_bound(3, 4, 2)
-        # The grid report ranks its chain and passes the rank on.
+    def test_wrong_chain_rank_fails_bound_verdict(self, monkeypatch):
+        # The grid report ranks its chain; a wrong rank fails the bound verdict alone.
         monkeypatch.setattr(coverhom.cover, "rank", lambda m: 2)
-        with pytest.raises(VerificationError):
-            product_family_report(make_cfg(d=4))
+        report = product_family_report(make_cfg(d=4))
+        assert report.pi_lower_bound == 16 * 3
+        failed = [v.name for v in report.verdicts if not v.passed]
+        assert failed == ["spherical bound equals rank of installed chain lattice"]
 
-    def test_wrong_chain_rank_raises_without_asserts(self):
+    def test_wrong_chain_rank_fails_bound_verdict_without_asserts(self):
         script = (
             "import coverhom.cover as c\n"
-            "from coverhom.errors import VerificationError\n"
             "from coverhom.homology import SurfaceConfig\n"
             "c.rank = lambda m: 2\n"
-            "try:\n"
-            "    print(c.product_family_report(SurfaceConfig(1, 1, 1, 1, 4)).pi_lower_bound)\n"
-            "except VerificationError:\n"
-            "    print('raised')\n"
+            "report = c.product_family_report(SurfaceConfig(1, 1, 1, 1, 4))\n"
+            "print([v.name for v in report.verdicts if not v.passed])\n"
         )
         src = os.path.dirname(os.path.dirname(coverhom.cover.__file__))
         env = dict(os.environ, PYTHONPATH=src)
         proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env)
-        assert proc.stdout == "raised\n", proc.stderr
+        assert proc.stdout == "['spherical bound equals rank of installed chain lattice']\n", proc.stderr
 
 
 class TestBuildCyclicCover:
@@ -323,6 +338,19 @@ class TestKodairaThurstonCoverB1:
         monkeypatch.setattr(coverhom.cover, "MONODROMY_MATRIX", IntMatrix.from_rows(rows))
         assert kodaira_thurston_cover_b1(make_cfg()) == b1
 
+    @pytest.mark.parametrize(
+        "rows, relators",
+        [
+            ([[1, 1], [0, 1]], MONODROMY_RELATORS),  # the stored presentation: fiber x dies
+            ([[1, 0], [0, 1]], ()),
+            ([[1, 0], [1, 1]], ((0, 1, 0, 0),)),
+            ([[-1, 0], [0, -1]], ((-2, 0, 0, 0), (0, -2, 0, 0))),
+        ],
+    )
+    def test_coinvariant_relators_follow_monodromy(self, monkeypatch, rows, relators):
+        monkeypatch.setattr(coverhom.cover, "MONODROMY_MATRIX", IntMatrix.from_rows(rows))
+        assert coinvariant_relators() == relators
+
     def test_free_presentation_is_wrong(self):
         # The degenerate presentation without the monodromy relator must
         # not be emitted: it would give b1 = 4.
@@ -371,7 +399,7 @@ class TestFamilyReports:
         assert report.cover_b1 == 3
         assert not report.kaehler
         names = [v.name for v in report.verdicts]
-        assert "odd b1 rules out Kaehler homotopy type" in names
+        assert "cover first Betti number equals 3; odd b1 rules out Kaehler homotopy type" in names
 
     def test_mutated_relator_caught(self, monkeypatch):
         # Same b1 but the wrong lattice: must fail.
@@ -384,7 +412,7 @@ class TestFamilyReports:
         report = kt_report_with_relators(monkeypatch, ())
         assert not report.passed
         failed = [v.name for v in report.verdicts if not v.passed]
-        assert "cover first Betti number equals 3" in failed
+        assert "cover first Betti number equals 3; odd b1 rules out Kaehler homotopy type" in failed
 
 
 class TestTower:
@@ -472,20 +500,132 @@ class TestChainBlock:
 
         for d in (2, 5):
             # One template generator (built, then given its lifted pairings),
-            # one chain, both lift formulas at build and at the cross-check.
-            assert work(1, 1, d) == work(8, 8, d) == {"generator": 2, "vertex": d - 1, "lift": 4}
+            # one chain, both lift formulas once, at build.
+            assert work(1, 1, d) == work(8, 8, d) == {"generator": 2, "vertex": d - 1, "lift": 2}
 
 
 class TestCrossChecksAreLive:
     def test_tampered_generator_fails_cross_check(self):
         cfg = make_cfg()
-        spec, cover = build_cyclic_cover(product_base_model(cfg), cfg)
+        _, cover = build_cyclic_cover(product_base_model(cfg), cfg)
         block = cover.chain_block
-        tampered = replace(cover, chain_block=replace(block, template=replace(block.template, c1_pairing=1)))
-        from coverhom.cover import _pairing_cross_check
+        tampered = replace(block, template=replace(block.template, c1_pairing=1))
+        from coverhom.cover import _chain_c1_verdict
 
-        assert _pairing_cross_check(spec, cover).passed
-        verdict = _pairing_cross_check(spec, tampered)
+        assert _chain_c1_verdict(block).passed
+        verdict = _chain_c1_verdict(tampered)
         assert not verdict.passed
-        # The template stands for all four spheres and names the first.
-        assert verdict.evidence.startswith("4 generator(s) disagree; first: 'double point 1, sphere 1'")
+        # The template stands for all four spheres.
+        assert verdict.evidence == "lift formula gives 1 on all 4 chain spheres; 2-2g+e over the chain gives [0]"
+
+
+# ---------------------------------------------------------------------------
+# One mutation per verdict: each fails its verdict and no other verdict of
+# the same report (the snf verdict only restates checks that raise, so it
+# has none).
+
+SPHERE_S = "sphere S (two lifted vanishing disks)"
+LIFTED = "lifted sphere over S"
+
+
+def sphere(label, pushforward=None, branch=None):
+    """Install the named sphere with other pushforward or branch-intersection data."""
+
+    def mutate(monkeypatch):
+        install = coverhom.cover._installed_generator
+
+        def installed(spec, name, push, intersections):
+            if name == label:
+                push, intersections = pushforward or push, branch or intersections
+            return install(spec, name, push, intersections)
+
+        monkeypatch.setattr(coverhom.cover, "_installed_generator", installed)
+
+    return mutate
+
+
+def patched(name, replacement):
+    return lambda monkeypatch: monkeypatch.setattr(coverhom.cover, name, replacement)
+
+
+def miscounted(immersed):
+    branch = smooth_double_points(immersed)
+    return replace(branch, euler_characteristic=branch.euler_characteristic + 2, genus=branch.genus - 1)
+
+
+def failing_grid_report(monkeypatch):
+    build = coverhom.cover.product_family_report
+
+    def failing(cfg, kaehler=False):
+        report = build(cfg, kaehler)
+        return replace(report, verdicts=report.verdicts + (coverhom.cover.Verdict("injected", False, ""),))
+
+    monkeypatch.setattr(coverhom.cover, "product_family_report", failing)
+
+
+def example2():
+    return [(v.name, v.passed) for v in product_family_report(make_cfg(d=3)).verdicts]
+
+
+def kodaira_thurston():
+    return [(v.name, v.passed) for v in kodaira_thurston_family_report(make_cfg(m1=2, d=3)).verdicts]
+
+
+def stage(number):
+    return lambda: [(v.name, v.passed) for v in build_tower7(3)[number - 1].verdicts]
+
+
+def catalog():
+    return [(v["name"], v["pass"]) for v in coverhom.cli.cmd_catalog(argparse.Namespace(d=2))["verdicts"]]
+
+
+MUTATIONS = [
+    (sphere(SPHERE_S, pushforward=(1, 0)), stage(1), "aspherical base: omega-vanishing prediction holds"),
+    (
+        sphere(SPHERE_S, branch=(1,)),
+        stage(1),
+        "trivial pi2 and connected branch preimage: c1-vanishing prediction holds",
+    ),
+    (patched("rank", lambda m: rank(m) - 1), example2, "spherical bound equals rank of installed chain lattice"),
+    (
+        patched("milnor_fiber_2_2_d", lambda d: linear_chain(d - 1, -3)),
+        example2,
+        "c1 on chain spheres: lift formula matches adjunction",
+    ),
+    (
+        patched("smooth_double_points", miscounted),
+        example2,
+        "euler characteristic: branch surface by adjunction matches smoothing count",
+    ),
+    (
+        patched("kodaira_thurston_cover_b1", lambda cfg: 4),
+        kodaira_thurston,
+        "cover first Betti number equals 3; odd b1 rules out Kaehler homotopy type",
+    ),
+    (
+        lambda monkeypatch: store_relators(monkeypatch, ((0, 1, 0, 0),)),
+        kodaira_thurston,
+        "stored relators span the monodromy relation lattice",
+    ),
+    (sphere(LIFTED, branch=(1, 0)), stage(2), "chern pairing on lifted sphere equals 2*(1-d), nonzero"),
+    (
+        lambda monkeypatch: monkeypatch.setattr(CoverReport, "c1_vanishes_on_pi", property(lambda r: True)),
+        catalog,
+        "each of the four vanishing signatures has exactly one entry",
+    ),
+    (failing_grid_report, catalog, "live witness for (zero, zero) verified"),
+    (sphere(LIFTED, branch=(1, 0)), catalog, "live witness for (zero, nonzero) verified"),
+]
+
+
+@pytest.mark.parametrize("mutate, run, verdict", MUTATIONS, ids=[m[2] for m in MUTATIONS])
+def test_mutation_fails_its_verdict_alone(monkeypatch, mutate, run, verdict):
+    before = run()
+    assert verdict in [name for name, _ in before] and all(ok for _, ok in before)
+    mutate(monkeypatch)
+    assert [name for name, ok in run() if not ok] == [verdict]
+
+
+def test_every_report_verdict_has_a_mutation():
+    printed = {name for run in (example2, kodaira_thurston, stage(1), stage(2), catalog) for name, _ in run()}
+    assert printed == {m[2] for m in MUTATIONS}

@@ -332,9 +332,8 @@ _TORUS = ImmersedComponent(1, (0, 1))
         lambda: SmoothedSurface(0.0, 1.0, None, True),
         lambda: SmoothedSurface(0, 1.0, None, True),
         lambda: CoverSpec(product_base_model(make_cfg()), 2.0, None, (), False),
-        lambda: pi_dimension_bound(1.5, 2, 1),
-        lambda: pi_dimension_bound(1, 2.0, 1),
-        lambda: pi_dimension_bound(1, 2, 1.0),
+        lambda: pi_dimension_bound(1.5, 2),
+        lambda: pi_dimension_bound(1, 2.0),
     ],
     ids=[
         "component-genus",
@@ -349,7 +348,6 @@ _TORUS = ImmersedComponent(1, (0, 1))
         "cover-degree",
         "bound-k",
         "bound-d",
-        "bound-chain-rank",
     ],
 )
 def test_float_rejected_at_constructor(build):

@@ -1,4 +1,4 @@
-"""The import boundary of the command line.
+"""The import boundary of the command line, and no unused imports.
 
 `python -m coverhom` loads only `cli` and `errors` until a command is about
 to run, so help, usage errors and a malformed `--batch` file cost no more
@@ -6,6 +6,7 @@ than the parser. Once a command runs, every library layer is loaded; the
 benchmark's tracer wraps functions in all of them after its untraced passes.
 """
 
+import ast
 import importlib.util
 import json
 import os
@@ -77,3 +78,30 @@ def test_every_layer_loaded_after_one_command(tmp_path, command):
     got, loaded = run_module(tmp_path, *argv)
     assert got == 0
     assert spans_modules() <= loaded
+
+
+def unused_top_level_imports(source: str) -> list[str]:
+    """Names a module imports at top level and never reads; a name listed in __all__ counts as read."""
+    tree = ast.parse(source)
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(alias.asname or alias.name for alias in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            read.update(elt.value for elt in node.value.elts)
+    return sorted(bound - read)
+
+
+def test_unused_import_detection():
+    source = "import os.path\nimport json\nfrom x import y, z as w\n__all__ = ['y']\nprint(json.dumps(w))\n"
+    assert unused_top_level_imports(source) == ["os"]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    modules = sorted((ROOT / "src" / "coverhom").glob("*.py"))
+    unused = {path.name: unused_top_level_imports(path.read_text()) for path in modules}
+    assert {name: names for name, names in unused.items() if names} == {}
