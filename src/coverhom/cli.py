@@ -75,6 +75,29 @@ def _signature(report) -> tuple[str, str]:
     return tuple("zero" if v else "nonzero" for v in (report.omega_vanishes_on_pi, report.c1_vanishes_on_pi))
 
 
+def _pairings_text(signature: tuple[str, str]) -> str:
+    """A live report's (omega, c1) signature in words."""
+    zero = " and ".join(name for name, s in zip(("omega", "c1"), signature) if s == "zero")
+    nonzero = " and ".join(name for name, s in zip(("omega", "c1"), signature) if s == "nonzero")
+    parts = []
+    if zero:
+        parts.append(f"all {zero} pairings exactly 0")
+    if nonzero:
+        parts.append(f"some {nonzero} pairing nonzero")
+    return ", ".join(parts)
+
+
+def _tower_text(signatures: list[tuple[str, str]], pairing: int, d: int) -> str:
+    """The tower's c1 and omega findings in words, from the signatures of its two live stages."""
+    if signatures[1][1] == "zero":
+        c1 = "c1 pairings zero at stage 2"
+    else:
+        c1 = f"lifted-sphere chern pairing {pairing} = 2*(1-{d})"
+    nonzero = " and ".join(str(k) for k, s in enumerate(signatures, 1) if s[0] == "nonzero")
+    omega = f"omega pairings nonzero at stage {nonzero}" if nonzero else "omega pairings zero at both stages"
+    return f"{c1}, {omega}"
+
+
 def cmd_catalog(args: argparse.Namespace) -> dict:
     """All four combinations of the two vanishing conditions, with witnesses."""
     from . import cover, homology, reportio
@@ -83,11 +106,13 @@ def cmd_catalog(args: argparse.Namespace) -> dict:
     live = cover.product_family_report(homology.SurfaceConfig(g1=1, g2=1, m1=1, m2=1, d=2))
     stage1, stage2 = cover.build_tower7(d)
     pairing = stage2.spherical_generators[0].c1_pairing
+    grid = _signature(live)
+    tower = [_signature(stage1), _signature(stage2)]
     entries = [
         _catalog_entry(
             "grid branched cover of the 4-torus",
-            *_signature(live),
-            f"recomputed live: spherical bound {live.pi_lower_bound}, all omega and c1 pairings exactly 0",
+            *grid,
+            f"recomputed live: spherical bound {live.pi_lower_bound}, {_pairings_text(grid)}",
             "computed",
         ),
         _catalog_entry(
@@ -108,9 +133,8 @@ def cmd_catalog(args: argparse.Namespace) -> dict:
         ),
         _catalog_entry(
             "two-stage branched-cover tower",
-            *_signature(stage2),
-            f"recomputed live: lifted-sphere chern pairing {pairing} = 2*(1-{d}), "
-            "omega pairings zero at both stages",
+            *tower[1],
+            f"recomputed live: {_tower_text(tower, pairing, d)}",
             "computed",
         ),
     ]
@@ -255,6 +279,32 @@ def _read_json(path: str, what: str):
         raise DomainError(f"{what} {path} holds an integer above the limit of {limit} digits for reading one") from None
 
 
+class _Integer(argparse.Action):
+    """Stores an int option. A refused value is echoed only while it is short.
+
+    A longer one gets a one-line usage error that gives its length instead:
+    argparse would echo it in full after the usage block, and a type function
+    cannot name its option.
+    """
+
+    ECHOED = 100
+
+    def __call__(self, parser, namespace, text, option_string=None):
+        try:
+            value = int(text)
+        except ValueError:
+            if len(text) <= self.ECHOED:
+                raise argparse.ArgumentError(self, f"invalid int value: {text!r}") from None
+            digits = text.strip().lstrip("+-")
+            if digits.isdigit():
+                limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+                found = f"an integer of {len(digits)} digits, above the limit of {limit} digits for reading one"
+            else:
+                found = f"invalid int value of {len(text)} characters"
+            raise DomainError(f"argument {option_string}: {found}") from None
+        setattr(namespace, self.dest, value)
+
+
 def _rational(text: str):
     """The exact rational that text like 3/2 names; argparse also applies it to the default "1"."""
     from fractions import Fraction
@@ -290,24 +340,24 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument(f"--area{number}", type=_rational, default="1", help=summary)
 
     e2 = command("example2", cmd_example2, "grid branched cover of a product of positive-genus surfaces")
-    e2.add_argument("--g1", type=int, default=1, help="genus of the first factor (default 1)")
-    e2.add_argument("--g2", type=int, default=1, help="genus of the second factor (default 1)")
-    e2.add_argument("--m1", type=int, default=1, help="multiplicity of the first surface family")
-    e2.add_argument("--m2", type=int, default=1, help="multiplicity of the second surface family")
-    e2.add_argument("-d", type=int, default=2, help="cover degree (at least 2)")
+    e2.add_argument("--g1", action=_Integer, default=1, help="genus of the first factor (default 1)")
+    e2.add_argument("--g2", action=_Integer, default=1, help="genus of the second factor (default 1)")
+    e2.add_argument("--m1", action=_Integer, default=1, help="multiplicity of the first surface family")
+    e2.add_argument("--m2", action=_Integer, default=1, help="multiplicity of the second surface family")
+    e2.add_argument("-d", action=_Integer, default=2, help="cover degree (at least 2)")
     areas(e2, "horizontal", "vertical")
     e2.add_argument("--kaehler", action="store_true", help="record the holomorphic-smoothing variant")
 
     kt = command(
         "kodaira-thurston", cmd_kodaira_thurston, "grid branched cover of the symplectic non-Kaehler torus bundle"
     )
-    kt.add_argument("--m1", type=int, default=1, help="number of fiber families is m1*d")
-    kt.add_argument("--m2", type=int, default=1, help="number of section copies is m2*d")
-    kt.add_argument("-d", type=int, default=2, help="cover degree (at least 2)")
+    kt.add_argument("--m1", action=_Integer, default=1, help="number of fiber families is m1*d")
+    kt.add_argument("--m2", action=_Integer, default=1, help="number of section copies is m2*d")
+    kt.add_argument("-d", action=_Integer, default=2, help="cover degree (at least 2)")
     areas(kt, "section", "fiber")
 
     tw = command("tower7", cmd_tower7, "two-stage tower separating the omega and c1 vanishing conditions")
-    tw.add_argument("-d", type=int, default=2, help="stage-2 cover degree (at least 2)")
+    tw.add_argument("-d", action=_Integer, default=2, help="stage-2 cover degree (at least 2)")
 
     for sp in (e2, kt, tw):
         sp.add_argument(
@@ -315,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     cat = command("catalog", cmd_catalog, "all four combinations of the two vanishing conditions")
-    cat.add_argument("-d", type=int, default=2, help="degree used for the live tower witness")
+    cat.add_argument("-d", action=_Integer, default=2, help="degree used for the live tower witness")
 
     ko = command("kollar", cmd_kollar, "pullback vanishing criterion")
     for flag, summary in (
@@ -334,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _integer_options(sp: argparse.ArgumentParser) -> set[str]:
-    return {action.dest for action in sp._actions if action.type is int}
+    return {action.dest for action in sp._actions if isinstance(action, _Integer)}
 
 
 def _entry_options(sp: argparse.ArgumentParser, index: int, entry: dict) -> list[str]:
@@ -395,6 +445,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_PASS if exc.code == 0 else EXIT_USAGE
+    except DomainError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         if args.batch:
             runs = _batch_runs(parser, args.batch)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from typing import Sequence
 
 from .errors import DimensionError, DomainError, VerificationError
@@ -109,11 +110,22 @@ class IntMatrix:
             raise DimensionError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        rows = [self.row(i) for i in range(self.rows)]
-        cols = [other.column(j) for j in range(other.cols)]
-        return IntMatrix(
-            self.rows, other.cols, tuple(sum(map(int.__mul__, r, c)) for r in rows for c in cols)
-        )
+        # Column j of the product is the sum of f * (column i of self) over
+        # the nonzero entries f = other[i][j]; zero entries cost one test.
+        k, n = self.cols, other.cols
+        factors = [self.entries[i::k] for i in range(k)]
+        zero = (0,) * self.rows
+        out = []
+        for j in range(n):
+            acc = None
+            for i, f in enumerate(other.entries[j::n]):
+                if f:
+                    if acc is None:
+                        acc = [f * x for x in factors[i]]
+                    else:
+                        acc = [s + f * x for s, x in zip(acc, factors[i])]
+            out.append(zero if acc is None else acc)
+        return IntMatrix(self.rows, n, tuple(chain.from_iterable(zip(*out))))
 
     __matmul__ = mul
 
@@ -214,7 +226,8 @@ def snf(a: IntMatrix) -> SnfResult:
     m, n = a.rows, a.cols
     d = a.to_rows()
     u = [[int(i == j) for j in range(m)] for i in range(m)]
-    v = [[int(i == j) for j in range(n)] for i in range(n)]
+    # vt[j] is column j of v, so column operations on v are row operations on vt.
+    vt = [[int(i == j) for j in range(n)] for i in range(n)]
 
     def swap_rows(i, j):
         d[i], d[j] = d[j], d[i]
@@ -223,8 +236,7 @@ def snf(a: IntMatrix) -> SnfResult:
     def swap_cols(i, j):
         for r in d:
             r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
+        vt[i], vt[j] = vt[j], vt[i]
 
     def add_row(dst, src, f):
         # row_dst += f * row_src
@@ -240,17 +252,24 @@ def snf(a: IntMatrix) -> SnfResult:
         u[i] = [x * p + y * q for p, q in zip(ui, uj)]
         u[j] = [z * p + w * q for p, q in zip(ui, uj)]
 
+    # A column operation on d changes only the rows that are nonzero in the
+    # columns it reads.
     def add_col(dst, src, f):
+        # col_dst += f * col_src
         for r in d:
-            r[dst] += f * r[src]
-        for r in v:
-            r[dst] += f * r[src]
+            if r[src]:
+                r[dst] += f * r[src]
+        vt[dst] = [x + f * y for x, y in zip(vt[dst], vt[src])]
 
     def combine_cols(i, j, x, y, z, w):
+        # (col_i, col_j) <- (x*col_i + y*col_j, z*col_i + w*col_j), det = 1
         for r in d:
-            r[i], r[j] = x * r[i] + y * r[j], z * r[i] + w * r[j]
-        for r in v:
-            r[i], r[j] = x * r[i] + y * r[j], z * r[i] + w * r[j]
+            p, q = r[i], r[j]
+            if p or q:
+                r[i], r[j] = x * p + y * q, z * p + w * q
+        vi, vj = vt[i], vt[j]
+        vt[i] = [x * p + y * q for p, q in zip(vi, vj)]
+        vt[j] = [z * p + w * q for p, q in zip(vi, vj)]
 
     def clear_column(t):
         for i in range(t + 1, m):
@@ -277,12 +296,19 @@ def snf(a: IntMatrix) -> SnfResult:
     size = min(m, n)
     t = 0
     while t < size:
-        piv = None
+        # The first entry of least nonzero |e| in row-major order; no entry
+        # beats |e| == 1, so the scan stops there.
+        piv, least = None, 0
         for i in range(t, m):
+            row = d[i]
             for j in range(t, n):
-                e = d[i][j]
-                if e != 0 and (piv is None or abs(e) < abs(d[piv[0]][piv[1]])):
-                    piv = (i, j)
+                e = row[j]
+                if e and (piv is None or abs(e) < least):
+                    piv, least = (i, j), abs(e)
+                    if least == 1:
+                        break
+            if least == 1:
+                break
         if piv is None:
             break
         if piv[0] != t:
@@ -297,16 +323,12 @@ def snf(a: IntMatrix) -> SnfResult:
                 clear_row(t)
                 if all(d[i][t] == 0 for i in range(t + 1, m)):
                     break
-            # Pivot must divide the whole trailing block for the divisor chain.
-            offender = None
+            # Pivot must divide the whole trailing block for the divisor chain;
+            # a unit pivot divides everything.
             p = d[t][t]
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if d[i][j] % p != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
+            offender = None
+            if abs(p) != 1:
+                offender = next((i for i in range(t + 1, m) if any(x % p for x in d[i][t + 1 :])), None)
             if offender is None:
                 break
             add_row(t, offender, 1)
@@ -321,7 +343,7 @@ def snf(a: IntMatrix) -> SnfResult:
         res = SnfResult(
             IntMatrix.from_rows(u, cols=m),
             IntMatrix.from_rows(d, cols=n),
-            IntMatrix.from_rows(v, cols=n),
+            IntMatrix.from_rows(list(zip(*vt)), cols=n),
         )
     except DomainError as exc:
         # The input was valid, so a failed unimodularity or divisor-chain
@@ -330,6 +352,33 @@ def snf(a: IntMatrix) -> SnfResult:
     if res.u.mul(a).mul(res.v).entries != res.d.entries:
         raise VerificationError("smith decomposition does not recompose: u*a*v differs from d")
     return res
+
+
+def _bareiss_step(m: list[list[int]], r: int, c: int, prev: int) -> int:
+    """Eliminate column c below the pivot m[r][c] in place; return the pivot.
+
+    Every entry right of c in the rows below r becomes (x*p - f*y) // prev,
+    where p is the pivot, f the row's entry in column c and y the pivot
+    row's entry; the division is exact. When p == prev this equals
+    x - f*y // prev, also exact, so a row with f == 0 stays as it is and any
+    other row changes only where the pivot row is nonzero. Columns up to c
+    of the rows below r are never read again and are left as they are.
+    """
+    lead = m[r]
+    p = lead[c]
+    if p == prev:
+        support = [(j, lead[j]) for j in range(c + 1, len(lead)) if lead[j]]
+        for row in m[r + 1 :]:
+            f = row[c]
+            if f:
+                for j, y in support:
+                    row[j] -= f * y // prev
+    else:
+        for row in m[r + 1 :]:
+            f = row[c]
+            for j in range(c + 1, len(lead)):
+                row[j] = (row[j] * p - f * lead[j]) // prev
+    return p
 
 
 def det(a: IntMatrix) -> int:
@@ -351,11 +400,7 @@ def det(a: IntMatrix) -> int:
                     break
             else:
                 return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
+        prev = _bareiss_step(m, k, k, prev)
     return sign * m[n - 1][n - 1]
 
 
@@ -373,12 +418,7 @@ def rank(a: IntMatrix) -> int:
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        lead = rows[r]
-        p = lead[c]
-        for i in range(r + 1, a.rows):
-            f = rows[i][c]
-            rows[i] = [(x * p - f * y) // prev for x, y in zip(rows[i], lead)]
-        prev = p
+        prev = _bareiss_step(rows, r, c, prev)
         r += 1
         if r == a.rows:
             break

@@ -274,6 +274,40 @@ class TestCatalogCli:
         tower_entry = [e for e in doc["entries"] if e["source"] == "computed"][1]
         assert "-4" in tower_entry["witness"]
 
+    @pytest.mark.parametrize(
+        "flag, grid, tower",
+        [
+            (
+                "c1_vanishes_on_pi",
+                "recomputed live: spherical bound 4, all omega and c1 pairings exactly 0",
+                "recomputed live: c1 pairings zero at stage 2, omega pairings zero at both stages",
+            ),
+            (
+                "omega_vanishes_on_pi",
+                "recomputed live: spherical bound 4, all omega and c1 pairings exactly 0",
+                "recomputed live: lifted-sphere chern pairing -2 = 2*(1-2), omega pairings zero at both stages",
+            ),
+        ],
+        ids=["c1", "omega"],
+    )
+    def test_witness_texts_follow_the_live_reports(self, monkeypatch, flag, grid, tower):
+        # Patched to always true: the grid report already has both flags true,
+        # and the tower's stage 2 has c1 nonzero, so only the c1 patch moves a text.
+        before = [e["witness"] for e in run_command("catalog")["entries"]]
+        monkeypatch.setattr(coverhom.cover.CoverReport, flag, property(lambda r: True))
+        after = [e["witness"] for e in run_command("catalog")["entries"]]
+        assert (after[0], after[3]) == (grid, tower)
+        assert (after != before) == (flag == "c1_vanishes_on_pi")
+
+    def test_witness_texts_name_what_does_not_vanish(self, monkeypatch):
+        monkeypatch.setattr(coverhom.cover.CoverReport, "omega_vanishes_on_pi", property(lambda r: False))
+        monkeypatch.setattr(coverhom.cover.CoverReport, "c1_vanishes_on_pi", property(lambda r: False))
+        entries = run_command("catalog")["entries"]
+        assert entries[0]["witness"] == "recomputed live: spherical bound 4, some omega and c1 pairing nonzero"
+        assert entries[3]["witness"] == (
+            "recomputed live: lifted-sphere chern pairing -2 = 2*(1-2), omega pairings nonzero at stage 1 and 2"
+        )
+
 
 class TestKollarCli:
     def test_both_hypotheses(self, capsys):
@@ -625,6 +659,29 @@ class TestErrorBoundary:
         assert f"limit of {sys.get_int_max_str_digits()} digits" in result[2]
         assert "set_int_max_str_digits" not in result[2]
         assert not first.exists()
+
+    @pytest.mark.parametrize(
+        "option, value, message",
+        [
+            (
+                "--m1",
+                "1" * 5001,
+                f"error: argument --m1: an integer of 5001 digits, above the limit of {sys.get_int_max_str_digits()}",
+            ),
+            ("-d", "x" * 5001, "error: argument -d: invalid int value of 5001 characters"),
+        ],
+        ids=["digits", "characters"],
+    )
+    def test_long_integer_option_named_by_its_length(self, capsys, option, value, message):
+        result = run_main(capsys, "example2", option, value)
+        self.assert_one_line_usage_error(result)
+        assert len(result[2].encode()) < 200 and result[2].startswith(message)
+
+    def test_short_bad_integer_option_keeps_the_parser_message(self, capsys):
+        code, out, err = run_main(capsys, "example2", "--m1", "12x")
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: coverhom example2 [-h]")
+        assert err.endswith("\ncoverhom example2: error: argument --m1: invalid int value: '12x'\n")
 
     def test_failed_internal_check_is_verification_failure(self, capsys, monkeypatch, tmp_path):
         path = tmp_path / "m.json"

@@ -55,6 +55,9 @@ RUNS = {
     "snf_3x3": {"command": "snf", "matrix": "tests/golden/snf_3x3.json"},
     "snf_2x3_big": {"command": "snf", "matrix": "tests/golden/snf_2x3_big.json"},
     "snf_0x2": {"command": "snf", "matrix": "tests/golden/snf_0x2.json"},
+    "snf_chain12": {"command": "snf", "matrix": "tests/golden/snf_chain12.json"},
+    "snf_unimodular7": {"command": "snf", "matrix": "tests/golden/snf_unimodular7.json"},
+    "snf_sparse5x8": {"command": "snf", "matrix": "tests/golden/snf_sparse5x8.json"},
     **{f"{name}_blocks": entry for name, entry in GRID_RUNS.items()},
 }
 

@@ -42,6 +42,61 @@ def _product_factors(rows, inner, cols, bound=2**70):
     )
 
 
+def _sparse_matrix(rows, cols, bound=2**40):
+    """Strategy for matrices whose share of nonzero entries is drawn from 0 to 1 in tenths."""
+    def fill(tenths):
+        entry = st.tuples(st.integers(0, 9), st.integers(-bound, bound)).map(
+            lambda t: t[1] if t[0] < tenths else 0
+        )
+        return st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+
+    return st.integers(0, 10).flatmap(fill)
+
+
+def _unit_triangular(n, lower, bound=9):
+    """Strategy for n x n triangular matrices with diagonal entries +-1."""
+    def build(draw):
+        diag, off = draw
+        return [
+            [diag[i] if i == j else off[i][j] if (j < i if lower else j > i) else 0 for j in range(n)]
+            for i in range(n)
+        ]
+
+    return st.tuples(
+        st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n), _matrix(n, n, bound)
+    ).map(build)
+
+
+def _structured(n):
+    """Strategy for n x n matrices of the shapes whose zeros the kernels skip.
+
+    Triangular, signed permutation, tridiagonal, with zero rows or columns,
+    and products L*U of unit triangular factors: their leading minors are
+    +-1, so Bareiss elimination meets both p == prev and p == -prev pivots
+    with every row below the pivot nonzero in the pivot column.
+    """
+    dense = _matrix(n, n, 2**20)
+    rng = range(n)
+    return st.one_of(
+        _unit_triangular(n, lower=True),
+        _unit_triangular(n, lower=False),
+        dense.map(lambda r: [[r[i][j] if j <= i else 0 for j in rng] for i in rng]),
+        st.tuples(st.permutations(list(rng)), st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n)).map(
+            lambda ps: [[ps[1][i] if ps[0][i] == j else 0 for j in rng] for i in rng]
+        ),
+        dense.map(lambda r: [[r[i][j] if abs(i - j) <= 1 else 0 for j in rng] for i in rng]),
+        st.tuples(dense, st.sets(st.sampled_from(list(rng)) if n else st.nothing())).map(
+            lambda t: [[0] * n if i in t[1] else t[0][i] for i in rng]
+        ),
+        st.tuples(dense, st.sets(st.sampled_from(list(rng)) if n else st.nothing())).map(
+            lambda t: [[0 if j in t[1] else t[0][i][j] for j in rng] for i in rng]
+        ),
+        st.tuples(_unit_triangular(n, lower=True), _unit_triangular(n, lower=False)).map(
+            lambda lu: matmul_rows(lu[0], lu[1], n)
+        ),
+    )
+
+
 def _snf_invariants(m: IntMatrix):
     res = snf(m)
     assert res.u.mul(m).mul(res.v).entries == res.d.entries
@@ -89,6 +144,21 @@ class TestIntMatrix:
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(_product_factors(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4)))
     def test_mul_matches_triple_loop(self, case):
+        a, b, (m, k, n) = case
+        product = IntMatrix.from_rows(a, cols=k).mul(IntMatrix.from_rows(b, cols=n))
+        assert (product.rows, product.cols) == (m, n)
+        assert product.to_rows() == matmul_rows(a, b, n)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        st.one_of(
+            st.tuples(st.integers(0, 7), st.integers(0, 7), st.integers(0, 7)).flatmap(
+                lambda s: st.tuples(_sparse_matrix(s[0], s[1]), _sparse_matrix(s[1], s[2]), st.just(s))
+            ),
+            st.integers(0, 7).flatmap(lambda n: st.tuples(_structured(n), _structured(n), st.just((n, n, n)))),
+        )
+    )
+    def test_mul_of_sparse_and_structured_factors_matches_triple_loop(self, case):
         a, b, (m, k, n) = case
         product = IntMatrix.from_rows(a, cols=k).mul(IntMatrix.from_rows(b, cols=n))
         assert (product.rows, product.cols) == (m, n)
@@ -173,7 +243,7 @@ class TestSnf:
             n = rng.randint(2, 12)
             r = rng.randint(1, n - 1)
             cases.append(matmul_rows(random_rows(n, r), random_rows(r, n), n))  # rank at most r
-        for n in range(1, 13):
+        for n in range(1, 30):
             cases.append([[-2 if i == j else int(abs(i - j) == 1) for j in range(n)] for i in range(n)])
         for rows in cases:
             ours = [x for x in snf(IntMatrix.from_rows(rows)).divisors if x]
@@ -257,6 +327,24 @@ class TestDet:
     def test_against_cofactor_oracle_property(self, rows):
         assert det(IntMatrix.from_rows(rows)) == det_cofactor(rows)
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.integers(0, 7).flatmap(lambda n: st.tuples(st.one_of(_sparse_matrix(n, n), _structured(n)), st.just(n))))
+    def test_sparse_and_structured_against_cofactor_oracle(self, case):
+        rows, n = case
+        assert det(IntMatrix.from_rows(rows, cols=n)) == det_cofactor(rows)
+
+    def test_unit_pivots_of_both_signs(self):
+        # L*U with unit triangular factors has leading minors 1, -1, -1, 1:
+        # the pivots repeat (p == prev) and flip sign (p == -prev), and every
+        # row below each pivot is nonzero in its column.
+        lower = [[1, 0, 0, 0], [2, -1, 0, 0], [-3, 4, 1, 0], [5, -6, 7, -1]]
+        upper = [[1, 3, -2, 5], [0, 1, 4, -1], [0, 0, 1, 2], [0, 0, 0, 1]]
+        rows = matmul_rows(lower, upper, 4)
+        assert [det_cofactor([r[:k] for r in rows[:k]]) for k in range(1, 5)] == [1, -1, -1, 1]
+        assert all(rows[i][0] for i in range(4))
+        assert det(IntMatrix.from_rows(rows)) == det_cofactor(rows) == 1
+        assert rank(IntMatrix.from_rows(rows)) == gauss_rank(rows) == 4
+
 
 class TestRank:
     def test_zero_matrix(self):
@@ -294,6 +382,19 @@ class TestRank:
         rows = matmul_rows(a, b, n)
         mat = IntMatrix.from_rows(rows, cols=n)
         assert rank(mat) == gauss_rank(rows) == sum(1 for x in snf(mat).divisors if x != 0)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        st.one_of(
+            st.tuples(st.integers(0, 7), st.integers(0, 7)).flatmap(
+                lambda s: st.tuples(_sparse_matrix(*s), st.just(s[1]))
+            ),
+            st.integers(0, 7).flatmap(lambda n: st.tuples(_structured(n), st.just(n))),
+        )
+    )
+    def test_sparse_and_structured_match_rational_elimination(self, case):
+        rows, n = case
+        assert rank(IntMatrix.from_rows(rows, cols=n)) == gauss_rank(rows)
 
 
 class TestAbelianizedB1:
