@@ -37,31 +37,30 @@ EXIT_PASS = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 
-# Grid runs (example2, kodaira-thurston) larger than these are refused before
+# Grid runs (example2, kodaira-thurston) of higher degree are refused before
 # anything is built. A run ranks one chain of d-1 spheres, at a cost cubic in
-# d; with --expand it also lists every sphere of its m1*m2*d^2 chains.
+# d, and writes that chain once whatever its copy count m1*m2*d^2.
 MAX_DEGREE = 100
-MAX_LISTED_SPHERES = 200_000
 
 
 def cmd_example2(args: argparse.Namespace) -> dict:
     from . import cover, homology, reportio
 
     cfg = homology.SurfaceConfig(args.g1, args.g2, args.m1, args.m2, args.d, (args.area1, args.area2))
-    return reportio.report_to_dict(cover.product_family_report(cfg, kaehler=args.kaehler), expand=args.expand)
+    return reportio.report_to_dict(cover.product_family_report(cfg, kaehler=args.kaehler))
 
 
 def cmd_kodaira_thurston(args: argparse.Namespace) -> dict:
     from . import cover, homology, reportio
 
     cfg = homology.SurfaceConfig(1, 1, args.m1, args.m2, args.d, (args.area1, args.area2))
-    return reportio.report_to_dict(cover.kodaira_thurston_family_report(cfg), expand=args.expand)
+    return reportio.report_to_dict(cover.kodaira_thurston_family_report(cfg))
 
 
 def cmd_tower7(args: argparse.Namespace) -> dict:
     from . import cover, reportio
 
-    stages = [reportio.report_to_dict(s, expand=args.expand) for s in cover.build_tower7(args.d)]
+    stages = [reportio.report_to_dict(s) for s in cover.build_tower7(args.d)]
     return {"family": "tower7", "parameters": {"d": args.d}, "stages": stages}
 
 
@@ -105,7 +104,7 @@ def cmd_catalog(args: argparse.Namespace) -> dict:
     d = args.d
     live = cover.product_family_report(homology.SurfaceConfig(g1=1, g2=1, m1=1, m2=1, d=2))
     stage1, stage2 = cover.build_tower7(d)
-    pairing = stage2.spherical_generators[0].c1_pairing
+    pairing = stage2.cover.spherical_generators[0].c1_pairing
     grid = _signature(live)
     tower = [_signature(stage1), _signature(stage2)]
     entries = [
@@ -239,12 +238,6 @@ def _check_grid_size(args: argparse.Namespace) -> None:
     run = f"{args.command} with m1={_shown(m1)}, m2={_shown(m2)}, d={_shown(d)}"
     if d > MAX_DEGREE:
         raise DomainError(f"{run} has degree above the limit of {MAX_DEGREE}")
-    spheres = m1 * m2 * d**2 * (d - 1)
-    if args.expand and spheres > MAX_LISTED_SPHERES:
-        raise DomainError(
-            f"{run} --expand lists {_shown(spheres)} spheres (m1*m2*d^2*(d-1)), "
-            f"above the limit of {MAX_LISTED_SPHERES}"
-        )
     # Every integer a grid report prints, the Euler characteristic the
     # largest, is at most 8*d^3*(m1+g1+1)*(m2+g2+1) in absolute value. It is
     # sized from its bit length: str() of an integer past the interpreter's
@@ -358,11 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     tw = command("tower7", cmd_tower7, "two-stage tower separating the omega and c1 vanishing conditions")
     tw.add_argument("-d", action=_Integer, default=2, help="stage-2 cover degree (at least 2)")
-
-    for sp in (e2, kt, tw):
-        sp.add_argument(
-            "--expand", action="store_true", help="list every sphere: one pairing row and one lattice vertex each"
-        )
 
     cat = command("catalog", cmd_catalog, "all four combinations of the two vanishing conditions")
     cat.add_argument("-d", action=_Integer, default=2, help="degree used for the live tower witness")

@@ -57,7 +57,6 @@ __all__ = [
 class BranchComponent:
     """One component of the branch-locus preimage, with its covering multiplicity."""
 
-    label: str
     multiplicity: int
     euler_characteristic: int
 
@@ -69,13 +68,16 @@ class BranchComponent:
 
 @dataclass(frozen=True)
 class CoverSpec:
-    """A branched covering at the bookkeeping level: base, degree, branch data."""
+    """A branched covering at the bookkeeping level: base, degree, branch data.
+
+    components lists the components of the branch preimage, so the
+    preimage is connected exactly when there is one.
+    """
 
     base: ManifoldModel
     degree: int
     branch: SmoothedSurface | None
     components: tuple[BranchComponent, ...]
-    preimage_connected: bool
 
     def __post_init__(self):
         if _as_int(self.degree) < 1:
@@ -89,11 +91,12 @@ class CoverSpec:
                 raise DomainError("component multiplicity exceeds the cover degree")
         if self.degree >= 2 and comps and max(c.multiplicity for c in comps) < 2:
             raise DomainError("a nontrivial cover needs a branch component of multiplicity >= 2")
-        if self.preimage_connected:
-            if len(comps) != 1:
-                raise DomainError("a connected preimage means exactly one component")
-            if self.branch is None or not self.branch.connected:
-                raise DomainError("connected preimage over a disconnected branch locus")
+        if self.preimage_connected and not self.branch.connected:
+            raise DomainError("connected preimage over a disconnected branch locus")
+
+    @property
+    def preimage_connected(self) -> bool:
+        return len(self.components) == 1
 
 
 @dataclass(frozen=True)
@@ -105,31 +108,29 @@ class Verdict:
 
 @dataclass(frozen=True)
 class CoverReport:
-    """All computed invariants of one cover plus pass/fail verdicts.
+    """The computed invariants of one cover, and pass/fail verdicts.
 
-    The spherical classes are the chain_block's spheres, whose pairings are
-    those of its template, followed by spherical_generators.
+    cover is the cover's model, which holds its Euler characteristic,
+    spherical classes and Kaehler flag. cover_b1 is cover.b1, computed once
+    as the report is built.
     """
 
     family: str
     parameters: tuple[tuple[str, object], ...]
-    cover_euler: int
+    cover: ManifoldModel
     cover_b1: int | None
     pi_lower_bound: int
-    chain_block: ChainBlock | None
-    spherical_generators: tuple[SphericalGenerator, ...]
     verdicts: tuple[Verdict, ...]
     assumptions: tuple[str, ...]
-    kaehler: bool
     trace: tuple[tuple[str, str], ...]
 
     @property
     def omega_vanishes_on_pi(self) -> bool:
-        return _all_zero(_sphere_rows(self), _OMEGA)
+        return _all_zero(_sphere_rows(self.cover), _OMEGA)
 
     @property
     def c1_vanishes_on_pi(self) -> bool:
-        return _all_zero(_sphere_rows(self), _C1)
+        return _all_zero(_sphere_rows(self.cover), _C1)
 
     @property
     def passed(self) -> bool:
@@ -321,18 +322,8 @@ def build_cyclic_cover(
     immersed = grid_immersion(cfg)
     branch = smooth_double_points(immersed)
     _require_divisible(branch.class_vector, cfg.d)
-    component = BranchComponent(
-        label="preimage of the smoothed branch surface",
-        multiplicity=cfg.d,
-        euler_characteristic=branch.euler_characteristic,
-    )
-    spec = CoverSpec(
-        base=base,
-        degree=cfg.d,
-        branch=branch,
-        components=(component,),
-        preimage_connected=True,
-    )
+    component = BranchComponent(multiplicity=cfg.d, euler_characteristic=branch.euler_characteristic)
+    spec = CoverSpec(base=base, degree=cfg.d, branch=branch, components=(component,))
     chain = milnor_fiber_2_2_d(cfg.d)
     template = _installed_generator(
         spec, f"double point 1, {chain.vertices[0].label}", (0,) * len(base.class_basis_labels), (0,)
@@ -343,7 +334,6 @@ def build_cyclic_cover(
         h1_generators = 4
         h1_relators = MONODROMY_RELATORS
     cover = ManifoldModel(
-        name=f"{cfg.d}-fold cyclic branched cover of {base.name}",
         kind="cover",
         euler_characteristic=riemann_hurwitz_euler(spec),
         h1_generators=h1_generators,
@@ -364,7 +354,7 @@ def build_cyclic_cover(
 # Verification engine
 
 
-def _sphere_rows(cover: ManifoldModel | CoverReport) -> list[tuple[SphericalGenerator, int]]:
+def _sphere_rows(cover: ManifoldModel) -> list[tuple[SphericalGenerator, int]]:
     """Each stored generator once, with the number of spheres it stands for."""
     block = cover.chain_block
     rows = [] if block is None else [(block.template, block.spheres)]
@@ -440,7 +430,11 @@ def _grid_trace(b1_known: bool) -> tuple[tuple[str, str], ...]:
             "invariants.b1",
             "abelianized_b1 on the stored presentation" if b1_known else "not determined by the construction",
         ),
-        ("invariants.pi_lower_bound", "pi_dimension_bound: chain copies times rank of one chain"),
+        (
+            "invariants.pi_lower_bound",
+            "pi_dimension_bound: k*(d-1) for k double points; "
+            "the bound verdict checks it against k times the chain rank",
+        ),
         ("pairings[].omega", "lift_omega_pairing"),
         ("pairings[].c1", "lift_chern_pairing"),
         ("findings.omega_on_spherical_classes", "installed pairings plus aspherical-base prediction"),
@@ -481,14 +475,11 @@ def _assemble_grid_report(
     return CoverReport(
         family=family,
         parameters=parameters,
-        cover_euler=cover.euler_characteristic,
+        cover=cover,
         cover_b1=cover_b1,
         pi_lower_bound=bound,
-        chain_block=block,
-        spherical_generators=cover.spherical_generators,
         verdicts=tuple(verdicts),
         assumptions=tuple(assumptions),
-        kaehler=cover.kaehler,
         trace=_grid_trace(cover_b1 is not None),
     )
 
@@ -580,27 +571,17 @@ def build_tower7(d: int) -> tuple[CoverReport, CoverReport]:
         omega_class=RationalVector((sphere.omega_pairing,)),
         c1_class=RationalVector((sphere.c1_pairing,)),
     )
-    tori = tuple(
-        BranchComponent(label=f"parallel torus copy {i}", multiplicity=d, euler_characteristic=0)
-        for i in (1, 2)
-    )
+    tori = (BranchComponent(multiplicity=d, euler_characteristic=0),) * 2
     branch2 = SmoothedSurface(
         euler_characteristic=0,
         genus=None,
         class_vector=None,
         connected=False,
     )
-    spec2 = CoverSpec(
-        base=base2,
-        degree=d,
-        branch=branch2,
-        components=tori,
-        preimage_connected=False,
-    )
+    spec2 = CoverSpec(base=base2, degree=d, branch=branch2, components=tori)
     lifted = _installed_generator(spec2, "lifted sphere over S", (1,), (1, 1))
     c1 = lifted.c1_pairing
     cover2 = ManifoldModel(
-        name=f"{d}-fold cover of the stage-1 manifold branched over two parallel tori",
         kind="cover",
         euler_characteristic=riemann_hurwitz_euler(spec2),
         h1_generators=None,
@@ -627,11 +608,9 @@ def build_tower7(d: int) -> tuple[CoverReport, CoverReport]:
     report2 = CoverReport(
         family="tower7-stage2",
         parameters=(("stage", 2), ("d", d)),
-        cover_euler=cover2.euler_characteristic,
+        cover=cover2,
         cover_b1=None,
         pi_lower_bound=1,
-        chain_block=None,
-        spherical_generators=cover2.spherical_generators,
         verdicts=tuple(verdicts),
         assumptions=(
             ASSUMPTION_PUSHFORWARD,
@@ -640,7 +619,6 @@ def build_tower7(d: int) -> tuple[CoverReport, CoverReport]:
             ASSUMPTION_TOWER_SIGNS,
             ASSUMPTION_B1_UNKNOWN,
         ),
-        kaehler=False,
         trace=(
             ("invariants.euler_characteristic", "riemann_hurwitz_euler"),
             ("invariants.b1", "not determined by the construction"),

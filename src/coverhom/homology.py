@@ -28,7 +28,6 @@ __all__ = [
     "ManifoldModel",
     "grid_immersion",
     "smooth_double_points",
-    "branch_class",
     "product_base_model",
     "kodaira_thurston_model",
     "HYPERBOLIC_PAIRING",
@@ -158,9 +157,9 @@ class ChainBlock:
 
     Every sphere of every copy has the template's pushforward, branch
     intersections and pairings, so the template stands for all of them and
-    carries the label of the first ("double point 1, sphere 1"). Per-sphere
-    labels and lattice indices exist only in the written-out report: sphere
-    s of copy p is vertex (p - 1) * len(chain) + s - 1.
+    carries the label of the first ("double point 1, sphere 1"). No sphere
+    has a label or lattice index of its own: reports write the chain once,
+    with its copy count.
     """
 
     chain: PlumbingGraph
@@ -175,11 +174,6 @@ class ChainBlock:
     def spheres(self) -> int:
         return self.copies * len(self.chain)
 
-    def labels(self) -> list[str]:
-        """Per-sphere labels in lattice order."""
-        names = [v.label for v in self.chain.vertices]
-        return [f"double point {p}, {name}" for p in range(1, self.copies + 1) for name in names]
-
 
 @dataclass(frozen=True)
 class ManifoldModel:
@@ -192,7 +186,6 @@ class ManifoldModel:
     chain_block's spheres followed by spherical_generators.
     """
 
-    name: str
     kind: str
     euler_characteristic: int
     h1_generators: int | None
@@ -300,11 +293,6 @@ def smooth_double_points(b: ImmersedConfig) -> SmoothedSurface:
     )
 
 
-def branch_class(cfg: SurfaceConfig) -> tuple[int, int]:
-    """Class of the grid configuration: (m2*d, m1*d), divisible by d."""
-    return (cfg.m2 * cfg.d, cfg.m1 * cfg.d)
-
-
 def product_base_model(cfg: SurfaceConfig, kaehler: bool = False) -> ManifoldModel:
     """Product of two positive-genus surfaces with a product symplectic form."""
     if cfg.g1 < 1 or cfg.g2 < 1:
@@ -312,7 +300,6 @@ def product_base_model(cfg: SurfaceConfig, kaehler: bool = False) -> ManifoldMod
     chi = (2 - 2 * cfg.g1) * (2 - 2 * cfg.g2)
     b1 = 2 * cfg.g1 + 2 * cfg.g2
     return ManifoldModel(
-        name=f"product of genus {cfg.g1} and genus {cfg.g2} surfaces",
         kind="product",
         euler_characteristic=chi,
         h1_generators=b1,
@@ -347,7 +334,6 @@ def kodaira_thurston_model(areas: tuple[Fraction, Fraction] = (Fraction(1), Frac
     if len(a) != 2 or any(x <= 0 for x in a):
         raise DomainError("areas must be two positive rationals")
     return ManifoldModel(
-        name="Kodaira-Thurston manifold",
         kind="kodaira-thurston",
         euler_characteristic=0,
         h1_generators=4,

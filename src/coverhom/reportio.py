@@ -4,8 +4,8 @@ Rationals serialize as "p/q" strings. Integers serialize as JSON numbers
 while they fit in 53 bits and as decimal strings beyond that, so exactness
 survives any reader. Key order is fixed, so identical runs produce
 byte-identical JSON. Tables are rendered from the same dict and nothing else.
-A grid cover's chain block is written once unless the caller asks for the
-per-sphere listing (`report_to_dict(..., expand=True)`).
+A grid cover's chain block is written once: one pairing row for all its
+spheres, and the chain once with its copy count.
 """
 
 from __future__ import annotations
@@ -100,59 +100,41 @@ def matrix_from_json(obj) -> IntMatrix:
     return IntMatrix(rows, cols, decoded)
 
 
-def _chains_to_json(chain: PlumbingGraph, copies: int, labels: list[str]) -> dict:
-    """`copies` disjoint copies of a chain, one vertex per sphere: copy p has vertices p*n..p*n+n-1."""
-    n = len(chain)
-    kinds = [(v.euler_number, v.genus) for v in chain.vertices] * copies
+def _chain_to_json(chain: PlumbingGraph) -> dict:
     return {
-        "vertices": [
-            {"euler_number": e, "genus": g, "label": label} for (e, g), label in zip(kinds, labels)
-        ],
-        "edges": [[i + p * n, j + p * n] for p in range(copies) for i, j in chain.edges],
+        "vertices": [{"euler_number": v.euler_number, "genus": v.genus, "label": v.label} for v in chain.vertices],
+        "edges": [[i, j] for i, j in chain.edges],
     }
 
 
-def _block_json(block: ChainBlock | None, expand: bool) -> tuple[list[dict], dict | None]:
-    """Pairing rows and spherical lattice of a chain block.
-
-    By default the block is one pairing row for all its spheres and one
-    `blocks` entry (the chain once, with its copy count). With `expand`, it
-    is written out sphere by sphere: one pairing row and one lattice vertex
-    per sphere, labelled "double point p, sphere s".
-    """
+def _block_json(block: ChainBlock | None) -> tuple[list[dict], dict | None]:
+    """One pairing row for all the spheres of a chain block, and its `blocks` lattice entry."""
     if block is None:
         return [], None
-    omega, c1 = encode_fraction(block.template.omega_pairing), encode_int(block.template.c1_pairing)
-    if expand:
-        labels = block.labels()
-        rows = [{"generator": label, "omega": omega, "c1": c1} for label in labels]
-        return rows, _chains_to_json(block.chain, block.copies, labels)
     row = {
         "generator": f"double point 1..{block.copies}, sphere 1..{len(block.chain)}",
         "spheres": encode_int(block.spheres),
-        "omega": omega,
-        "c1": c1,
+        "omega": encode_fraction(block.template.omega_pairing),
+        "c1": encode_int(block.template.c1_pairing),
     }
-    chain = _chains_to_json(block.chain, 1, [v.label for v in block.chain.vertices])
-    return [row], {"blocks": [{"chain": chain, "copies": encode_int(block.copies)}]}
+    return [row], {"blocks": [{"chain": _chain_to_json(block.chain), "copies": encode_int(block.copies)}]}
 
 
 def verdicts_to_json(verdicts) -> list[dict]:
     return [{"name": v.name, "pass": v.passed, "evidence": v.evidence} for v in verdicts]
 
 
-def report_to_dict(r: CoverReport, expand: bool = False) -> dict:
-    """The report's result dict; `expand` writes its chain block out sphere by sphere."""
-    pairings, lattice = _block_json(r.chain_block, expand)
+def report_to_dict(r: CoverReport) -> dict:
+    pairings, lattice = _block_json(r.cover.chain_block)
     pairings += [
         {"generator": g.label, "omega": encode_fraction(g.omega_pairing), "c1": encode_int(g.c1_pairing)}
-        for g in r.spherical_generators
+        for g in r.cover.spherical_generators
     ]
     return {
         "family": r.family,
         "parameters": {k: encode_value(v) for k, v in r.parameters},
         "invariants": {
-            "euler_characteristic": encode_int(r.cover_euler),
+            "euler_characteristic": encode_int(r.cover.euler_characteristic),
             "b1": None if r.cover_b1 is None else encode_int(r.cover_b1),
             "pi_lower_bound": encode_int(r.pi_lower_bound),
         },
@@ -164,7 +146,7 @@ def report_to_dict(r: CoverReport, expand: bool = False) -> dict:
         "spherical_lattice": lattice,
         "verdicts": verdicts_to_json(r.verdicts),
         "assumptions": list(r.assumptions),
-        "kaehler": r.kaehler,
+        "kaehler": r.cover.kaehler,
         "trace": {k: v for k, v in r.trace},
     }
 

@@ -147,20 +147,6 @@ def chain_listing(copies, chain_length, omega, c1):
     return pairings, {"vertices": vertices, "edges": edges}
 
 
-def expand_blocks(report):
-    """A default report dict with its chain block written out by `chain_listing`.
-
-    The block's pairing row comes first and stands for every sphere of the
-    `copies` chains; the result should equal the report's `--expand` form.
-    """
-    if report["spherical_lattice"] is None:
-        return report
-    (block,) = report["spherical_lattice"]["blocks"]
-    row, *explicit = report["pairings"]
-    pairings, lattice = chain_listing(block["copies"], len(block["chain"]["vertices"]), row["omega"], row["c1"])
-    return dict(report, pairings=pairings + explicit, spherical_lattice=lattice)
-
-
 def matmul_rows(a, b, width):
     """Product of list-of-lists matrices a (m x k) and b (k x width) by the textbook triple loop.
 

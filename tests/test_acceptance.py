@@ -23,10 +23,10 @@ from coverhom.cover import (
 )
 from coverhom.homology import SmoothedSurface, SphericalGenerator, SurfaceConfig, product_base_model
 from coverhom.intlinalg import IntMatrix, abelianized_b1, det, rank, snf
-from coverhom.plumbing import PlumbingGraph, PlumbingVertex, intersection_matrix, milnor_fiber_2_2_d
+from coverhom.plumbing import intersection_matrix, milnor_fiber_2_2_d
 from coverhom.reportio import report_to_dict
 
-from oracles import chain_determinant_recurrence, det_cofactor, euler_by_complement
+from oracles import block_diag, chain_determinant_recurrence, det_cofactor, euler_by_complement
 
 GRID = [
     (m1, m2, d)
@@ -57,15 +57,17 @@ def test_criterion_1_bound(grid_reports):
         block_rank = k * chain_rank  # rank is additive over the diagonal blocks
         if not (report.pi_lower_bound == expected == block_rank):
             failures.append(((m1, m2, d), report.pi_lower_bound, expected, block_rank))
-    # Dense check of the block-additivity shortcut on the smaller written-out lattices.
+    # Dense check of the block-additivity shortcut on the smaller lattices: the
+    # report's block (its chain and copy count) written out as one block-diagonal matrix.
     for m1, m2, d in ((1, 1, 2), (2, 1, 2), (3, 3, 2), (1, 1, 3), (1, 2, 3), (1, 1, 4)):
         report = grid_reports[(m1, m2, d)]
-        lattice = report_to_dict(report, expand=True)["spherical_lattice"]
-        graph = PlumbingGraph(
-            tuple(PlumbingVertex(v["euler_number"], v["genus"], v["label"]) for v in lattice["vertices"]),
-            tuple((i, j) for i, j in lattice["edges"]),
-        )
-        dense = rank(intersection_matrix(graph))
+        (block,) = report_to_dict(report)["spherical_lattice"]["blocks"]
+        vertices = block["chain"]["vertices"]
+        chain = [[v["euler_number"] if i == j else 0 for j in range(len(vertices))] for i, v in enumerate(vertices)]
+        for i, j in block["chain"]["edges"]:
+            chain[i][j] += 1
+            chain[j][i] += 1
+        dense = rank(IntMatrix.from_rows(block_diag([chain] * block["copies"])))
         if dense != report.pi_lower_bound:
             failures.append(((m1, m2, d), "dense", dense, report.pi_lower_bound))
     ok = not failures
@@ -76,11 +78,11 @@ def test_criterion_1_bound(grid_reports):
 def test_criterion_2_vanishing(grid_reports):
     failures = []
     for key, report in grid_reports.items():
-        template = report.chain_block.template
+        template = report.cover.chain_block.template
         stored_zero = (
             template.omega_pairing == 0
             and template.c1_pairing == 0
-            and all(g.omega_pairing == 0 and g.c1_pairing == 0 for g in report.spherical_generators)
+            and all(g.omega_pairing == 0 and g.c1_pairing == 0 for g in report.cover.spherical_generators)
         )
         cross = {v.name: v.passed for v in report.verdicts}
         formula_ok = cross.get("c1 on chain spheres: lift formula matches adjunction", False)
@@ -116,7 +118,7 @@ def test_criterion_4_kodaira_thurston():
             v.name == "cover first Betti number equals 3; odd b1 rules out Kaehler homotopy type" and v.passed
             for v in report.verdicts
         )
-        if not (report.passed and report.cover_b1 == 3 and odd_flagged and not report.kaehler):
+        if not (report.passed and report.cover_b1 == 3 and odd_flagged and not report.cover.kaehler):
             failures.append((m1, m2, d, report.cover_b1, report.passed))
     ok = not failures
     _line(4, ok, f"kodaira-thurston cover has b1 = 3, flagged odd (non-Kaehler), on {len(GRID)} cases")
@@ -128,8 +130,9 @@ def test_criterion_5_tower():
     for d in range(2, 7):
         stage1, stage2 = build_tower7(d)
         passed = stage1.passed and stage2.passed
-        pairing = stage2.spherical_generators[0].c1_pairing
-        omega_zero = all(g.omega_pairing == 0 for g in stage1.spherical_generators + stage2.spherical_generators)
+        pairing = stage2.cover.spherical_generators[0].c1_pairing
+        spheres = stage1.cover.spherical_generators + stage2.cover.spherical_generators
+        omega_zero = all(g.omega_pairing == 0 for g in spheres)
         if not (passed and pairing == 2 * (1 - d) and omega_zero):
             failures.append((d, pairing, passed))
     ok = not failures
@@ -180,11 +183,11 @@ def test_criterion_7_riemann_hurwitz(grid_reports):
         if not names.get(EULER_VERDICT):
             failures.append(("tower", d, stage1.family))
         # Stage 2 tracks no class for its branch tori: the complement route alone.
-        if stage2.cover_euler != euler_by_complement(d, 8, 0, [0, 0]):
+        if stage2.cover.euler_characteristic != euler_by_complement(d, 8, 0, [0, 0]):
             failures.append(("tower", d, stage2.family))
     minimal = grid_reports[(1, 1, 2)]
-    if minimal.cover_euler != 8:
-        failures.append(("minimal-chi", minimal.cover_euler))
+    if minimal.cover.euler_characteristic != 8:
+        failures.append(("minimal-chi", minimal.cover.euler_characteristic))
     ok = not failures
     _line(7, ok, "both euler-characteristic routes agree on every constructed cover; minimal case gives 8")
     assert ok, failures
@@ -239,8 +242,8 @@ def test_criterion_8_property_suites():
     branch = SmoothedSurface(0, None, None, False)
     for i in range(100):
         d = rng.randint(2, 6)
-        comps = (BranchComponent("t1", d, 0), BranchComponent("t2", d, 0))
-        spec = CoverSpec(base_model, d, branch, comps, False)
+        comps = (BranchComponent(d, 0), BranchComponent(d, 0))
+        spec = CoverSpec(base_model, d, branch, comps)
 
         def syn(push, b):
             return SphericalGenerator(

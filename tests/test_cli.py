@@ -11,9 +11,7 @@ import coverhom.cover
 import coverhom.intlinalg
 from coverhom.cli import build_parser, main
 from coverhom.intlinalg import IntMatrix
-from coverhom.reportio import all_pass, matrix_from_json, matrix_to_json, render_json
-
-from oracles import expand_blocks
+from coverhom.reportio import all_pass, matrix_from_json, matrix_to_json
 
 
 def run_main(capsys, *argv):
@@ -64,6 +62,12 @@ class TestExitCodes:
     def test_help_exits_zero(self, capsys):
         assert run_main(capsys, "--help")[0] == 0
 
+    @pytest.mark.parametrize("command", ["example2", "kodaira-thurston", "tower7"])
+    def test_expand_flag_is_unknown(self, capsys, command):
+        code, out, err = run_main(capsys, command, "--expand")
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --expand" in err
+
 
 class TestExample2Json:
     def test_bound_formula_case(self, capsys):
@@ -98,14 +102,14 @@ class TestExample2Json:
         assert doc["parameters"]["area1"] == "1/1"
 
     def test_spherical_lattice_serialized(self, capsys):
-        _, out, _ = run_main(capsys, "example2", "-d", "3", "--format", "json", "--expand")
-        doc = json.loads(out)
-        lattice = doc["spherical_lattice"]
-        # 9 chains of 2 spheres each, edges inside every chain.
-        assert len(lattice["vertices"]) == 18
-        assert len(lattice["edges"]) == 9
-        assert all(v["euler_number"] == -2 and v["genus"] == 0 for v in lattice["vertices"])
-        assert all(isinstance(e, list) and len(e) == 2 for e in lattice["edges"])
+        _, out, _ = run_main(capsys, "example2", "-d", "5", "--format", "json")
+        (block,) = json.loads(out)["spherical_lattice"]["blocks"]
+        # One chain of 4 spheres, its edges indexing its own vertices; no per-copy vertex.
+        chain = block["chain"]
+        assert len(chain["vertices"]) == 4
+        assert all(v["euler_number"] == -2 and v["genus"] == 0 for v in chain["vertices"])
+        assert all(isinstance(e, list) and len(e) == 2 and 0 <= min(e) < max(e) < 4 for e in chain["edges"])
+        assert len(chain["edges"]) == 3 and block["copies"] == 25
 
     def test_spherical_lattice_blocks(self, capsys):
         _, out, _ = run_main(capsys, "example2", "-d", "3", "--format", "json")
@@ -118,25 +122,6 @@ class TestExample2Json:
         assert doc["pairings"] == [
             {"generator": "double point 1..9, sphere 1..2", "spheres": 18, "omega": "0/1", "c1": 0}
         ]
-
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ("example2", "--m1", "2", "-d", "3"),
-            ("example2", "--g1", "3", "--m2", "3", "-d", "4", "--area2", "7/3", "--kaehler"),
-            ("kodaira-thurston", "--m1", "2", "--m2", "1", "-d", "5"),
-            ("tower7", "-d", "4"),
-        ],
-    )
-    def test_default_blocks_expand_to_expand_output(self, capsys, argv):
-        _, blocks, _ = run_main(capsys, *argv, "--format", "json")
-        _, listed, _ = run_main(capsys, *argv, "--format", "json", "--expand")
-        doc = json.loads(blocks)
-        if "stages" in doc:
-            doc["stages"] = [expand_blocks(stage) for stage in doc["stages"]]
-        else:
-            doc = expand_blocks(doc)
-        assert render_json(doc) == listed
 
     @pytest.mark.parametrize("m1, m2, d", [(1, 1, 2), (3, 2, 5), (8, 8, 10), (300, 300, 30)])
     def test_block_row_counts_every_sphere(self, m1, m2, d):
@@ -502,17 +487,16 @@ class TestBatch:
         assert json.loads(out.read_text())["parameters"]["area1"] == "3/2"
 
     def test_expand_entry(self, capsys, tmp_path):
+        # "expand" is no option of any command, so the batch stops before its first entry writes.
+        first = tmp_path / "first.json"
         entries = [
+            {"command": "example2", "format": "json", "out": str(first)},
             {"command": "example2", "d": 3, "format": "json", "expand": True},
-            {"command": "example2", "d": 3, "format": "json", "expand": False},
         ]
-        code, out, _ = run_batch(capsys, tmp_path, entries)
-        assert code == 0
-        decoder = json.JSONDecoder()
-        listed, end = decoder.raw_decode(out)
-        blocks, _ = decoder.raw_decode(out, end + 1)
-        assert len(listed["spherical_lattice"]["vertices"]) == 18
-        assert blocks["spherical_lattice"]["blocks"][0]["copies"] == 9
+        code, out, err = run_batch(capsys, tmp_path, entries)
+        assert (code, out) == (2, "")
+        assert err.endswith("\nerror: batch entry 1 rejected: example2 -d=3 --format=json --expand\n")
+        assert not first.exists()
 
     def test_whole_file_parsed_before_any_entry_runs(self, capsys, tmp_path):
         first = tmp_path / "first.json"
@@ -566,24 +550,6 @@ class TestErrorBoundary:
         assert fragment.format(path=path) in err
         assert "set_int_max_str_digits" not in err
 
-    def test_oversized_grid_refused_before_building(self, capsys):
-        start = time.perf_counter()
-        result = run_main(capsys, "example2", "--m1", "300", "--m2", "300", "-d", "30", "--expand")
-        assert time.perf_counter() - start < 0.5
-        self.assert_one_line_usage_error(result)
-        assert "2349000000 spheres" in result[2] and "limit of 200000" in result[2]
-
-    def test_oversized_grid_refused_in_batch(self, capsys, tmp_path):
-        first = tmp_path / "first.json"
-        entries = [
-            {"command": "example2", "out": str(first)},
-            {"command": "kodaira-thurston", "d": 60, "expand": True},
-        ]
-        result = run_batch(capsys, tmp_path, entries)
-        self.assert_one_line_usage_error(result)
-        assert "212400 spheres" in result[2]
-        assert not first.exists()
-
     @pytest.mark.parametrize(
         "argv, message",
         [
@@ -607,9 +573,9 @@ class TestErrorBoundary:
         assert not first.exists()
 
     def test_bounds_accept_every_listable_grid(self, capsys):
-        # The largest degree and the largest multiplicity that --expand can list.
-        assert run_main(capsys, "example2", "-d", "58")[0] == 0
-        assert run_main(capsys, "kodaira-thurston", "--m1", "50000", "-d", "2")[0] == 0
+        # The sphere count m1*m2*d^2*(d-1) has no limit of its own: 201,898 and 200,004 spheres.
+        assert run_main(capsys, "example2", "-d", "59")[0] == 0
+        assert run_main(capsys, "kodaira-thurston", "--m1", "50001", "-d", "2")[0] == 0
         # The degree bound itself.
         assert run_main(capsys, "example2", "-d", "100")[0] == 0
 
@@ -636,8 +602,8 @@ class TestErrorBoundary:
         result = run_main(capsys, "example2", "--m1", big, "--m2", big, "-d", "2", "--format", fmt)
         assert time.perf_counter() - start < 0.5
         self.assert_one_line_usage_error(result)
-        # The degree and --expand checks run first; their messages give sizes, not values.
-        for more in (["--m2", "1", "--expand"], ["--m2", big, "--expand"], ["-d", "101"]):
+        # The degree check runs first; its message gives sizes, not values.
+        for more in (["--m2", "1", "-d", "101"], ["--m2", big, "-d", "101"]):
             result = run_main(capsys, "example2", "--m1", big, *more, "--format", fmt)
             self.assert_one_line_usage_error(result)
             assert len(result[2].encode()) < 300 and "set_int_max_str_digits" not in result[2]

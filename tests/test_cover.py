@@ -44,7 +44,7 @@ from coverhom.intlinalg import IntMatrix, rank
 from coverhom.plumbing import PlumbingVertex, intersection_matrix, linear_chain, milnor_fiber_2_2_d
 from coverhom.reportio import report_to_dict
 
-from oracles import block_diag, chain_listing, euler_by_complement, expand_blocks, pairing_square
+from oracles import block_diag, chain_listing, euler_by_complement, pairing_square
 
 
 def make_cfg(g1=1, g2=1, m1=1, m2=1, d=2, areas=(1, 1)):
@@ -52,13 +52,7 @@ def make_cfg(g1=1, g2=1, m1=1, m2=1, d=2, areas=(1, 1)):
 
 
 def identity_cover(base):
-    return CoverSpec(
-        base=base,
-        degree=1,
-        branch=None,
-        components=(),
-        preimage_connected=False,
-    )
+    return CoverSpec(base=base, degree=1, branch=None, components=())
 
 
 def store_relators(monkeypatch, relators):
@@ -92,16 +86,17 @@ class TestCoverSpecValidation:
     def test_nontrivial_cover_needs_mult_two(self):
         base = product_base_model(make_cfg())
         branch = SmoothedSurface(0, 1, (1, 1), True)
-        comp = BranchComponent("b", 1, 0)
+        comp = BranchComponent(1, 0)
         with pytest.raises(DomainError):
-            CoverSpec(base, 2, branch, (comp,), preimage_connected=False)
+            CoverSpec(base, 2, branch, (comp,))
 
-    def test_connected_preimage_single_component(self):
+    def test_one_component_over_a_disconnected_branch(self):
+        # One preimage component is a connected preimage, which a disconnected branch locus cannot have.
         base = product_base_model(make_cfg())
-        branch = SmoothedSurface(0, 1, (1, 1), True)
-        comps = (BranchComponent("a", 2, 0), BranchComponent("b", 2, 0))
-        with pytest.raises(DomainError):
-            CoverSpec(base, 2, branch, comps, preimage_connected=True)
+        branch = SmoothedSurface(0, None, None, False)
+        with pytest.raises(DomainError, match="disconnected branch locus"):
+            CoverSpec(base, 2, branch, (BranchComponent(2, 0),))
+        assert not CoverSpec(base, 2, branch, (BranchComponent(2, 0),) * 2).preimage_connected
 
 
 class TestLiftPairings:
@@ -129,8 +124,8 @@ class TestLiftPairings:
         base = product_base_model(make_cfg())
         for d in (2, 3, 5):
             branch = SmoothedSurface(0, None, None, False)
-            comps = tuple(BranchComponent(f"t{i}", d, 0) for i in (1, 2))
-            spec = CoverSpec(base, d, branch, comps, False)
+            comps = (BranchComponent(d, 0), BranchComponent(d, 0))
+            spec = CoverSpec(base, d, branch, comps)
             g = gen(pushforward=(0, 0), branch=(1, 1))
             assert lift_chern_pairing(spec, g) == 2 * (1 - d)
 
@@ -143,8 +138,8 @@ class TestLiftPairings:
     def test_multiplicity_one_component_drops_out(self):
         base = product_base_model(make_cfg(g1=2, g2=1))
         branch = SmoothedSurface(-2, 2, (1, 1), True)
-        comp = BranchComponent("b", 1, -2)
-        spec = CoverSpec(base, 1, branch, (comp,), True)
+        comp = BranchComponent(1, -2)
+        spec = CoverSpec(base, 1, branch, (comp,))
         g = gen(pushforward=(1, 0), branch=(3,))
         assert lift_chern_pairing(spec, g) == -2
 
@@ -175,8 +170,8 @@ class TestLiftPairings:
     def test_lift_pairings_additive(self, u, v, bu, bv, d):
         base = product_base_model(make_cfg(g1=2, g2=3, areas=("1/2", "7/3")))
         branch = SmoothedSurface(0, None, None, False)
-        comps = (BranchComponent("t1", d, 0), BranchComponent("t2", d, 0))
-        spec = CoverSpec(base, d, branch, comps, False)
+        comps = (BranchComponent(d, 0), BranchComponent(d, 0))
+        spec = CoverSpec(base, d, branch, comps)
         ga = gen(pushforward=u, branch=(bu, bu))
         gb = gen(pushforward=v, branch=(bv, bv))
         gsum = gen(
@@ -203,7 +198,7 @@ class TestRiemannHurwitz:
 
     def test_unbranched_double_cover(self):
         base = product_base_model(make_cfg())
-        spec = CoverSpec(base, 2, None, (), False)
+        spec = CoverSpec(base, 2, None, ())
         assert riemann_hurwitz_euler(spec) == 0
 
     @settings(max_examples=40, deadline=None, derandomize=True)
@@ -216,6 +211,7 @@ class TestRiemannHurwitz:
             d, cfg_chi(g1, g2), chi_b, [chi_b]
         )
         # Adjunction on the branch class: <c1, B> - B.B, with B = (m2*d, m1*d).
+        assert spec.branch.class_vector == (m2 * d, m1 * d)
         c1_on_class = m2 * d * (2 - 2 * g1) + m1 * d * (2 - 2 * g2)
         square = pairing_square((m2 * d, m1 * d), HYPERBOLIC_PAIRING.to_rows())
         assert adjunction_euler(spec.base, spec.branch.class_vector) == c1_on_class - square == chi_b
@@ -291,7 +287,6 @@ class TestBuildCyclicCover:
         assert cover.chain_block.copies == 9
         assert len(cover.chain_block.chain) == 2
         assert cover.chain_block.spheres == 18
-        assert len(cover.chain_block.labels()) == 18
 
     def test_kodaira_thurston_base(self):
         cfg = make_cfg()
@@ -365,7 +360,7 @@ class TestFamilyReports:
         report = product_family_report(make_cfg())
         assert report.passed
         assert report.pi_lower_bound == 4
-        assert report.cover_euler == 8
+        assert report.cover.euler_characteristic == 8
         assert report.omega_vanishes_on_pi and report.c1_vanishes_on_pi
         assert report.cover_b1 is None
 
@@ -378,11 +373,9 @@ class TestFamilyReports:
     def test_kaehler_variant_identical_numbers(self):
         plain = product_family_report(make_cfg())
         kaehler = product_family_report(make_cfg(), kaehler=True)
-        assert kaehler.kaehler and not plain.kaehler
+        assert kaehler.cover.kaehler and not plain.cover.kaehler
         assert kaehler.pi_lower_bound == plain.pi_lower_bound
-        assert kaehler.cover_euler == plain.cover_euler
-        assert kaehler.chain_block == plain.chain_block
-        assert kaehler.spherical_generators == plain.spherical_generators
+        assert replace(kaehler.cover, kaehler=False) == plain.cover
         assert any("holomorphic" in a for a in kaehler.assumptions)
 
     def test_bound_monotone_in_each_parameter(self):
@@ -397,7 +390,7 @@ class TestFamilyReports:
         report = kodaira_thurston_family_report(make_cfg(m1=3, m2=2, d=5))
         assert report.passed
         assert report.cover_b1 == 3
-        assert not report.kaehler
+        assert not report.cover.kaehler
         names = [v.name for v in report.verdicts]
         assert "cover first Betti number equals 3; odd b1 rules out Kaehler homotopy type" in names
 
@@ -420,24 +413,24 @@ class TestTower:
         for d in (2, 3, 4, 5, 6):
             stage1, stage2 = build_tower7(d)
             assert stage1.passed and stage2.passed
-            assert stage2.spherical_generators[0].c1_pairing == 2 * (1 - d)
-            assert stage2.spherical_generators[0].c1_pairing != 0
-            assert all(g.omega_pairing == 0 for g in stage1.spherical_generators + stage2.spherical_generators)
+            (lifted,) = stage2.cover.spherical_generators
+            assert lifted.c1_pairing == 2 * (1 - d) != 0
+            assert all(g.omega_pairing == 0 for g in stage1.cover.spherical_generators + (lifted,))
 
     def test_stage_one_is_minimal_grid(self):
         stage1, _ = build_tower7(3)
         assert stage1.pi_lower_bound == 4
-        assert stage1.cover_euler == 8
-        # Chain generators plus the lifted-disks sphere.
-        rows = report_to_dict(stage1, expand=True)["pairings"]
-        assert [r["generator"] for r in rows][-2:] == ["double point 4, sphere 1", "sphere S (two lifted vanishing disks)"]
-        assert len(rows) == 5
+        assert stage1.cover.euler_characteristic == 8
+        # One row for the four chain spheres, then the lifted-disks sphere.
+        rows = report_to_dict(stage1)["pairings"]
+        assert [r["generator"] for r in rows] == ["double point 1..4, sphere 1..1", SPHERE_S]
+        assert rows[0]["spheres"] == 4
         assert all(r["c1"] == 0 and r["omega"] == "0/1" for r in rows)
 
     def test_stage_two_euler(self):
         for d in (2, 3, 5):
             _, stage2 = build_tower7(d)
-            assert stage2.cover_euler == 8 * d
+            assert stage2.cover.euler_characteristic == 8 * d
             assert euler_by_complement(d, 8, 0, [0, 0]) == 8 * d
 
     def test_findings_signature(self):
@@ -461,22 +454,18 @@ class TestChainBlock:
             report = kodaira_thurston_family_report(make_cfg(1, 1, m1, m2, d))
         else:
             report = product_family_report(make_cfg(g1, g2, m1, m2, d))
-        doc = report_to_dict(report, expand=True)
+        doc = report_to_dict(report)
         copies = m1 * m2 * d * d
         pairings, lattice = chain_listing(copies, d - 1, "0/1", 0)
-        assert doc["pairings"] == pairings
-        assert doc["spherical_lattice"] == lattice
         assert doc["invariants"]["pi_lower_bound"] == len(pairings)
-        # The default form: the chain once, and one pairing row for all its spheres.
-        blocks = report_to_dict(report)
+        # The chain once (the reference's first copy), and one pairing row for all its spheres.
         chain = {
             "vertices": [dict(v, label=f"sphere {s}") for s, v in enumerate(lattice["vertices"][: d - 1], 1)],
             "edges": lattice["edges"][: d - 2],
         }
-        assert blocks["spherical_lattice"] == {"blocks": [{"chain": chain, "copies": copies}]}
+        assert doc["spherical_lattice"] == {"blocks": [{"chain": chain, "copies": copies}]}
         row = {"generator": f"double point 1..{copies}, sphere 1..{d - 1}", "spheres": len(pairings)}
-        assert blocks["pairings"] == [dict(row, omega="0/1", c1=0)]
-        assert expand_blocks(blocks) == doc
+        assert doc["pairings"] == [dict(row, omega="0/1", c1=0)]
 
     def test_work_per_report_does_not_grow_with_the_grid(self, monkeypatch):
         counts = Counter()

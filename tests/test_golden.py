@@ -29,9 +29,8 @@ EXAMPLE2_FULL = {
     "g1": 2, "g2": 3, "m1": 2, "m2": 1, "d": 3, "area1": "3/2", "area2": "5", "kaehler": True,
 }
 
-# Runs with a chain block. Each runs twice: under its own name with
-# --expand (one pairing row and one lattice vertex per sphere), and as
-# "<name>_blocks" with the default output (the block written once).
+# Runs with a chain block, each under the name "<name>_blocks": the block is
+# written once, as one pairing row and the chain with its copy count.
 GRID_RUNS = {
     "example2_default": {"command": "example2"},
     "example2_full": {"command": "example2", **EXAMPLE2_FULL},
@@ -42,7 +41,6 @@ GRID_RUNS = {
 
 # name -> batch entry without "format"; every one runs in both formats.
 RUNS = {
-    **{name: dict(entry, expand=True) for name, entry in GRID_RUNS.items()},
     "catalog_d2": {"command": "catalog", "d": 2},
     "catalog_d3": {"command": "catalog", "d": 3},
     **{
@@ -122,6 +120,12 @@ def test_command_line(name, workdir, capsys):
     code = main(ARGV[name])
     assert capsys.readouterr().out == golden_text(name)
     assert code == golden_codes()[name]
+
+
+def test_every_golden_file_is_named_by_a_case():
+    named = {f"{name}.out" for name in ARGV} | {"batch.json", "codes.json"}
+    named |= {Path(entry["matrix"]).name for entry in RUNS.values() if "matrix" in entry}
+    assert sorted(path.name for path in GOLDEN.iterdir()) == sorted(named)
 
 
 def test_batch(workdir, capsys):

@@ -16,7 +16,6 @@ from coverhom.homology import (
     SmoothedSurface,
     SphericalGenerator,
     SurfaceConfig,
-    branch_class,
     grid_immersion,
     kodaira_thurston_model,
     product_base_model,
@@ -198,20 +197,6 @@ class TestSmoothDoublePoints:
         assert s.genus == 1 - s.euler_characteristic // 2
 
 
-class TestBranchClass:
-    def test_values(self):
-        assert branch_class(make_cfg()) == (2, 2)
-        assert branch_class(make_cfg(m1=3, m2=1, d=2)) == (2, 6)
-
-    @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(cfg_params)
-    def test_divisible_by_degree(self, params):
-        g1, g2, m1, m2, d = params
-        cls = branch_class(make_cfg(g1, g2, m1, m2, d))
-        assert cls == (m2 * d, m1 * d)
-        assert all(c % d == 0 for c in cls)
-
-
 class TestProductBaseModel:
     def test_four_torus(self):
         m = product_base_model(make_cfg())
@@ -264,7 +249,6 @@ class TestModelValidation:
     def test_class_length_mismatch(self):
         with pytest.raises(DimensionError):
             ManifoldModel(
-                name="x",
                 kind="product",
                 euler_characteristic=0,
                 h1_generators=0,
@@ -281,7 +265,6 @@ class TestModelValidation:
     def test_pi2_trivial_forces_aspherical(self):
         with pytest.raises(DomainError):
             ManifoldModel(
-                name="x",
                 kind="product",
                 euler_characteristic=0,
                 h1_generators=0,
@@ -327,11 +310,11 @@ _TORUS = ImmersedComponent(1, (0, 1))
         lambda: ImmersedConfig(((_TORUS, 2.0),), 0, HYPERBOLIC_PAIRING),
         lambda: PlumbingVertex(-2.0, 0),
         lambda: PlumbingVertex(-2, 0.5),
-        lambda: BranchComponent("x", 2.5, 0),
-        lambda: BranchComponent("x", 2, 0.5),
+        lambda: BranchComponent(2.5, 0),
+        lambda: BranchComponent(2, 0.5),
         lambda: SmoothedSurface(0.0, 1.0, None, True),
         lambda: SmoothedSurface(0, 1.0, None, True),
-        lambda: CoverSpec(product_base_model(make_cfg()), 2.0, None, (), False),
+        lambda: CoverSpec(product_base_model(make_cfg()), 2.0, None, ()),
         lambda: pi_dimension_bound(1.5, 2),
         lambda: pi_dimension_bound(1, 2.0),
     ],

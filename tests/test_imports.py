@@ -105,3 +105,49 @@ def test_no_module_imports_a_name_it_never_uses():
     modules = sorted((ROOT / "src" / "coverhom").glob("*.py"))
     unused = {path.name: unused_top_level_imports(path.read_text()) for path in modules}
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+def public_names(source: str) -> list[str]:
+    """The names a module lists in __all__."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            return [elt.value for elt in node.value.elts]
+    return []
+
+
+def names_read(source: str) -> set[str]:
+    """Names a module loads, reads as an attribute, or imports from another module."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+def dead_public_names(sources: dict[str, str], entry_points: set[str]) -> list[str]:
+    """`module.name` for each name in an __all__ that no module reads and no entry point names."""
+    read = set().union(*(names_read(source) for source in sources.values())) | entry_points
+    return sorted(f"{module}.{name}" for module, source in sources.items() for name in public_names(source)
+                  if name not in read)
+
+
+def test_dead_public_name_detection():
+    sources = {
+        "a": "__all__ = ['used', 'dead', 'main']\ndef used(): pass\ndef dead(): pass\ndef main(): used()\n",
+        "b": "from .a import dead as _\n",
+    }
+    assert dead_public_names(sources, {"main"}) == []
+    assert dead_public_names({"a": sources["a"]}, {"main"}) == ["a.dead"]
+    assert dead_public_names({"a": sources["a"]}, set()) == ["a.dead", "a.main"]
+
+
+def test_every_public_name_is_read_or_an_entry_point():
+    tomllib = pytest.importorskip("tomllib")
+    scripts = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["scripts"]
+    entry_points = {target.rsplit(":", 1)[1] for target in scripts.values()}
+    sources = {path.stem: path.read_text() for path in sorted((ROOT / "src" / "coverhom").glob("*.py"))}
+    assert dead_public_names(sources, entry_points) == []
