@@ -377,6 +377,9 @@ def _integer_options(sp: argparse.ArgumentParser) -> set[str]:
 
 def _entry_options(sp: argparse.ArgumentParser, index: int, entry: dict) -> list[str]:
     """The command line of one batch entry after its command; keys are the command's option names."""
+    unknown = set(entry) - {"command"} - {action.dest for action in sp._actions if action.dest != "help"}
+    if unknown:
+        raise DomainError(f"batch entry {index}: unknown keys {sorted(unknown)}")
     argv = []
     for key, value in entry.items():
         if key == "command":
@@ -399,6 +402,14 @@ def _entry_options(sp: argparse.ArgumentParser, index: int, entry: dict) -> list
     return argv
 
 
+class _Refused(Exception):
+    """A command parser's reason for refusing a batch entry."""
+
+
+def _refuse(message: str):
+    raise _Refused(message)
+
+
 def _batch_runs(parser: argparse.ArgumentParser, path: str) -> list[argparse.Namespace]:
     """Parse every entry of a batch file, so that a bad entry stops the batch before any run."""
     entries = _read_json(path, "batch file")
@@ -411,13 +422,14 @@ def _batch_runs(parser: argparse.ArgumentParser, path: str) -> list[argparse.Nam
             raise DomainError(f"batch entry {index} needs a 'command' out of {list(parser.commands)}")
         sp = parser.commands[command]
         argv = _entry_options(sp, index, entry)
+        # argparse's reason goes into the one error line, without its usage block.
+        sp.error = _refuse
         try:
             args = sp.parse_args(argv, argparse.Namespace(command=command))
-        except SystemExit:
-            raise DomainError(f"batch entry {index} rejected: {command} {' '.join(argv)}") from None
-        unknown = set(entry) - set(vars(args))
-        if unknown:
-            raise DomainError(f"batch entry {index}: unknown keys {sorted(unknown)}")
+        except _Refused as exc:
+            raise DomainError(f"batch entry {index} rejected: {command}: {exc}") from None
+        finally:
+            del sp.error
         runs.append(args)
     return runs
 

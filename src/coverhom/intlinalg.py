@@ -72,15 +72,7 @@ class IntMatrix:
             cols = width
         elif cols is None:
             cols = 0
-        return cls(len(data), cols, tuple(e for r in data for e in r))
-
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, tuple(int(i == j) for i in range(n) for j in range(n)))
-
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(rows, cols, (0,) * (rows * cols))
+        return cls(len(data), cols, tuple(chain.from_iterable(data)))
 
     def entry(self, i: int, j: int) -> int:
         if not (0 <= i < self.rows and 0 <= j < self.cols):
@@ -99,11 +91,6 @@ class IntMatrix:
         if not 0 <= j < self.cols:
             raise DimensionError(f"column {j} outside {self.rows}x{self.cols} matrix")
         return self.entries[j :: self.cols]
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(
-            self.cols, self.rows, tuple(e for j in range(self.cols) for e in self.column(j))
-        )
 
     def mul(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:

@@ -10,6 +10,7 @@ spheres, and the chain once with its copy count.
 
 from __future__ import annotations
 
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -40,18 +41,34 @@ def encode_int(n: int) -> int | str:
     return n if -_SAFE < n < _SAFE else str(n)
 
 
-def decode_int(value) -> int:
-    if isinstance(value, bool):
-        raise DomainError(f"integer entry required, got {value!r}")
-    if isinstance(value, int):
+# A refused matrix entry is echoed in an error line only while it is this short.
+_ECHOED = 100
+
+
+def _shown_entry(value) -> str:
+    """A JSON value for an error line: its text while short, else its JSON type and length."""
+    if isinstance(value, (list, dict)):
+        return f"{'an array' if isinstance(value, list) else 'an object'} of length {len(value)}"
+    text = json.dumps(value)
+    return text if len(text) <= _ECHOED else f"a string of length {len(value)}"
+
+
+def decode_int(value, index: int) -> int:
+    """Matrix entry `index`: a JSON integer, or a string of decimal digits."""
+    if isinstance(value, int) and not isinstance(value, bool):
         return value
     if isinstance(value, str):
         digits = value.strip().lstrip("+-").replace("_", "")
         limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
         if limit and len(digits) > limit and digits.isdigit():
-            raise DomainError(f"integer string of {len(digits)} digits, above the limit of {limit} digits")
-        return int(value, 10)
-    raise DomainError(f"integer entry required, got {value!r}")
+            raise DomainError(
+                f"matrix entry {index}: integer string of {len(digits)} digits, above the limit of {limit} digits"
+            )
+        try:
+            return int(value, 10)
+        except ValueError:
+            pass
+    raise DomainError(f"matrix entry {index} must be an integer or a decimal string, got {_shown_entry(value)}")
 
 
 def encode_fraction(q: Fraction) -> str:
@@ -91,10 +108,10 @@ def matrix_from_json(obj) -> IntMatrix:
         raise DomainError("rows and cols must be integers")
     if not isinstance(entries, list):
         raise DomainError("entries must be an array")
-    try:
-        decoded = tuple(decode_int(e) for e in entries)
-    except ValueError as exc:
-        raise DomainError(f"bad matrix entry: {exc}") from None
+    if set(map(type, entries)) <= {int}:
+        decoded = tuple(entries)
+    else:
+        decoded = tuple(decode_int(e, i) for i, e in enumerate(entries))
     if len(decoded) != rows * cols:
         raise DimensionError(f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(decoded)}")
     return IntMatrix(rows, cols, decoded)
@@ -151,8 +168,44 @@ def report_to_dict(r: CoverReport) -> dict:
     }
 
 
+_key = json.encoder.encode_basestring_ascii
+_SCALARS = {str, int, bool, float, type(None)}
+
+
+@functools.cache
+def _flat_encoder(separator: str):
+    """json's C encoder, writing items apart by `separator`."""
+    return json.JSONEncoder(separators=(separator, ": ")).encode
+
+
+def _dump(value, outer: str) -> str:
+    """value in the layout of json.dumps with an indent of 2, nested at indent `outer`.
+
+    A list or dict whose items are all scalars, such as a matrix's entries,
+    is written by one call into json's C encoder with the indented item
+    separator. Before Python 3.13, json.dumps with an indent takes its
+    pure-Python encoder, one generator step per scalar.
+    """
+    if not isinstance(value, (dict, list, tuple)):
+        return json.dumps(value)
+    is_dict = isinstance(value, dict)
+    opening, closing = "{}" if is_dict else "[]"
+    if not value:
+        return opening + closing
+    inner = outer + "  "
+    separator = ",\n" + inner
+    if set(map(type, value.values() if is_dict else value)) <= _SCALARS:
+        body = _flat_encoder(separator)(value)[1:-1]
+    elif is_dict:
+        body = separator.join(f"{_key(k)}: {_dump(v, inner)}" for k, v in value.items())
+    else:
+        body = separator.join(_dump(v, inner) for v in value)
+    return opening + "\n" + inner + body + "\n" + outer + closing
+
+
 def render_json(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+    """obj in the layout of json.dumps with an indent of 2, and a newline."""
+    return _dump(obj, "") + "\n"
 
 
 def _fmt(value) -> str:

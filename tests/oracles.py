@@ -104,6 +104,16 @@ def chain_determinant_recurrence(n):
     return d_cur
 
 
+def identity_rows(n):
+    """The n x n identity matrix as a list of rows."""
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def transpose_rows(rows, cols):
+    """Transpose of a list-of-lists matrix with `cols` columns; a matrix with no rows does not show them."""
+    return [[r[j] for r in rows] for j in range(cols)]
+
+
 def block_diag(blocks):
     """Block-diagonal sum of square list-of-lists matrices."""
     n = sum(len(b) for b in blocks)

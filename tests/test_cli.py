@@ -421,10 +421,18 @@ class TestBatch:
 
     def test_bad_entry_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "batch.json"
-        path.write_text(json.dumps([{"command": "example2", "bogus": 1}]))
-        assert run_main(capsys, "--batch", str(path))[0] == 2
-        path.write_text(json.dumps({"command": "example2"}))
-        assert run_main(capsys, "--batch", str(path))[0] == 2
+        for doc, reason in (
+            ([{"command": "example2", "bogus": 1}], "batch entry 0: unknown keys ['bogus']"),
+            ([{"command": "example2", "d": 3, "format": "json", "expand": True}], "unknown keys ['expand']"),
+            ([{"command": "example2", "format": "xml"}], "rejected: example2: argument --format: invalid choice"),
+            ([{"command": "kollar", "omega_pullback": True}], "the following arguments are required"),
+            ({"command": "example2"}, "must hold a JSON array"),
+        ):
+            path.write_text(json.dumps(doc))
+            code, out, err = run_main(capsys, "--batch", str(path))
+            assert (code, out) == (2, "")
+            # One error line: argparse's reason without its usage block.
+            assert err.startswith("error:") and err.count("\n") == 1 and reason in err
 
     def test_float_area_rejected(self, capsys, tmp_path):
         path = tmp_path / "batch.json"
@@ -495,7 +503,7 @@ class TestBatch:
         ]
         code, out, err = run_batch(capsys, tmp_path, entries)
         assert (code, out) == (2, "")
-        assert err.endswith("\nerror: batch entry 1 rejected: example2 -d=3 --format=json --expand\n")
+        assert err == "error: batch entry 1: unknown keys ['expand']\n"
         assert not first.exists()
 
     def test_whole_file_parsed_before_any_entry_runs(self, capsys, tmp_path):
@@ -521,6 +529,27 @@ class TestErrorBoundary:
         path = tmp_path / "m.json"
         path.write_text('{"rows": 1, "cols": 1, "entries": [%s]}' % self.HUGE)
         self.assert_one_line_usage_error(run_main(capsys, "snf", str(path)))
+
+    @pytest.mark.parametrize(
+        "entry, fragment",
+        [
+            (list(range(100000)), "entry 1 must be an integer or a decimal string, got an array of length 100000"),
+            ({"n": 1}, "got an object of length 1"),
+            ("x" * 100000, "got a string of length 100000"),
+            ("12x", 'got "12x"'),
+            (True, "got true"),
+            (None, "got null"),
+            (0.5, "got 0.5"),
+        ],
+        ids=["long-array", "object", "long-string", "bad-digits", "bool", "null", "float"],
+    )
+    def test_bad_matrix_entry_is_named_by_index_and_type(self, capsys, tmp_path, entry, fragment):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"rows": 1, "cols": 2, "entries": [0, entry]}))
+        result = run_main(capsys, "snf", str(path))
+        self.assert_one_line_usage_error(result)
+        assert len(result[2].encode()) <= 300
+        assert fragment in result[2]
 
     def test_huge_integer_in_batch_file(self, capsys, tmp_path):
         path = tmp_path / "batch.json"
@@ -653,7 +682,10 @@ class TestErrorBoundary:
         path = tmp_path / "m.json"
         path.write_text(json.dumps(matrix_to_json(IntMatrix.from_rows([(2, 4), (6, 8)]))))
         # snf recomposes u*a*v and compares it with d; a wrong product fails that check.
-        monkeypatch.setattr(IntMatrix, "mul", lambda self, other: IntMatrix.zero(self.rows, other.cols))
+        def zero_product(self, other):
+            return IntMatrix(self.rows, other.cols, (0,) * (self.rows * other.cols))
+
+        monkeypatch.setattr(IntMatrix, "mul", zero_product)
         code, out, err = run_main(capsys, "snf", str(path))
         assert code == 1
         assert out == ""

@@ -107,12 +107,28 @@ def test_no_module_imports_a_name_it_never_uses():
     assert {name: names for name, names in unused.items() if names} == {}
 
 
+def class_members(node: ast.ClassDef) -> list[str]:
+    """The methods, fields and class attributes a class body defines."""
+    names = []
+    for item in node.body:
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            names.append(item.name)
+        elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+            names.append(item.target.id)
+        elif isinstance(item, ast.Assign):
+            names += [t.id for t in item.targets if isinstance(t, ast.Name)]
+    return names
+
+
 def public_names(source: str) -> list[str]:
-    """The names a module lists in __all__."""
+    """The names a module lists in __all__, and `Class.member` for each public member of its classes."""
+    names = []
     for node in ast.parse(source).body:
         if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
-            return [elt.value for elt in node.value.elts]
-    return []
+            names += [elt.value for elt in node.value.elts]
+        elif isinstance(node, ast.ClassDef):
+            names += [f"{node.name}.{m}" for m in class_members(node) if not m.startswith("_")]
+    return names
 
 
 def names_read(source: str) -> set[str]:
@@ -129,10 +145,13 @@ def names_read(source: str) -> set[str]:
 
 
 def dead_public_names(sources: dict[str, str], entry_points: set[str]) -> list[str]:
-    """`module.name` for each name in an __all__ that no module reads and no entry point names."""
+    """`module.name` for each public name or class member that no module reads and no entry point names.
+
+    A class member counts as read when any module reads an attribute of that name.
+    """
     read = set().union(*(names_read(source) for source in sources.values())) | entry_points
     return sorted(f"{module}.{name}" for module, source in sources.items() for name in public_names(source)
-                  if name not in read)
+                  if name.rsplit(".", 1)[-1] not in read)
 
 
 def test_dead_public_name_detection():
@@ -143,6 +162,16 @@ def test_dead_public_name_detection():
     assert dead_public_names(sources, {"main"}) == []
     assert dead_public_names({"a": sources["a"]}, {"main"}) == ["a.dead"]
     assert dead_public_names({"a": sources["a"]}, set()) == ["a.dead", "a.main"]
+
+
+def test_dead_class_member_detection():
+    source = (
+        "class M:\n    rows: int\n    LIMIT = 3\n    def used(self): return self.rows\n"
+        "    def dead(self): pass\n    def _private(self): pass\n    def __len__(self): return 0\n"
+        "def f(m): return m.used()\n"
+    )
+    assert dead_public_names({"a": source}, set()) == ["a.M.LIMIT", "a.M.dead"]
+    assert dead_public_names({"a": source, "b": "def g(m): return m.dead(), m.LIMIT\n"}, set()) == []
 
 
 def test_every_public_name_is_read_or_an_entry_point():
