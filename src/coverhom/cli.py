@@ -298,6 +298,11 @@ class _Integer(argparse.Action):
         setattr(namespace, self.dest, value)
 
 
+def _echoed(text: str) -> str:
+    """text quoted, or only its length once it is longer than _Integer.ECHOED characters."""
+    return repr(text) if len(text) <= _Integer.ECHOED else f"<{len(text)} characters>"
+
+
 def _rational(text: str):
     """The exact rational that text like 3/2 names; argparse also applies it to the default "1"."""
     from fractions import Fraction
@@ -305,7 +310,14 @@ def _rational(text: str):
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"must be a rational like 3/2, got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"must be a rational like 3/2, got {_echoed(text)}") from None
+
+
+def _format(text: str) -> str:
+    """A --format value; argparse checks the choice itself unless the value is too long to echo."""
+    if len(text) > _Integer.ECHOED:
+        raise argparse.ArgumentTypeError(f"invalid choice: {_echoed(text)} (choose from 'table', 'json')")
+    return text
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -366,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     sn.add_argument("matrix", help="path to a JSON object with rows, cols, entries")
 
     for sp in sub.choices.values():
-        sp.add_argument("--format", choices=("table", "json"), default="table")
+        sp.add_argument("--format", type=_format, choices=("table", "json"), default="table")
         sp.add_argument("--out", metavar="PATH", help="write the report to this file instead of stdout")
     return p
 
@@ -394,7 +406,7 @@ def _entry_options(sp: argparse.ArgumentParser, index: int, entry: dict) -> list
             if sp.get_default(key) is not False:
                 argv.append("--no-" + option.lstrip("-"))
         elif isinstance(value, str) and key in _integer_options(sp):
-            raise DomainError(f"batch entry {index}: {key!r} must be a JSON integer, got the string {value!r}")
+            raise DomainError(f"batch entry {index}: {key!r} must be a JSON integer, got the string {_echoed(value)}")
         elif isinstance(value, (int, str)):
             argv.append(f"{option}={value}")
         else:

@@ -6,7 +6,7 @@ class picks up (1 - d_i) times the dual of each branch preimage component.
 Reports record pass/fail verdicts with numeric evidence; each verdict
 compares a stored or computed value with a second computation that does not
 share its route (adjunction against the lift formulas and the smoothing
-count, the Smith form of the monodromy against the stored presentation).
+count, the monodromy's Hermite form against the stored presentation).
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .homology import (
     product_base_model,
     smooth_double_points,
 )
-from .intlinalg import IntMatrix, RationalVector, _as_int, rank, same_row_lattice, snf
+from .intlinalg import IntMatrix, RationalVector, _as_int, hermite, rank, same_row_lattice
 from .plumbing import intersection_matrix, milnor_fiber_2_2_d
 
 __all__ = [
@@ -223,13 +223,13 @@ def kodaira_thurston_cover_b1(cfg: SurfaceConfig) -> int:
     Collapsing the simply connected chain regions gives a singular
     fibration over the torus with fiber a torus, independently of
     (m1, m2, d). Its first homology is the base's Z^2 plus the monodromy
-    coinvariants of the fiber's, coker(M - I); the free rank of that
-    cokernel is read off the Smith form of the coinvariant relators.
+    coinvariants of the fiber's, coker(M - I): b1 is 4 minus the relators'
+    Hermite row count, a rank not taken by the presented b1's Bareiss route.
     """
     if cfg.g1 != 1 or cfg.g2 != 1:
         raise DomainError("torus-bundle family needs g1 = g2 = 1")
     relators = IntMatrix.from_rows(coinvariant_relators(), cols=4)
-    return 4 - sum(1 for x in snf(relators).divisors if x != 0)
+    return 4 - hermite(relators).rows
 
 
 # ---------------------------------------------------------------------------

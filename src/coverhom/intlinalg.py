@@ -22,7 +22,7 @@ __all__ = [
     "det",
     "rank",
     "abelianized_b1",
-    "in_row_lattice",
+    "hermite",
     "same_row_lattice",
 ]
 
@@ -144,7 +144,8 @@ class RationalVector:
     def dot(self, other: Sequence[int]) -> Fraction:
         if len(other) != len(self.coords):
             raise DimensionError(f"dot of length {len(self.coords)} with length {len(other)}")
-        return sum((c * _as_fraction(x) for c, x in zip(self.coords, other)), Fraction(0))
+        xs = [x if type(x) is int else _as_fraction(x) for x in other]  # checked before 0 is skipped
+        return sum((c * x for c, x in zip(self.coords, xs) if x), Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -433,31 +434,38 @@ def abelianized_b1(generators: int, relators: Sequence[Sequence[int]]) -> int:
     return generators - rank(IntMatrix.from_rows(rel))
 
 
-def in_row_lattice(vec: Sequence[int], a: IntMatrix) -> bool:
-    """Whether vec is an integer combination of a's rows."""
-    x = tuple(_as_int(e) for e in vec)
-    if len(x) != a.cols:
-        raise DimensionError(f"vector of length {len(x)} against {a.rows}x{a.cols} matrix")
-    if a.rows == 0:
-        return all(e == 0 for e in x)
-    res = snf(a)
-    # y @ a = x has an integer solution iff x @ v is divisible by the diagonal.
-    w = [sum(map(int.__mul__, x, res.v.column(j))) for j in range(a.cols)]
-    diag = res.divisors
-    for j, wj in enumerate(w):
-        dj = diag[j] if j < len(diag) else 0
-        if dj == 0:
-            if wj != 0:
-                return False
-        elif wj % dj != 0:
-            return False
-    return True
+def hermite(a: IntMatrix) -> IntMatrix:
+    """The nonzero rows of the row Hermite normal form of a.
+
+    Pivots are positive and move right row by row, entries above a pivot lie
+    in [0, pivot): a unique form of the row lattice. It reduces modulo nothing,
+    so its entries can grow with the input; today's callers pass 1x4 matrices.
+    """
+    rows = a.to_rows()
+    r = 0
+    for c in range(a.cols):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        for i in range(r + 1, len(rows)):
+            p, q = rows[r][c], rows[i][c]
+            if q:
+                # (row_r, row_i) <- (x*row_r + y*row_i, (p*row_i - q*row_r) / g), det = 1
+                g, x, y = _xgcd(p, q)
+                rows[r], rows[i] = ([x * s + y * t for s, t in zip(rows[r], rows[i])],
+                                    [(p * t - q * s) // g for s, t in zip(rows[r], rows[i])])
+        if rows[r][c] < 0:
+            rows[r] = [-e for e in rows[r]]
+        for i in range(r):
+            f = rows[i][c] // rows[r][c]
+            rows[i] = [e - f * y for e, y in zip(rows[i], rows[r])]
+        r += 1
+    return IntMatrix.from_rows(rows[:r], cols=a.cols)
 
 
 def same_row_lattice(a: IntMatrix, b: IntMatrix) -> bool:
-    """Whether two integer matrices generate the same row lattice."""
+    """Whether two integer matrices generate the same row lattice: equal Hermite forms."""
     if a.cols != b.cols:
         raise DimensionError("row lattices live in different ambient ranks")
-    return all(in_row_lattice(a.row(i), b) for i in range(a.rows)) and all(
-        in_row_lattice(b.row(i), a) for i in range(b.rows)
-    )
+    return hermite(a) == hermite(b)

@@ -1,7 +1,8 @@
 """Independent reference computations used to derive and freeze expected values.
 
 Nothing here calls into the package; these are the second route for every
-derived number the tests assert.
+derived number the tests assert. The row-lattice oracle takes its Smith
+decomposition as an argument.
 """
 
 from fractions import Fraction
@@ -92,6 +93,34 @@ def divisor_sequence_by_minor_gcd(rows):
             prev = g
     seq.extend([0] * (min(m, n) - len(seq)))
     return seq
+
+
+def in_row_lattice_by_smith(vec, divisors, v_rows):
+    """Whether vec is an integer combination of the rows of a, given u @ a @ v = d in Smith form.
+
+    y @ a = vec has an integer solution iff each entry of vec @ v is divisible
+    by the divisor in its column, where a column past the divisors or with
+    divisor 0 needs the entry 0.
+    """
+    w = [sum(x * row[j] for x, row in zip(vec, v_rows)) for j in range(len(vec))]
+    return all(wj == 0 if j >= len(divisors) or divisors[j] == 0 else wj % divisors[j] == 0 for j, wj in enumerate(w))
+
+
+def same_row_lattice_by_smith(a_rows, b_rows, cols, smith):
+    """Whether two list-of-lists matrices with `cols` columns generate the same row lattice.
+
+    Two-way membership: every row of each lies in the row lattice of the
+    other. smith(rows, cols) returns (divisors, v_rows) of a Smith
+    decomposition; an empty matrix's lattice holds only the zero vector.
+    """
+
+    def inside(rows, lattice):
+        if not lattice:
+            return all(not any(r) for r in rows)
+        divisors, v_rows = smith(lattice, cols)
+        return all(in_row_lattice_by_smith(r, divisors, v_rows) for r in rows)
+
+    return inside(a_rows, b_rows) and inside(b_rows, a_rows)
 
 
 def chain_determinant_recurrence(n):

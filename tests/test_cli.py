@@ -693,6 +693,32 @@ class TestErrorBoundary:
         assert "does not recompose" in err
 
 
+    @pytest.mark.parametrize("option", ["--area1", "--format"])
+    def test_long_option_value_named_by_its_length(self, capsys, option):
+        code, out, err = run_main(capsys, "example2", option, "x" * 5000)
+        assert (code, out) == (2, "")
+        assert len(err.encode()) < 1000 and "<5000 characters>" in err
+
+    @pytest.mark.parametrize(
+        "option, message",
+        [
+            ("--area1", "must be a rational like 3/2, got 'abc'"),
+            ("--format", "invalid choice: 'abc' (choose from 'table', 'json')"),
+        ],
+    )
+    def test_short_bad_option_value_is_echoed(self, capsys, option, message):
+        code, out, err = run_main(capsys, "example2", option, "abc")
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: coverhom example2 [-h]")
+        assert err.endswith(f"\ncoverhom example2: error: argument {option}: {message}\n")
+
+    @pytest.mark.parametrize("key", ["area1", "area2", "format", "d"])
+    def test_long_batch_value_named_by_its_length(self, capsys, tmp_path, key):
+        result = run_batch(capsys, tmp_path, [{"command": "example2", key: "x" * 100000}])
+        self.assert_one_line_usage_error(result)
+        assert len(result[2].encode()) < 300 and "<100000 characters>" in result[2]
+
+
 class TestLibraryCommands:
     def test_cmd_example2(self):
         doc = run_command("example2", "--m1", "2", "--m2", "2", "-d", "3")
@@ -714,6 +740,19 @@ class TestLibraryCommands:
         assert run_main(capsys, "snf")[0] == 2
         with pytest.raises(OSError):
             run_command("snf", str(tmp_path / "missing.json"))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["example2", "-d", "3"], ["kodaira-thurston", "--m1", "2", "-d", "3"], ["tower7", "-d", "3"], ["catalog"]],
+    )
+    def test_reports_build_without_smith_form(self, monkeypatch, argv):
+        # Only the snf command runs a Smith decomposition.
+        def refused(a):
+            raise AssertionError("snf called by a report")
+
+        monkeypatch.setattr(coverhom.intlinalg, "snf", refused)
+        assert not hasattr(coverhom.cover, "snf")
+        assert all_pass(run_command(*argv))
 
     def test_failed_stage_verdict_fails_result(self):
         doc = run_command("tower7", "-d", "2")

@@ -13,7 +13,7 @@ from coverhom.intlinalg import (
     SnfResult,
     abelianized_b1,
     det,
-    in_row_lattice,
+    hermite,
     rank,
     same_row_lattice,
     snf,
@@ -24,8 +24,10 @@ from oracles import (
     divisor_sequence_by_minor_gcd,
     gauss_rank,
     identity_rows,
+    in_row_lattice_by_smith,
     matmul_rows,
     rank_by_minors,
+    same_row_lattice_by_smith,
     transpose_rows,
 )
 
@@ -458,17 +460,94 @@ class TestAbelianizedB1:
             assert abelianized_b1(g, added) == base
 
 
+def _smith(rows, cols):
+    """(divisors, v rows) of the package's Smith decomposition: the oracle's second route."""
+    res = snf(IntMatrix.from_rows(rows, cols=cols))
+    return res.divisors, res.v.to_rows()
+
+
+def _random_rows(rnd, count, cols):
+    return [[rnd.randint(-4, 4) for _ in range(cols)] for _ in range(count)]
+
+
+def _unimodular_mix(rnd, rows):
+    """rows after random swaps, negations and additions of one row's multiple to another."""
+    rows = [list(r) for r in rows]
+    for _ in range(rnd.randint(0, 6)):
+        if not rows:
+            break
+        i, j = rnd.randrange(len(rows)), rnd.randrange(len(rows))
+        op = rnd.randrange(3)
+        if op == 0:
+            rows[i], rows[j] = rows[j], rows[i]
+        elif op == 1:
+            rows[i] = [-x for x in rows[i]]
+        elif i != j:
+            f = rnd.randint(-3, 3)
+            rows[i] = [x + f * y for x, y in zip(rows[i], rows[j])]
+    return rows
+
+
+def _padded(rnd, rows, cols):
+    """rows with a zero row or a repeated row put in at random places: the same lattice."""
+    rows = list(rows)
+    if rnd.random() < 0.3:
+        rows.insert(rnd.randint(0, len(rows)), [0] * cols)
+    if rows and rnd.random() < 0.3:
+        rows.insert(rnd.randint(0, len(rows)), list(rnd.choice(rows)))
+    return rows
+
+
+def _lattice_pairs(count, seed):
+    """(a_rows, b_rows, cols): half b a unimodular mix of a, half b random or a with one row doubled."""
+    rnd = random.Random(seed)
+    for k in range(count):
+        cols = rnd.randint(1, 5)
+        a = _padded(rnd, _random_rows(rnd, rnd.randint(0, 4), cols), cols)
+        if k % 2 == 0:
+            b = _padded(rnd, _unimodular_mix(rnd, a), cols)
+        elif a and rnd.random() < 0.5:
+            b = _unimodular_mix(rnd, a)
+            i = rnd.randrange(len(b))
+            b[i] = [2 * x for x in b[i]]
+        else:
+            b = _padded(rnd, _random_rows(rnd, rnd.randint(0, 4), cols), cols)
+        yield a, b, cols
+
+
+def _is_hermite(h: IntMatrix) -> bool:
+    """Nonzero rows with positive pivots moving right, zeros below them and entries above in [0, pivot)."""
+    pivots = []
+    for row in h.to_rows():
+        c = next((j for j, x in enumerate(row) if x), None)
+        if c is None or row[c] <= 0 or (pivots and c <= pivots[-1]):
+            return False
+        pivots.append(c)
+    return all(
+        0 <= h.entry(i, c) < h.entry(r, c) if i < r else h.entry(i, c) == 0
+        for r, c in enumerate(pivots)
+        for i in range(h.rows)
+        if i != r
+    )
+
+
 class TestRowLattice:
     def test_membership(self):
-        mat = IntMatrix.from_rows([(2, 0), (0, 3)])
-        assert in_row_lattice((2, 3), mat)
-        assert in_row_lattice((4, -3), mat)
-        assert not in_row_lattice((1, 0), mat)
+        rows = [(2, 0), (0, 3)]
+        divisors, v_rows = _smith(rows, 2)
+        assert in_row_lattice_by_smith((2, 3), divisors, v_rows)
+        assert in_row_lattice_by_smith((4, -3), divisors, v_rows)
+        assert not in_row_lattice_by_smith((1, 0), divisors, v_rows)
+        assert hermite(IntMatrix.from_rows(rows)) == IntMatrix.from_rows(rows)
+        assert same_row_lattice(IntMatrix.from_rows([(2, 3), (4, -3)]), IntMatrix.from_rows([(2, 3), (0, 9)]))
 
     def test_empty_lattice(self):
-        mat = IntMatrix(0, 2, ())
-        assert in_row_lattice((0, 0), mat)
-        assert not in_row_lattice((1, 0), mat)
+        empty = IntMatrix(0, 2, ())
+        assert same_row_lattice_by_smith([(0, 0)], [], 2, _smith)
+        assert not same_row_lattice_by_smith([(1, 0)], [], 2, _smith)
+        assert hermite(empty) == hermite(IntMatrix.from_rows([(0, 0), (0, 0)])) == empty
+        assert same_row_lattice(empty, IntMatrix.from_rows([(0, 0)]))
+        assert not same_row_lattice(empty, IntMatrix.from_rows([(1, 0)]))
 
     def test_same_lattice(self):
         a = IntMatrix.from_rows([(1, 0, 0, 0)])
@@ -480,6 +559,39 @@ class TestRowLattice:
         d = IntMatrix.from_rows([(1, 2), (0, 5)])
         e = IntMatrix.from_rows([(1, 7), (1, 2)])
         assert same_row_lattice(d, e)
+        for x, y, same in ((a, b, True), (a, c, False), (d, e, True)):
+            assert same_row_lattice_by_smith(x.to_rows(), y.to_rows(), x.cols, _smith) == same
+
+    def test_different_ambient_ranks_rejected(self):
+        with pytest.raises(DimensionError):
+            same_row_lattice(IntMatrix.from_rows([(1, 0)]), IntMatrix.from_rows([(1, 0, 0)]))
+
+    def test_hermite_form_of_a_known_matrix(self):
+        a = IntMatrix.from_rows([(2, 3, 6, 2), (5, 6, 1, 6), (8, 3, 1, 1)])
+        # Pivots 1, 3 and 61 in columns 0, 1 and 2, with 0, 50 and 28 above them reduced.
+        h = IntMatrix.from_rows([(1, 0, 50, -11), (0, 3, 28, -2), (0, 0, 61, -13)])
+        assert _is_hermite(h) and same_row_lattice_by_smith(h.to_rows(), a.to_rows(), 4, _smith)
+        assert hermite(a) == h
+
+    def test_same_row_lattice_matches_two_way_smith_membership(self):
+        outcomes = []
+        for a, b, cols in _lattice_pairs(1200, seed=12):
+            ours = same_row_lattice(IntMatrix.from_rows(a, cols=cols), IntMatrix.from_rows(b, cols=cols))
+            assert ours == same_row_lattice_by_smith(a, b, cols, _smith), (a, b)
+            outcomes.append(ours)
+        # Both answers occur often, so neither side can pass by always giving one.
+        assert min(outcomes.count(True), outcomes.count(False)) > 300
+
+    def test_hermite_is_a_unique_form_of_the_lattice(self):
+        for a, _, cols in _lattice_pairs(400, seed=13):
+            m = IntMatrix.from_rows(a, cols=cols)
+            h = hermite(m)
+            assert _is_hermite(h) and h.cols == cols and h.rows == gauss_rank(a)
+            assert hermite(h) == h
+            assert same_row_lattice_by_smith(h.to_rows(), a, cols, _smith)
+            for seed in range(3):
+                mixed = _unimodular_mix(random.Random(seed), a)
+                assert hermite(IntMatrix.from_rows(mixed, cols=cols)) == h
 
 
 class TestRationalVector:
@@ -492,6 +604,25 @@ class TestRationalVector:
         assert v.dot((2, 1)) == Fraction(4)
         with pytest.raises(DimensionError):
             v.dot((1,))
+
+    @pytest.mark.parametrize("bad", [0.0, 1.5])
+    def test_dot_rejects_float_coordinates(self, bad):
+        # A float zero is refused too, not skipped as a zero would be.
+        v = RationalVector((Fraction(1, 2), 3))
+        with pytest.raises(DomainError):
+            v.dot((bad, 1))
+        with pytest.raises(DomainError):
+            v.dot((0, bad))
+
+    def test_dot_matches_the_unskipped_sum(self):
+        rnd = random.Random(7)
+        for _ in range(500):
+            n = rnd.randint(0, 6)
+            coords = [Fraction(rnd.randint(-9, 9), rnd.randint(1, 9)) for _ in range(n)]
+            other = [rnd.choice((0, 0, 0, rnd.randint(-5, 5), Fraction(rnd.randint(-5, 5), 3), "2/7", False)) for _ in range(n)]
+            got = RationalVector(coords).dot(other)
+            assert type(got) is Fraction
+            assert got == sum((c * Fraction(x) for c, x in zip(coords, other)), Fraction(0))
 
     def test_normalized(self):
         v = RationalVector((Fraction(2, 4),))
