@@ -37,11 +37,6 @@ EXIT_PASS = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 
-# Grid runs (example2, kodaira-thurston) of higher degree are refused before
-# anything is built. A run ranks one chain of d-1 spheres, at a cost cubic in
-# d, and writes that chain once whatever its copy count m1*m2*d^2.
-MAX_DEGREE = 100
-
 
 def cmd_example2(args: argparse.Namespace) -> dict:
     from . import cover, homology, reportio
@@ -178,13 +173,16 @@ def cmd_kollar(args: argparse.Namespace) -> dict:
     if not args.target_pi2_trivial:
         failed.append("the target is not known to have trivial pi_2")
     conclusion = "no conclusion" if failed else "omega vanishes on all spherical classes"
+    # The hypotheses are taken as given, so the verdict restates the criterion and checks nothing.
+    name = "restates the criterion: both hypotheses give the conclusion, a failed one gives none"
+    evidence = f"hypotheses taken as given, not checked: {'; '.join(failed) or conclusion}"
     return {
         "family": "kollar",
         "parameters": {"omega_pullback": args.omega_pullback, "target_pi2_trivial": args.target_pi2_trivial},
         "conclusion": conclusion,
         "concluded": not failed,
         "failed_hypotheses": failed,
-        "verdicts": [{"name": "criterion evaluated", "pass": True, "evidence": "; ".join(failed) or conclusion}],
+        "verdicts": [{"name": name, "pass": True, "evidence": evidence}],
     }
 
 
@@ -226,22 +224,15 @@ def _digits(n: int) -> int:
     return abs(n).bit_length() * 30103 // 100000 + 1
 
 
-def _shown(n: int) -> str:
-    """n in full up to 64 bits, else only its size: str() of a huge n is slow or refused."""
-    return str(n) if n.bit_length() <= 64 else f"<up to {_digits(n)} digits>"
-
-
 def _check_grid_size(args: argparse.Namespace) -> None:
     if args.command not in ("example2", "kodaira-thurston") or min(args.m1, args.m2, args.d) < 1:
         return
     m1, m2, d = args.m1, args.m2, args.d
-    run = f"{args.command} with m1={_shown(m1)}, m2={_shown(m2)}, d={_shown(d)}"
-    if d > MAX_DEGREE:
-        raise DomainError(f"{run} has degree above the limit of {MAX_DEGREE}")
-    # Every integer a grid report prints, the Euler characteristic the
-    # largest, is at most 8*d^3*(m1+g1+1)*(m2+g2+1) in absolute value. It is
-    # sized from its bit length: str() of an integer past the interpreter's
-    # limit is the failure this check prevents.
+    # The one grid bound. A grid report's cost grows with the digits of its
+    # parameters, not their values, and every integer it prints, the Euler
+    # characteristic the largest, is at most 8*d^3*(m1+g1+1)*(m2+g2+1) in
+    # absolute value. That is sized from its bit length: str() of an integer
+    # past the interpreter's limit is the failure this check prevents.
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     g1, g2 = getattr(args, "g1", 1), getattr(args, "g2", 1)
     digits = _digits(8 * d**3 * (m1 + abs(g1) + 1) * (m2 + abs(g2) + 1))
@@ -257,19 +248,20 @@ def _read_json(path: str, what: str):
     """The JSON document in a file; malformed content is a usage error that names the file."""
     import json
 
+    what = f"{what} {path if len(path) <= _Integer.ECHOED else _echoed(path)}"
     try:
         with open(path) as fh:
             return json.load(fh)
     except json.JSONDecodeError as exc:
-        raise DomainError(f"{what} {path} is not valid JSON: {exc}") from None
+        raise DomainError(f"{what} is not valid JSON: {exc}") from None
     except RecursionError:
-        raise DomainError(f"{what} {path} nests its JSON too deeply to read") from None
+        raise DomainError(f"{what} nests its JSON too deeply to read") from None
     except UnicodeDecodeError as exc:
-        raise DomainError(f"{what} {path} is not text: {exc.reason}") from None
+        raise DomainError(f"{what} is not text: {exc.reason}") from None
     except ValueError:
         # The other ValueError json.load raises: an integer literal past the digit limit.
         limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-        raise DomainError(f"{what} {path} holds an integer above the limit of {limit} digits for reading one") from None
+        raise DomainError(f"{what} holds an integer above the limit of {limit} digits for reading one") from None
 
 
 class _Integer(argparse.Action):
@@ -391,7 +383,9 @@ def _entry_options(sp: argparse.ArgumentParser, index: int, entry: dict) -> list
     """The command line of one batch entry after its command; keys are the command's option names."""
     unknown = set(entry) - {"command"} - {action.dest for action in sp._actions if action.dest != "help"}
     if unknown:
-        raise DomainError(f"batch entry {index}: unknown keys {sorted(unknown)}")
+        keys = sorted(unknown)
+        shown = ", ".join(_echoed(key) for key in keys[:3]) + (", ..." if len(keys) > 3 else "")
+        raise DomainError(f"batch entry {index}: unknown keys [{shown}]")
     argv = []
     for key, value in entry.items():
         if key == "command":
@@ -446,6 +440,13 @@ def _batch_runs(parser: argparse.ArgumentParser, path: str) -> list[argparse.Nam
     return runs
 
 
+def _error_text(exc: Exception) -> str:
+    """str(exc), but with an OSError's file name echoed only while short: str() quotes it in full."""
+    if isinstance(exc, OSError) and isinstance(exc.filename, str) and exc.filename2 is None:
+        return f"[Errno {exc.errno}] {exc.strerror}: {_echoed(exc.filename)}"
+    return str(exc)
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     return build_parser()
@@ -487,7 +488,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFY_FAIL
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_error_text(exc)}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .errors import DimensionError, DomainError
 from .intlinalg import IntMatrix, RationalVector, abelianized_b1, _as_fraction, _as_int
-from .plumbing import PlumbingGraph
+from .plumbing import LinearChain
 
 __all__ = [
     "SurfaceConfig",
@@ -162,7 +162,7 @@ class ChainBlock:
     with its copy count.
     """
 
-    chain: PlumbingGraph
+    chain: LinearChain
     copies: int
     template: SphericalGenerator
 
@@ -172,7 +172,7 @@ class ChainBlock:
 
     @property
     def spheres(self) -> int:
-        return self.copies * len(self.chain)
+        return self.copies * self.chain.length
 
 
 @dataclass(frozen=True)

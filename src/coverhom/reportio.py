@@ -19,7 +19,7 @@ from .cover import CoverReport
 from .errors import DimensionError, DomainError
 from .homology import ChainBlock
 from .intlinalg import IntMatrix
-from .plumbing import PlumbingGraph
+from .plumbing import LinearChain
 
 __all__ = [
     "encode_int",
@@ -117,10 +117,10 @@ def matrix_from_json(obj) -> IntMatrix:
     return IntMatrix(rows, cols, decoded)
 
 
-def _chain_to_json(chain: PlumbingGraph) -> dict:
+def _chain_to_json(chain: LinearChain) -> dict:
+    v = chain.vertex
     return {
-        "vertices": [{"euler_number": v.euler_number, "genus": v.genus, "label": v.label} for v in chain.vertices],
-        "edges": [[i, j] for i, j in chain.edges],
+        "length": encode_int(chain.length), "euler_number": encode_int(v.euler_number), "genus": encode_int(v.genus)
     }
 
 
@@ -129,7 +129,7 @@ def _block_json(block: ChainBlock | None) -> tuple[list[dict], dict | None]:
     if block is None:
         return [], None
     row = {
-        "generator": f"double point 1..{block.copies}, sphere 1..{len(block.chain)}",
+        "generator": f"double point 1..{block.copies}, sphere 1..{block.chain.length}",
         "spheres": encode_int(block.spheres),
         "omega": encode_fraction(block.template.omega_pairing),
         "c1": encode_int(block.template.c1_pairing),

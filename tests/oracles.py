@@ -123,13 +123,18 @@ def same_row_lattice_by_smith(a_rows, b_rows, cols, smith):
     return inside(a_rows, b_rows) and inside(b_rows, a_rows)
 
 
-def chain_determinant_recurrence(n):
-    """Determinant of the n x n chain matrix with -2 diagonal: D_n = -2 D_{n-1} - D_{n-2}."""
-    d_prev, d_cur = 1, -2  # D_0, D_1
+def chain_rows(n, e):
+    """Intersection matrix of a chain of n spheres of square e: e on the diagonal, 1 beside it."""
+    return [[e if i == j else int(abs(i - j) == 1) for j in range(n)] for i in range(n)]
+
+
+def chain_determinant_recurrence(n, e=-2):
+    """Determinant of the n x n chain matrix with e on the diagonal: D_n = e D_{n-1} - D_{n-2}."""
+    d_prev, d_cur = 1, e  # D_0, D_1
     if n == 0:
         return d_prev
     for _ in range(n - 1):
-        d_prev, d_cur = d_cur, -2 * d_cur - d_prev
+        d_prev, d_cur = d_cur, e * d_cur - d_prev
     return d_cur
 
 
@@ -169,21 +174,15 @@ def pairing_square(class_vector, pairing_rows):
 
 
 def chain_listing(copies, chain_length, omega, c1):
-    """Pairing rows and lattice of `copies` disjoint chains of -2 spheres, written out sphere by sphere.
+    """Pairing rows of `copies` disjoint chains of -2 spheres, written out sphere by sphere.
 
-    Sphere s of chain p is labelled "double point p, sphere s" and is
-    vertex (p - 1) * chain_length + s - 1; each chain's edges join
-    consecutive spheres.
+    Sphere s of chain p is labelled "double point p, sphere s".
     """
-    pairings, vertices, edges = [], [], []
-    for p in range(copies):
-        for s in range(chain_length):
-            label = f"double point {p + 1}, sphere {s + 1}"
-            pairings.append({"generator": label, "omega": omega, "c1": c1})
-            vertices.append({"euler_number": -2, "genus": 0, "label": label})
-            if s > 0:
-                edges.append([p * chain_length + s - 1, p * chain_length + s])
-    return pairings, {"vertices": vertices, "edges": edges}
+    return [
+        {"generator": f"double point {p + 1}, sphere {s + 1}", "omega": omega, "c1": c1}
+        for p in range(copies)
+        for s in range(chain_length)
+    ]
 
 
 def matmul_rows(a, b, width):

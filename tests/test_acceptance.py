@@ -23,10 +23,10 @@ from coverhom.cover import (
 )
 from coverhom.homology import SmoothedSurface, SphericalGenerator, SurfaceConfig, product_base_model
 from coverhom.intlinalg import IntMatrix, abelianized_b1, det, rank, snf
-from coverhom.plumbing import intersection_matrix, milnor_fiber_2_2_d
+from coverhom.plumbing import chain_rank, milnor_fiber_2_2_d
 from coverhom.reportio import report_to_dict
 
-from oracles import block_diag, chain_determinant_recurrence, det_cofactor, euler_by_complement
+from oracles import block_diag, chain_determinant_recurrence, chain_rows, det_cofactor, euler_by_complement
 
 GRID = [
     (m1, m2, d)
@@ -53,8 +53,9 @@ def test_criterion_1_bound(grid_reports):
     for (m1, m2, d), report in grid_reports.items():
         expected = m1 * m2 * d * d * (d - 1)
         k = m1 * m2 * d * d
-        chain_rank = rank(intersection_matrix(milnor_fiber_2_2_d(d)))
-        block_rank = k * chain_rank  # rank is additive over the diagonal blocks
+        # A chain of n spheres has rank n exactly when its determinant is nonzero, else n - 1.
+        per_chain = d - 1 if chain_determinant_recurrence(d - 1) else d - 2
+        block_rank = k * per_chain  # rank is additive over the diagonal blocks
         if not (report.pi_lower_bound == expected == block_rank):
             failures.append(((m1, m2, d), report.pi_lower_bound, expected, block_rank))
     # Dense check of the block-additivity shortcut on the smaller lattices: the
@@ -62,11 +63,7 @@ def test_criterion_1_bound(grid_reports):
     for m1, m2, d in ((1, 1, 2), (2, 1, 2), (3, 3, 2), (1, 1, 3), (1, 2, 3), (1, 1, 4)):
         report = grid_reports[(m1, m2, d)]
         (block,) = report_to_dict(report)["spherical_lattice"]["blocks"]
-        vertices = block["chain"]["vertices"]
-        chain = [[v["euler_number"] if i == j else 0 for j in range(len(vertices))] for i, v in enumerate(vertices)]
-        for i, j in block["chain"]["edges"]:
-            chain[i][j] += 1
-            chain[j][i] += 1
+        chain = chain_rows(block["chain"]["length"], block["chain"]["euler_number"])
         dense = rank(IntMatrix.from_rows(block_diag([chain] * block["copies"])))
         if dense != report.pi_lower_bound:
             failures.append(((m1, m2, d), "dense", dense, report.pi_lower_bound))
@@ -99,12 +96,13 @@ def test_criterion_2_vanishing(grid_reports):
 def test_criterion_3_milnor_determinant():
     failures = []
     for d in range(1, 10):
-        m = intersection_matrix(milnor_fiber_2_2_d(d))
-        value = det(m)
-        oracle = det_cofactor(m.to_rows())
-        recurrence = chain_determinant_recurrence(d - 1)
-        if not (abs(value) == d and value == oracle == recurrence):
-            failures.append((d, value, oracle, recurrence))
+        chain = milnor_fiber_2_2_d(d)
+        rows = chain_rows(chain.length, chain.vertex.euler_number)
+        value = det(IntMatrix.from_rows(rows, cols=chain.length))
+        oracle = det_cofactor(rows)
+        recurrence = chain_determinant_recurrence(chain.length, chain.vertex.euler_number)
+        if not (abs(value) == d and value == oracle == recurrence and chain_rank(chain) == d - 1):
+            failures.append((d, value, oracle, recurrence, chain_rank(chain)))
     ok = not failures
     _line(3, ok, "milnor chain determinant has |det| = d for d in [1, 9], vs cofactor oracle and recurrence")
     assert ok, failures

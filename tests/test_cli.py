@@ -104,12 +104,8 @@ class TestExample2Json:
     def test_spherical_lattice_serialized(self, capsys):
         _, out, _ = run_main(capsys, "example2", "-d", "5", "--format", "json")
         (block,) = json.loads(out)["spherical_lattice"]["blocks"]
-        # One chain of 4 spheres, its edges indexing its own vertices; no per-copy vertex.
-        chain = block["chain"]
-        assert len(chain["vertices"]) == 4
-        assert all(v["euler_number"] == -2 and v["genus"] == 0 for v in chain["vertices"])
-        assert all(isinstance(e, list) and len(e) == 2 and 0 <= min(e) < max(e) < 4 for e in chain["edges"])
-        assert len(chain["edges"]) == 3 and block["copies"] == 25
+        # One chain of 4 spheres, written as its length and its one vertex.
+        assert block == {"chain": {"length": 4, "euler_number": -2, "genus": 0}, "copies": 25}
 
     def test_spherical_lattice_blocks(self, capsys):
         _, out, _ = run_main(capsys, "example2", "-d", "3", "--format", "json")
@@ -117,8 +113,7 @@ class TestExample2Json:
         # One block: 9 copies of a chain of 2 spheres, one pairing row for all 18.
         (block,) = doc["spherical_lattice"]["blocks"]
         assert block["copies"] == 9
-        assert [v["label"] for v in block["chain"]["vertices"]] == ["sphere 1", "sphere 2"]
-        assert block["chain"]["edges"] == [[0, 1]]
+        assert block["chain"] == {"length": 2, "euler_number": -2, "genus": 0}
         assert doc["pairings"] == [
             {"generator": "double point 1..9, sphere 1..2", "spheres": 18, "omega": "0/1", "c1": 0}
         ]
@@ -133,6 +128,12 @@ class TestExample2Json:
         assert len(out.encode()) < 10_000
         _, small, _ = run_main(capsys, "example2", "--m1", "1", "--m2", "1", "-d", "10", "--format", "json")
         assert len(out) - len(small) < 100
+
+    @pytest.mark.parametrize("command", ["example2", "kodaira-thurston"])
+    def test_json_grows_only_with_the_digits_of_the_degree(self, capsys, command):
+        _, small, _ = run_main(capsys, command, "-d", "10", "--format", "json")
+        _, large, _ = run_main(capsys, command, "-d", str(10**6), "--format", "json")
+        assert len(large.encode()) - len(small.encode()) <= 300
 
     @pytest.mark.parametrize("fmt", ["table", "json"])
     def test_large_grid_runs_in_a_second(self, capsys, fmt):
@@ -303,6 +304,14 @@ class TestKollarCli:
         doc = json.loads(out)
         assert doc["concluded"] is True
         assert doc["conclusion"] == "omega vanishes on all spherical classes"
+
+    def test_verdict_says_it_restates_the_criterion(self):
+        for flags in (("--omega-pullback", "--target-pi2-trivial"), ("--omega-pullback", "--no-target-pi2-trivial")):
+            doc = run_command("kollar", *flags)
+            (verdict,) = doc["verdicts"]
+            assert verdict["name"].startswith("restates the criterion")
+            assert verdict["evidence"].startswith("hypotheses taken as given, not checked: ")
+            assert verdict["evidence"].endswith("; ".join(doc["failed_hypotheses"]) or doc["conclusion"])
 
     def test_failed_hypothesis(self, capsys):
         for flags in (
@@ -579,34 +588,41 @@ class TestErrorBoundary:
         assert fragment.format(path=path) in err
         assert "set_int_max_str_digits" not in err
 
-    @pytest.mark.parametrize(
-        "argv, message",
-        [
-            (["example2", "-d", "1000"], "degree above the limit of 100"),
-            (["kodaira-thurston", "-d", "101"], "degree above the limit of 100"),
-        ],
-    )
-    def test_default_run_over_bounds_refused(self, capsys, tmp_path, argv, message):
+    @pytest.mark.parametrize("d", [10**6, 10**30])
+    @pytest.mark.parametrize("command", ["example2", "kodaira-thurston"])
+    def test_huge_degree_runs_in_bounded_time(self, capsys, tmp_path, command, d):
+        # The chain is one vertex and a length, ranked by its continuant: no degree limit.
+        bound = str(d * d * (d - 1))
         start = time.perf_counter()
-        result = run_main(capsys, *argv)
+        code, out, err = run_main(capsys, command, "-d", str(d))
+        assert time.perf_counter() - start < 2
+        assert (code, err) == (0, "") and bound in out and "result: PASS" in out
+        start = time.perf_counter()
+        code, out, err = run_batch(capsys, tmp_path, [{"command": command, "d": d, "format": "json"}])
+        assert time.perf_counter() - start < 2
+        assert (code, err) == (0, "") and json.loads(out)["invariants"]["pi_lower_bound"] == bound
+
+    @pytest.mark.parametrize("command", ["example2", "kodaira-thurston"])
+    def test_degree_past_the_digit_limit_refused(self, capsys, tmp_path, command):
+        d = 10**1440
+        start = time.perf_counter()
+        result = run_main(capsys, command, "-d", str(d))
         assert time.perf_counter() - start < 0.5
         self.assert_one_line_usage_error(result)
-        assert message in result[2]
+        assert len(result[2].encode()) < 300 and "give report integers of up to" in result[2]
         # The same run as a batch entry stops the batch before the first entry writes.
         first = tmp_path / "first.json"
-        args = build_parser().parse_args(argv)
-        entry = {"command": argv[0], "m1": args.m1, "m2": args.m2, "d": args.d}
-        result = run_batch(capsys, tmp_path, [{"command": "example2", "out": str(first)}, entry])
+        result = run_batch(capsys, tmp_path, [{"command": "example2", "out": str(first)}, {"command": command, "d": d}])
         self.assert_one_line_usage_error(result)
-        assert message in result[2]
+        assert "give report integers of up to" in result[2]
         assert not first.exists()
 
     def test_bounds_accept_every_listable_grid(self, capsys):
         # The sphere count m1*m2*d^2*(d-1) has no limit of its own: 201,898 and 200,004 spheres.
         assert run_main(capsys, "example2", "-d", "59")[0] == 0
         assert run_main(capsys, "kodaira-thurston", "--m1", "50001", "-d", "2")[0] == 0
-        # The degree bound itself.
-        assert run_main(capsys, "example2", "-d", "100")[0] == 0
+        # Nor has the degree.
+        assert run_main(capsys, "example2", "-d", "101")[0] == 0
 
     @pytest.mark.parametrize("fmt", ["table", "json"])
     @pytest.mark.parametrize("m1, m2", [(1, 1), (10**6, 10**6), (10**12, 1)])
@@ -631,12 +647,12 @@ class TestErrorBoundary:
         result = run_main(capsys, "example2", "--m1", big, "--m2", big, "-d", "2", "--format", fmt)
         assert time.perf_counter() - start < 0.5
         self.assert_one_line_usage_error(result)
-        # The degree check runs first; its message gives sizes, not values.
-        for more in (["--m2", "1", "-d", "101"], ["--m2", big, "-d", "101"]):
-            result = run_main(capsys, "example2", "--m1", big, *more, "--format", fmt)
-            self.assert_one_line_usage_error(result)
-            assert len(result[2].encode()) < 300 and "set_int_max_str_digits" not in result[2]
-            assert "m1=<up to 3001 digits>" in result[2]
+        # The message gives sizes, not values.
+        assert len(result[2].encode()) < 300 and "set_int_max_str_digits" not in result[2]
+        assert "give report integers of up to 6002 digits" in result[2]
+        # One such multiplicity alone stays within the limit.
+        code, out, err = run_main(capsys, "example2", "--m1", big, "-d", "101", "--format", fmt)
+        assert (code, err) == (0, "") and str(10**3000 * 101 * 101 * 100) in out
 
     @pytest.mark.parametrize(
         "entry, names",
@@ -717,6 +733,49 @@ class TestErrorBoundary:
         result = run_batch(capsys, tmp_path, [{"command": "example2", key: "x" * 100000}])
         self.assert_one_line_usage_error(result)
         assert len(result[2].encode()) < 300 and "<100000 characters>" in result[2]
+
+    @pytest.mark.parametrize("where", ["out", "batch-out", "matrix"])
+    def test_long_file_name_named_by_its_length(self, capsys, tmp_path, where):
+        name = "x" * (100000 if where == "batch-out" else 5000)
+        if where == "out":
+            result = run_main(capsys, "example2", "--out", name)
+        elif where == "batch-out":
+            result = run_batch(capsys, tmp_path, [{"command": "example2", "out": name}])
+        else:
+            result = run_main(capsys, "snf", name)
+        self.assert_one_line_usage_error(result)
+        assert len(result[2].encode()) < 300
+        assert result[2].startswith("error: [Errno ") and result[2].endswith(f": <{len(name)} characters>\n")
+
+    def test_long_path_of_a_malformed_file_named_by_its_length(self, capsys, tmp_path):
+        folder = tmp_path / ("a" * 60) / ("b" * 60)
+        folder.mkdir(parents=True)
+        path = folder / "m.json"
+        path.write_text("[")
+        result = run_main(capsys, "snf", str(path))
+        self.assert_one_line_usage_error(result)
+        assert result[2].startswith(f"error: matrix file <{len(str(path))} characters> is not valid JSON")
+
+    def test_short_file_name_reads_as_before(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        for argv in (["snf", "missing.json"], ["example2", "--out", "no/such/dir.txt"]):
+            code, out, err = run_main(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert err == f"error: [Errno 2] No such file or directory: {argv[-1]!r}\n"
+
+    @pytest.mark.parametrize(
+        "keys, shown",
+        [
+            (["x" * 100000], "[<100000 characters>]"),
+            ([f"k{i}" for i in range(10000)], "['k0', 'k1', 'k10', ...]"),
+            (["zz", "aa"], "['aa', 'zz']"),
+        ],
+        ids=["long-key", "many-keys", "short-keys"],
+    )
+    def test_unknown_batch_keys_echoed_briefly(self, capsys, tmp_path, keys, shown):
+        result = run_batch(capsys, tmp_path, [{"command": "example2", **dict.fromkeys(keys, 1)}])
+        self.assert_one_line_usage_error(result)
+        assert result[2] == f"error: batch entry 0: unknown keys {shown}\n"
 
 
 class TestLibraryCommands:

@@ -41,10 +41,10 @@ from coverhom.homology import (
     smooth_double_points,
 )
 from coverhom.intlinalg import IntMatrix, rank
-from coverhom.plumbing import PlumbingVertex, intersection_matrix, linear_chain, milnor_fiber_2_2_d
+from coverhom.plumbing import LinearChain, PlumbingVertex, chain_rank, milnor_fiber_2_2_d
 from coverhom.reportio import report_to_dict
 
-from oracles import block_diag, chain_listing, euler_by_complement, pairing_square
+from oracles import block_diag, chain_listing, chain_rows, euler_by_complement, pairing_square
 
 
 def make_cfg(g1=1, g2=1, m1=1, m2=1, d=2, areas=(1, 1)):
@@ -240,13 +240,14 @@ class TestPiDimensionBound:
         # rank additivity over diagonal blocks, checked densely.
         for k in (1, 2, 5, 6):
             for d in (2, 3, 6):
-                chain = intersection_matrix(milnor_fiber_2_2_d(d))
-                explicit = rank(IntMatrix.from_rows(block_diag([chain.to_rows()] * k)))
-                assert pi_dimension_bound(k, d) == explicit == k * rank(chain) == k * (d - 1)
+                chain = chain_rows(d - 1, -2)
+                explicit = rank(IntMatrix.from_rows(block_diag([chain] * k)))
+                per_chain = chain_rank(milnor_fiber_2_2_d(d))
+                assert pi_dimension_bound(k, d) == explicit == k * per_chain == k * (d - 1)
 
     def test_wrong_chain_rank_fails_bound_verdict(self, monkeypatch):
         # The grid report ranks its chain; a wrong rank fails the bound verdict alone.
-        monkeypatch.setattr(coverhom.cover, "rank", lambda m: 2)
+        monkeypatch.setattr(coverhom.cover, "chain_rank", lambda chain: 2)
         report = product_family_report(make_cfg(d=4))
         assert report.pi_lower_bound == 16 * 3
         failed = [v.name for v in report.verdicts if not v.passed]
@@ -256,7 +257,7 @@ class TestPiDimensionBound:
         script = (
             "import coverhom.cover as c\n"
             "from coverhom.homology import SurfaceConfig\n"
-            "c.rank = lambda m: 2\n"
+            "c.chain_rank = lambda chain: 2\n"
             "report = c.product_family_report(SurfaceConfig(1, 1, 1, 1, 4))\n"
             "print([v.name for v in report.verdicts if not v.passed])\n"
         )
@@ -271,7 +272,7 @@ class TestBuildCyclicCover:
         cfg = make_cfg()
         spec, cover = build_cyclic_cover(product_base_model(cfg), cfg)
         block = cover.chain_block
-        assert (block.copies, len(block.chain), block.spheres) == (4, 1, 4)
+        assert (block.copies, block.chain.length, block.spheres) == (4, 1, 4)
         assert cover.spherical_generators == ()
         assert block.template.label == "double point 1, sphere 1"
         assert block.template.omega_pairing == 0
@@ -285,7 +286,7 @@ class TestBuildCyclicCover:
         cfg = make_cfg(d=3)
         _, cover = build_cyclic_cover(product_base_model(cfg), cfg)
         assert cover.chain_block.copies == 9
-        assert len(cover.chain_block.chain) == 2
+        assert cover.chain_block.chain == LinearChain(2, PlumbingVertex(-2, 0))
         assert cover.chain_block.spheres == 18
 
     def test_kodaira_thurston_base(self):
@@ -456,13 +457,10 @@ class TestChainBlock:
             report = product_family_report(make_cfg(g1, g2, m1, m2, d))
         doc = report_to_dict(report)
         copies = m1 * m2 * d * d
-        pairings, lattice = chain_listing(copies, d - 1, "0/1", 0)
+        pairings = chain_listing(copies, d - 1, "0/1", 0)
         assert doc["invariants"]["pi_lower_bound"] == len(pairings)
-        # The chain once (the reference's first copy), and one pairing row for all its spheres.
-        chain = {
-            "vertices": [dict(v, label=f"sphere {s}") for s, v in enumerate(lattice["vertices"][: d - 1], 1)],
-            "edges": lattice["edges"][: d - 2],
-        }
+        # The chain once, as its length and one vertex, and one pairing row for all its spheres.
+        chain = {"length": d - 1, "euler_number": -2, "genus": 0}
         assert doc["spherical_lattice"] == {"blocks": [{"chain": chain, "copies": copies}]}
         row = {"generator": f"double point 1..{copies}, sphere 1..{d - 1}", "spheres": len(pairings)}
         assert doc["pairings"] == [dict(row, omega="0/1", c1=0)]
@@ -487,10 +485,10 @@ class TestChainBlock:
             report_to_dict(product_family_report(make_cfg(m1=m1, m2=m2, d=d)))
             return dict(counts)
 
-        for d in (2, 5):
+        for d in (2, 5, 10**6):
             # One template generator (built, then given its lifted pairings),
-            # one chain, both lift formulas once, at build.
-            assert work(1, 1, d) == work(8, 8, d) == {"generator": 2, "vertex": d - 1, "lift": 2}
+            # one chain vertex, both lift formulas once, at build.
+            assert work(1, 1, d) == work(8, 8, d) == {"generator": 2, "vertex": 1, "lift": 2}
 
 
 class TestCrossChecksAreLive:
@@ -575,9 +573,13 @@ MUTATIONS = [
         stage(1),
         "trivial pi2 and connected branch preimage: c1-vanishing prediction holds",
     ),
-    (patched("rank", lambda m: rank(m) - 1), example2, "spherical bound equals rank of installed chain lattice"),
     (
-        patched("milnor_fiber_2_2_d", lambda d: linear_chain(d - 1, -3)),
+        patched("chain_rank", lambda chain: chain_rank(chain) - 1),
+        example2,
+        "spherical bound equals rank of installed chain lattice",
+    ),
+    (
+        patched("milnor_fiber_2_2_d", lambda d: LinearChain(d - 1, PlumbingVertex(-3, 0))),
         example2,
         "c1 on chain spheres: lift formula matches adjunction",
     ),

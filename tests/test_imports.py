@@ -131,27 +131,43 @@ def public_names(source: str) -> list[str]:
     return names
 
 
-def names_read(source: str) -> set[str]:
-    """Names a module loads, reads as an attribute, or imports from another module."""
+def names_read(module: str, source: str) -> set[str]:
+    """What a module reads: `owner.name` for a module-level name, `.attr` for any attribute.
+
+    A name counts as read from its own module when the module loads it
+    (`module.name`), and from another module when it is imported from there
+    (`from .other import name`) or read as an attribute of that module
+    (`other.name`). A local variable elsewhere that happens to share the
+    name does not count.
+    """
     read = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            read.add(node.id)
+            read.add(f"{module}.{node.id}")
         elif isinstance(node, ast.Attribute):
-            read.add(node.attr)
-        elif isinstance(node, ast.ImportFrom):
-            read.update(alias.name for alias in node.names)
+            read.add(f".{node.attr}")
+            if isinstance(node.value, ast.Name):
+                read.add(f"{node.value.id}.{node.attr}")
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            owner = node.module.rsplit(".", 1)[-1]
+            read.update(f"{owner}.{alias.name}" for alias in node.names)
     return read
 
 
 def dead_public_names(sources: dict[str, str], entry_points: set[str]) -> list[str]:
     """`module.name` for each public name or class member that no module reads and no entry point names.
 
-    A class member counts as read when any module reads an attribute of that name.
+    Entry points are given as `module.name`. A class member counts as read
+    when any module reads an attribute of that name.
     """
-    read = set().union(*(names_read(source) for source in sources.values())) | entry_points
-    return sorted(f"{module}.{name}" for module, source in sources.items() for name in public_names(source)
-                  if name.rsplit(".", 1)[-1] not in read)
+    read = set().union(*(names_read(module, source) for module, source in sources.items())) | entry_points
+    dead = []
+    for module, source in sources.items():
+        for name in public_names(source):
+            cls, _, member = name.rpartition(".")
+            if (f".{member}" if cls else f"{module}.{name}") not in read:
+                dead.append(f"{module}.{name}")
+    return sorted(dead)
 
 
 def test_dead_public_name_detection():
@@ -159,9 +175,13 @@ def test_dead_public_name_detection():
         "a": "__all__ = ['used', 'dead', 'main']\ndef used(): pass\ndef dead(): pass\ndef main(): used()\n",
         "b": "from .a import dead as _\n",
     }
-    assert dead_public_names(sources, {"main"}) == []
-    assert dead_public_names({"a": sources["a"]}, {"main"}) == ["a.dead"]
+    assert dead_public_names(sources, {"a.main"}) == []
+    assert dead_public_names({"a": sources["a"]}, {"a.main"}) == ["a.dead"]
     assert dead_public_names({"a": sources["a"]}, set()) == ["a.dead", "a.main"]
+    # Read as an attribute of its module, it is used; a local of the same name elsewhere does not use it.
+    assert dead_public_names({"a": sources["a"], "b": "from . import a\nprint(a.dead)\n"}, {"a.main"}) == []
+    shadow = "def f():\n    dead = 1\n    return dead, x.dead\n"
+    assert dead_public_names({"a": sources["a"], "b": shadow}, {"a.main"}) == ["a.dead"]
 
 
 def test_dead_class_member_detection():
@@ -177,6 +197,6 @@ def test_dead_class_member_detection():
 def test_every_public_name_is_read_or_an_entry_point():
     tomllib = pytest.importorskip("tomllib")
     scripts = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["scripts"]
-    entry_points = {target.rsplit(":", 1)[1] for target in scripts.values()}
+    entry_points = {target.rsplit(".", 1)[1].replace(":", ".") for target in scripts.values()}
     sources = {path.stem: path.read_text() for path in sorted((ROOT / "src" / "coverhom").glob("*.py"))}
     assert dead_public_names(sources, entry_points) == []
