@@ -19,7 +19,7 @@ import functools
 import sys
 from collections.abc import Sequence
 
-from .errors import DomainError, VerificationError
+from .errors import ECHOED, DomainError, VerificationError, digit_limit
 
 __all__ = [
     "build_parser",
@@ -59,16 +59,6 @@ def cmd_tower7(args: argparse.Namespace) -> dict:
     return {"family": "tower7", "parameters": {"d": args.d}, "stages": stages}
 
 
-def _catalog_entry(name: str, omega_on_pi: str, c1_on_pi: str, witness: str, source: str) -> dict:
-    # "computed" entries are recomputed live, "catalog" entries are classical facts.
-    return {"name": name, "omega_on_pi": omega_on_pi, "c1_on_pi": c1_on_pi, "witness": witness, "source": source}
-
-
-def _signature(report) -> tuple[str, str]:
-    """(omega, c1) vanishing on the spherical classes of a live report."""
-    return tuple("zero" if v else "nonzero" for v in (report.omega_vanishes_on_pi, report.c1_vanishes_on_pi))
-
-
 def _pairings_text(signature: tuple[str, str]) -> str:
     """A live report's (omega, c1) signature in words."""
     zero = " and ".join(name for name, s in zip(("omega", "c1"), signature) if s == "zero")
@@ -100,16 +90,18 @@ def cmd_catalog(args: argparse.Namespace) -> dict:
     live = cover.product_family_report(homology.SurfaceConfig(g1=1, g2=1, m1=1, m2=1, d=2))
     stage1, stage2 = cover.build_tower7(d)
     pairing = stage2.cover.spherical_generators[0].c1_pairing
-    grid = _signature(live)
-    tower = [_signature(stage1), _signature(stage2)]
-    entries = [
-        _catalog_entry(
+    grid = live.signature
+    tower = [stage1.signature, stage2.signature]
+    # (name, omega on pi, c1 on pi, witness, source): "computed" entries are
+    # recomputed live, "catalog" entries are classical facts.
+    rows = [
+        (
             "grid branched cover of the 4-torus",
             *grid,
             f"recomputed live: spherical bound {live.pi_lower_bound}, {_pairings_text(grid)}",
             "computed",
         ),
-        _catalog_entry(
+        (
             "K3 surface",
             "nonzero",
             "zero",
@@ -117,7 +109,7 @@ def cmd_catalog(args: argparse.Namespace) -> dict:
             "c1 = 0 while the symplectic form has positive total area",
             "catalog",
         ),
-        _catalog_entry(
+        (
             "simply connected Kaehler surface other than K3",
             "nonzero",
             "nonzero",
@@ -125,13 +117,15 @@ def cmd_catalog(args: argparse.Namespace) -> dict:
             "nontrivially with H2, which is spanned by spherical classes",
             "catalog",
         ),
-        _catalog_entry(
+        (
             "two-stage branched-cover tower",
             *tower[1],
             f"recomputed live: {_tower_text(tower, pairing, d)}",
             "computed",
         ),
     ]
+    keys = ("name", "omega_on_pi", "c1_on_pi", "witness", "source")
+    entries = [dict(zip(keys, row)) for row in rows]
     signatures = sorted((e["omega_on_pi"], e["c1_on_pi"]) for e in entries)
     wanted = [("nonzero", "nonzero"), ("nonzero", "zero"), ("zero", "nonzero"), ("zero", "zero")]
     verdicts = (
@@ -161,28 +155,24 @@ def cmd_catalog(args: argparse.Namespace) -> dict:
 
 
 def cmd_kollar(args: argparse.Namespace) -> dict:
-    """Pullback vanishing criterion.
+    """Pullback vanishing criterion (`cover.pullback_criterion`) on hypotheses given by the flags."""
+    from . import cover, reportio
 
-    When the symplectic class is pulled back through a map to a space
-    without spheres, it kills every spherical class; if either hypothesis
-    fails, nothing follows.
-    """
-    failed = []
-    if not args.omega_pullback:
-        failed.append("the symplectic class is not given as a pullback from the target")
-    if not args.target_pi2_trivial:
-        failed.append("the target is not known to have trivial pi_2")
+    failed = cover.pullback_criterion(args.omega_pullback, args.target_pi2_trivial)
     conclusion = "no conclusion" if failed else "omega vanishes on all spherical classes"
     # The hypotheses are taken as given, so the verdict restates the criterion and checks nothing.
-    name = "restates the criterion: both hypotheses give the conclusion, a failed one gives none"
-    evidence = f"hypotheses taken as given, not checked: {'; '.join(failed) or conclusion}"
+    verdict = cover.Verdict(
+        "restates the criterion: both hypotheses give the conclusion, a failed one gives none",
+        True,
+        f"hypotheses taken as given, not checked: {'; '.join(failed) or conclusion}",
+    )
     return {
         "family": "kollar",
         "parameters": {"omega_pullback": args.omega_pullback, "target_pi2_trivial": args.target_pi2_trivial},
         "conclusion": conclusion,
         "concluded": not failed,
         "failed_hypotheses": failed,
-        "verdicts": [{"name": name, "pass": True, "evidence": evidence}],
+        "verdicts": reportio.verdicts_to_json((verdict,)),
     }
 
 
@@ -225,21 +215,24 @@ def _digits(n: int) -> int:
 
 
 def _check_grid_size(args: argparse.Namespace) -> None:
-    if args.command not in ("example2", "kodaira-thurston") or min(args.m1, args.m2, args.d) < 1:
+    # The one size bound. A report's cost grows with the digits of its
+    # parameters, not their values. Every integer a grid report prints, the
+    # Euler characteristic the largest, is at most 8*d^3*(m1+g1+1)*(m2+g2+1)
+    # in absolute value; tower7 and catalog print none above stage 2's Euler
+    # characteristic 8*d. That is sized from its bit length against the
+    # interpreter's digit limit, or its default when the limit is off.
+    if args.command in ("tower7", "catalog"):
+        names, largest = "d gives", 8 * args.d
+    elif args.command in ("example2", "kodaira-thurston") and min(args.m1, args.m2, args.d) >= 1:
+        g1, g2 = getattr(args, "g1", 1), getattr(args, "g2", 1)
+        names = "g1, g2, m1, m2 and d give" if args.command == "example2" else "m1, m2 and d give"
+        largest = 8 * args.d**3 * (args.m1 + abs(g1) + 1) * (args.m2 + abs(g2) + 1)
+    else:
         return
-    m1, m2, d = args.m1, args.m2, args.d
-    # The one grid bound. A grid report's cost grows with the digits of its
-    # parameters, not their values, and every integer it prints, the Euler
-    # characteristic the largest, is at most 8*d^3*(m1+g1+1)*(m2+g2+1) in
-    # absolute value. That is sized from its bit length: str() of an integer
-    # past the interpreter's limit is the failure this check prevents.
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    g1, g2 = getattr(args, "g1", 1), getattr(args, "g2", 1)
-    digits = _digits(8 * d**3 * (m1 + abs(g1) + 1) * (m2 + abs(g2) + 1))
-    if limit and digits > limit:
-        names = "g1, g2, m1, m2 and d" if args.command == "example2" else "m1, m2 and d"
+    digits, limit = _digits(largest), digit_limit()
+    if digits > limit:
         raise DomainError(
-            f"{args.command}: {names} give report integers of up to {digits} digits, "
+            f"{args.command}: {names} report integers of up to {digits} digits, "
             f"above the limit of {limit} digits for printing an integer"
         )
 
@@ -248,7 +241,7 @@ def _read_json(path: str, what: str):
     """The JSON document in a file; malformed content is a usage error that names the file."""
     import json
 
-    what = f"{what} {path if len(path) <= _Integer.ECHOED else _echoed(path)}"
+    what = f"{what} {path if len(path) <= ECHOED else _echoed(path)}"
     try:
         with open(path) as fh:
             return json.load(fh)
@@ -260,7 +253,7 @@ def _read_json(path: str, what: str):
         raise DomainError(f"{what} is not text: {exc.reason}") from None
     except ValueError:
         # The other ValueError json.load raises: an integer literal past the digit limit.
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        limit = digit_limit()
         raise DomainError(f"{what} holds an integer above the limit of {limit} digits for reading one") from None
 
 
@@ -272,17 +265,15 @@ class _Integer(argparse.Action):
     cannot name its option.
     """
 
-    ECHOED = 100
-
     def __call__(self, parser, namespace, text, option_string=None):
         try:
             value = int(text)
         except ValueError:
-            if len(text) <= self.ECHOED:
+            if len(text) <= ECHOED:
                 raise argparse.ArgumentError(self, f"invalid int value: {text!r}") from None
             digits = text.strip().lstrip("+-")
             if digits.isdigit():
-                limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+                limit = digit_limit()
                 found = f"an integer of {len(digits)} digits, above the limit of {limit} digits for reading one"
             else:
                 found = f"invalid int value of {len(text)} characters"
@@ -291,8 +282,8 @@ class _Integer(argparse.Action):
 
 
 def _echoed(text: str) -> str:
-    """text quoted, or only its length once it is longer than _Integer.ECHOED characters."""
-    return repr(text) if len(text) <= _Integer.ECHOED else f"<{len(text)} characters>"
+    """text quoted, or only its length once it is longer than ECHOED characters."""
+    return repr(text) if len(text) <= ECHOED else f"<{len(text)} characters>"
 
 
 def _rational(text: str):
@@ -307,7 +298,7 @@ def _rational(text: str):
 
 def _format(text: str) -> str:
     """A --format value; argparse checks the choice itself unless the value is too long to echo."""
-    if len(text) > _Integer.ECHOED:
+    if len(text) > ECHOED:
         raise argparse.ArgumentTypeError(f"invalid choice: {_echoed(text)} (choose from 'table', 'json')")
     return text
 

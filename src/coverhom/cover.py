@@ -26,6 +26,7 @@ from .homology import (
     SmoothedSurface,
     SphericalGenerator,
     SurfaceConfig,
+    _pairing_value,
     grid_immersion,
     kodaira_thurston_model,
     product_base_model,
@@ -44,6 +45,7 @@ __all__ = [
     "riemann_hurwitz_euler",
     "adjunction_euler",
     "pi_dimension_bound",
+    "pullback_criterion",
     "coinvariant_relators",
     "kodaira_thurston_cover_b1",
     "build_cyclic_cover",
@@ -133,6 +135,11 @@ class CoverReport:
         return _all_zero(_sphere_rows(self.cover), _C1)
 
     @property
+    def signature(self) -> tuple[str, str]:
+        """(omega, c1) on the spherical classes, each "zero" when it vanishes on all of them, else "nonzero"."""
+        return tuple("zero" if v else "nonzero" for v in (self.omega_vanishes_on_pi, self.c1_vanishes_on_pi))
+
+    @property
     def passed(self) -> bool:
         return all(v.passed for v in self.verdicts)
 
@@ -187,9 +194,7 @@ def adjunction_euler(base: ManifoldModel, class_vector: Sequence[int]) -> int:
     chi(B) = <c1(X), B> - B.B, with B.B taken in HYPERBOLIC_PAIRING, the
     pairing of every base's named classes. No component or double point is counted.
     """
-    q = HYPERBOLIC_PAIRING
-    square = sum(class_vector[i] * q.entry(i, j) * class_vector[j] for i in range(q.rows) for j in range(q.cols))
-    return int(base.c1_class.dot(class_vector)) - square
+    return int(base.c1_class.dot(class_vector)) - _pairing_value(HYPERBOLIC_PAIRING, class_vector, class_vector)
 
 
 def pi_dimension_bound(k: int, d: int) -> int:
@@ -203,6 +208,20 @@ def pi_dimension_bound(k: int, d: int) -> int:
     if _as_int(d) < 2:
         raise DomainError(f"cover degree must be at least 2, got {d}")
     return k * (d - 1)
+
+
+def pullback_criterion(omega_pullback: bool, target_aspherical: bool) -> list[str]:
+    """Kollar's criterion: the hypotheses that fail; with none, omega vanishes on every spherical class.
+
+    A symplectic class pulled back through a map to a target on whose
+    spheres the target's form vanishes vanishes on every spherical class.
+    """
+    failed = []
+    if not omega_pullback:
+        failed.append("the symplectic class is not given as a pullback from the target")
+    if not target_aspherical:
+        failed.append("the target is not known to have trivial pi_2")
+    return failed
 
 
 def coinvariant_relators() -> tuple[tuple[int, ...], ...]:
@@ -307,6 +326,24 @@ def _installed_generator(
     return replace(gen, omega_pairing=lift_omega_pairing(spec, gen), c1_pairing=lift_chern_pairing(spec, gen))
 
 
+def _cover_model(spec: CoverSpec, **fields) -> ManifoldModel:
+    """A cover's model: Euler characteristic by Riemann-Hurwitz, no named classes of its own.
+
+    The lifted symplectic class is the pullback to the base, so the cover is
+    symplectically aspherical when the pullback criterion holds for the base.
+    """
+    return ManifoldModel(
+        kind="cover",
+        euler_characteristic=riemann_hurwitz_euler(spec),
+        class_basis_labels=(),
+        omega_class=RationalVector(()),
+        c1_class=RationalVector(()),
+        pi2_trivial=False,
+        symplectically_aspherical=not pullback_criterion(True, spec.base.symplectically_aspherical),
+        **fields,
+    )
+
+
 def build_cyclic_cover(
     base: ManifoldModel, cfg: SurfaceConfig, kaehler: bool = False
 ) -> tuple[CoverSpec, ManifoldModel]:
@@ -331,17 +368,11 @@ def build_cyclic_cover(
     if base.kind == "kodaira-thurston":
         h1_generators = 4
         h1_relators = MONODROMY_RELATORS
-    cover = ManifoldModel(
-        kind="cover",
-        euler_characteristic=riemann_hurwitz_euler(spec),
+    cover = _cover_model(
+        spec,
         h1_generators=h1_generators,
         h1_relators=h1_relators,
-        class_basis_labels=(),
-        omega_class=RationalVector(()),
-        c1_class=RationalVector(()),
         spherical_generators=(),
-        pi2_trivial=False,
-        symplectically_aspherical=True,
         kaehler=kaehler,
         chain_block=ChainBlock(chain, immersed.double_points, template),
     )
@@ -403,25 +434,20 @@ def _euler_verdict(spec: CoverSpec, cover: ManifoldModel) -> Verdict:
 
 
 def _prediction_verdicts(spec: CoverSpec, cover: ManifoldModel) -> list[Verdict]:
-    out = []
+    """The vanishing predictions whose premises hold, each against the installed pairings."""
     rows = _sphere_rows(cover)
-    if spec.base.symplectically_aspherical:
-        out.append(
-            Verdict(
-                "aspherical base: omega-vanishing prediction holds",
-                _all_zero(rows, _OMEGA),
-                _zero_evidence(rows, _OMEGA, "omega"),
-            )
-        )
-    if spec.base.pi2_trivial and spec.preimage_connected:
-        out.append(
-            Verdict(
-                "trivial pi2 and connected branch preimage: c1-vanishing prediction holds",
-                _all_zero(rows, _C1),
-                _zero_evidence(rows, _C1, "c1"),
-            )
-        )
-    return out
+    # The lifted symplectic class is the pullback, so only the base's flag can fail the criterion.
+    omega_premise = not pullback_criterion(True, spec.base.symplectically_aspherical)
+    c1_premise = spec.base.pi2_trivial and spec.preimage_connected
+    predictions = (
+        (omega_premise, "aspherical base: omega-vanishing prediction holds", _OMEGA, "omega"),
+        (c1_premise, "trivial pi2 and connected branch preimage: c1-vanishing prediction holds", _C1, "c1"),
+    )
+    return [
+        Verdict(name, _all_zero(rows, pairing), _zero_evidence(rows, pairing, unit))
+        for premise, name, pairing, unit in predictions
+        if premise
+    ]
 
 
 def _grid_trace(b1_known: bool) -> tuple[tuple[str, str], ...]:
@@ -485,20 +511,16 @@ def _assemble_grid_report(
     )
 
 
+def _grid_parameters(cfg: SurfaceConfig) -> tuple[tuple[str, object], ...]:
+    """m1, m2, d and the two areas, the parameters that every grid family reports."""
+    return tuple(zip(("m1", "m2", "d", "area1", "area2"), (cfg.m1, cfg.m2, cfg.d, *cfg.omega_areas)))
+
+
 def product_family_report(cfg: SurfaceConfig, kaehler: bool = False) -> CoverReport:
     """Cover of a product of positive-genus surfaces, branched over the grid."""
-    base = product_base_model(cfg, kaehler=kaehler)
+    base = product_base_model(cfg)
     spec, cover = build_cyclic_cover(base, cfg, kaehler=kaehler)
-    parameters = (
-        ("g1", cfg.g1),
-        ("g2", cfg.g2),
-        ("m1", cfg.m1),
-        ("m2", cfg.m2),
-        ("d", cfg.d),
-        ("area1", cfg.omega_areas[0]),
-        ("area2", cfg.omega_areas[1]),
-        ("kaehler", kaehler),
-    )
+    parameters = (("g1", cfg.g1), ("g2", cfg.g2), *_grid_parameters(cfg), ("kaehler", kaehler))
     return _assemble_grid_report(spec, cover, family="example2", parameters=parameters)
 
 
@@ -521,18 +543,11 @@ def kodaira_thurston_family_report(cfg: SurfaceConfig) -> CoverReport:
             f"stored relators {cover.h1_relators} vs image of M - I {derived}",
         ),
     )
-    parameters = (
-        ("m1", cfg.m1),
-        ("m2", cfg.m2),
-        ("d", cfg.d),
-        ("area1", cfg.omega_areas[0]),
-        ("area2", cfg.omega_areas[1]),
-    )
     return _assemble_grid_report(
         spec,
         cover,
         family="kodaira-thurston",
-        parameters=parameters,
+        parameters=_grid_parameters(cfg),
         extra_verdicts=extra,
         extra_assumptions=(ASSUMPTION_KT_PRESENTATION,),
     )
@@ -582,19 +597,7 @@ def build_tower7(d: int) -> tuple[CoverReport, CoverReport]:
     spec2 = CoverSpec(base=base2, degree=d, branch=branch2, components=tori)
     lifted = _installed_generator(spec2, "lifted sphere over S", (1,), (1, 1))
     c1 = lifted.c1_pairing
-    cover2 = ManifoldModel(
-        kind="cover",
-        euler_characteristic=riemann_hurwitz_euler(spec2),
-        h1_generators=None,
-        h1_relators=(),
-        class_basis_labels=(),
-        omega_class=RationalVector(()),
-        c1_class=RationalVector(()),
-        spherical_generators=(lifted,),
-        pi2_trivial=False,
-        symplectically_aspherical=True,
-        kaehler=False,
-    )
+    cover2 = _cover_model(spec2, h1_generators=None, h1_relators=(), spherical_generators=(lifted,), kaehler=False)
     # No class is tracked for the tori, so stage 2 has no second route to
     # its Euler characteristic; the lifted pairing meets the closed form.
     expected = 2 * (1 - d)

@@ -293,7 +293,7 @@ def smooth_double_points(b: ImmersedConfig) -> SmoothedSurface:
     )
 
 
-def product_base_model(cfg: SurfaceConfig, kaehler: bool = False) -> ManifoldModel:
+def product_base_model(cfg: SurfaceConfig) -> ManifoldModel:
     """Product of two positive-genus surfaces with a product symplectic form."""
     if cfg.g1 < 1 or cfg.g2 < 1:
         raise DomainError("product base needs both genera at least 1")
@@ -310,7 +310,8 @@ def product_base_model(cfg: SurfaceConfig, kaehler: bool = False) -> ManifoldMod
         spherical_generators=(),
         pi2_trivial=True,
         symplectically_aspherical=True,
-        kaehler=kaehler,
+        # A product of area forms is Kaehler; a report's Kaehler variant is its cover's flag.
+        kaehler=True,
     )
 
 

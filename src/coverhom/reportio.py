@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import functools
 import json
-import sys
 from fractions import Fraction
 
 from .cover import CoverReport
-from .errors import DimensionError, DomainError
+from .errors import ECHOED, DimensionError, DomainError, digit_limit
 from .homology import ChainBlock
 from .intlinalg import IntMatrix
 from .plumbing import LinearChain
@@ -41,16 +40,12 @@ def encode_int(n: int) -> int | str:
     return n if -_SAFE < n < _SAFE else str(n)
 
 
-# A refused matrix entry is echoed in an error line only while it is this short.
-_ECHOED = 100
-
-
 def _shown_entry(value) -> str:
     """A JSON value for an error line: its text while short, else its JSON type and length."""
     if isinstance(value, (list, dict)):
         return f"{'an array' if isinstance(value, list) else 'an object'} of length {len(value)}"
     text = json.dumps(value)
-    return text if len(text) <= _ECHOED else f"a string of length {len(value)}"
+    return text if len(text) <= ECHOED else f"a string of length {len(value)}"
 
 
 def decode_int(value, index: int) -> int:
@@ -59,8 +54,8 @@ def decode_int(value, index: int) -> int:
         return value
     if isinstance(value, str):
         digits = value.strip().lstrip("+-").replace("_", "")
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-        if limit and len(digits) > limit and digits.isdigit():
+        limit = digit_limit()
+        if len(digits) > limit and digits.isdigit():
             raise DomainError(
                 f"matrix entry {index}: integer string of {len(digits)} digits, above the limit of {limit} digits"
             )
@@ -155,10 +150,7 @@ def report_to_dict(r: CoverReport) -> dict:
             "b1": None if r.cover_b1 is None else encode_int(r.cover_b1),
             "pi_lower_bound": encode_int(r.pi_lower_bound),
         },
-        "findings": {
-            "omega_on_spherical_classes": "zero" if r.omega_vanishes_on_pi else "nonzero",
-            "c1_on_spherical_classes": "zero" if r.c1_vanishes_on_pi else "nonzero",
-        },
+        "findings": dict(zip(("omega_on_spherical_classes", "c1_on_spherical_classes"), r.signature)),
         "pairings": pairings,
         "spherical_lattice": lattice,
         "verdicts": verdicts_to_json(r.verdicts),

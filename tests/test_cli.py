@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 import time
@@ -333,6 +334,19 @@ class TestKollarCli:
     def test_missing_flag_is_usage_error(self, capsys):
         assert run_main(capsys, "kollar", "--omega-pullback")[0] == 2
 
+    @pytest.mark.parametrize("omega_pullback", [True, False])
+    @pytest.mark.parametrize("target_pi2_trivial", [True, False])
+    def test_concluded_is_the_cover_criterion(self, omega_pullback, target_pi2_trivial):
+        flags = [
+            "--omega-pullback" if omega_pullback else "--no-omega-pullback",
+            "--target-pi2-trivial" if target_pi2_trivial else "--no-target-pi2-trivial",
+        ]
+        doc = run_command("kollar", *flags)
+        failed = coverhom.cover.pullback_criterion(omega_pullback, target_pi2_trivial)
+        assert doc["concluded"] is (not failed)
+        assert doc["failed_hypotheses"] == failed
+        assert len(failed) == (not omega_pullback) + (not target_pi2_trivial)
+
 
 class TestSnfCli:
     def test_roundtrip(self, capsys, tmp_path):
@@ -616,6 +630,50 @@ class TestErrorBoundary:
         self.assert_one_line_usage_error(result)
         assert "give report integers of up to" in result[2]
         assert not first.exists()
+
+    @pytest.mark.parametrize("command", ["tower7", "catalog"])
+    def test_tower_degree_past_the_digit_limit_refused(self, capsys, tmp_path, command):
+        # d has 4,300 digits, within the limit; stage 2's Euler characteristic 8*d has 4,301.
+        d = "9" * 4300
+        start = time.perf_counter()
+        result = run_main(capsys, command, "-d", d)
+        assert time.perf_counter() - start < 0.5
+        self.assert_one_line_usage_error(result)
+        assert result[2].startswith(f"error: {command}: d gives report integers of up to ")
+        assert f"limit of {sys.get_int_max_str_digits()} digits" in result[2] and len(result[2]) < 200
+        # The same run as the second batch entry stops the batch before the first entry writes.
+        first = tmp_path / "first.json"
+        result = run_batch(capsys, tmp_path, [{"command": "example2", "out": str(first)}, {"command": command, "d": int(d)}])
+        self.assert_one_line_usage_error(result)
+        assert result[2].startswith(f"error: {command}: d gives report integers of up to ")
+        assert not first.exists()
+        # A degree whose report stays within the limit runs.
+        d = 10**4000
+        code, out, err = run_main(capsys, command, "-d", str(d))
+        assert (code, err) == (0, "") and str(d) in out
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["example2", "-d", HUGE], "error: example2: g1, g2, m1, m2 and d give report integers of up to "),
+            (["tower7", "-d", HUGE], "error: tower7: d gives report integers of up to "),
+            (["snf", "m.json"], "error: matrix entry 0: integer string of 5001 digits, "),
+        ],
+        ids=["example2", "tower7", "snf"],
+    )
+    def test_bounds_hold_with_the_digit_limit_off(self, tmp_path, argv, message):
+        # With the interpreter's limit off, its default still bounds the digits read and printed.
+        (tmp_path / "m.json").write_text(json.dumps({"rows": 1, "cols": 1, "entries": [self.HUGE]}))
+        src = os.path.dirname(os.path.dirname(coverhom.cli.__file__))
+        env = dict(os.environ, PYTHONPATH=src, PYTHONINTMAXSTRDIGITS="0")
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "coverhom", *argv], capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60
+        )
+        assert time.perf_counter() - start < 2
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith(message) and proc.stderr.count("\n") == 1
+        assert f"above the limit of {sys.int_info.default_max_str_digits} digits" in proc.stderr
 
     def test_bounds_accept_every_listable_grid(self, capsys):
         # The sphere count m1*m2*d^2*(d-1) has no limit of its own: 201,898 and 200,004 spheres.

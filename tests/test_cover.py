@@ -26,6 +26,7 @@ from coverhom.cover import (
     lift_omega_pairing,
     pi_dimension_bound,
     product_family_report,
+    pullback_criterion,
     riemann_hurwitz_euler,
     _require_divisible,
 )
@@ -443,6 +444,65 @@ class TestTower:
     def test_degree_one_rejected(self):
         with pytest.raises(DomainError):
             build_tower7(1)
+
+
+OMEGA_PREDICTION = "aspherical base: omega-vanishing prediction holds"
+
+
+def non_aspherical_base(cfg):
+    """The product base with spheres on which its form need not vanish."""
+    return replace(product_base_model(cfg), pi2_trivial=False, symplectically_aspherical=False)
+
+
+def verdict_names(report):
+    return [v.name for v in report.verdicts]
+
+
+class TestPullbackCriterion:
+    def test_failed_hypotheses(self):
+        assert pullback_criterion(True, True) == []
+        assert pullback_criterion(False, False) == [
+            "the symplectic class is not given as a pullback from the target",
+            "the target is not known to have trivial pi_2",
+        ]
+
+    def test_tower_flags_carried_up_from_the_four_torus(self):
+        base = product_base_model(make_cfg())
+        stage1, stage2 = build_tower7(3)
+        assert base.pi2_trivial and base.symplectically_aspherical
+        assert stage1.cover.symplectically_aspherical and stage2.cover.symplectically_aspherical
+        assert OMEGA_PREDICTION in verdict_names(stage1) and OMEGA_PREDICTION in verdict_names(stage2)
+
+    def test_non_aspherical_base_gives_no_omega_prediction(self, monkeypatch):
+        monkeypatch.setattr(coverhom.cover, "product_base_model", non_aspherical_base)
+        report = product_family_report(make_cfg())
+        assert not report.cover.symplectically_aspherical
+        assert OMEGA_PREDICTION not in verdict_names(report) and report.passed
+        # Stage 1 is such a cover, so stage 2 loses the prediction too.
+        _, stage2 = build_tower7(3)
+        assert not stage2.cover.symplectically_aspherical
+        assert OMEGA_PREDICTION not in verdict_names(stage2)
+
+    @pytest.mark.parametrize("holds", [True, False])
+    def test_patched_criterion_moves_kollar_and_the_omega_prediction(self, monkeypatch, holds):
+        monkeypatch.setattr(coverhom.cover, "pullback_criterion", lambda *hypotheses: [] if holds else ["patched"])
+        # Hypotheses and bases for which the real criterion gives the opposite answer.
+        kollar = coverhom.cli.cmd_kollar(argparse.Namespace(omega_pullback=not holds, target_pi2_trivial=not holds))
+        assert kollar["concluded"] is holds
+        assert kollar["failed_hypotheses"] == ([] if holds else ["patched"])
+        base = non_aspherical_base if holds else product_base_model
+        monkeypatch.setattr(coverhom.cover, "product_base_model", base)
+        report = product_family_report(make_cfg())
+        assert report.cover.symplectically_aspherical is holds
+        assert (OMEGA_PREDICTION in verdict_names(report)) is holds
+
+    def test_signature_reads_the_two_findings(self):
+        grid = product_family_report(make_cfg())
+        _, stage2 = build_tower7(2)
+        assert (grid.signature, stage2.signature) == (("zero", "zero"), ("zero", "nonzero"))
+        for report in (grid, stage2):
+            findings = report_to_dict(report)["findings"]
+            assert (findings["omega_on_spherical_classes"], findings["c1_on_spherical_classes"]) == report.signature
 
 
 class TestChainBlock:

@@ -204,6 +204,8 @@ class TestProductBaseModel:
         assert m.b1 == 4
         assert tuple(m.c1_class) == (0, 0)
         assert m.pi2_trivial and m.symplectically_aspherical
+        # A product of area forms is Kaehler.
+        assert m.kaehler
 
     def test_genus_two_times_torus(self):
         m = product_base_model(make_cfg(g1=2, g2=1))

@@ -10,6 +10,7 @@ import ast
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -200,3 +201,12 @@ def test_every_public_name_is_read_or_an_entry_point():
     entry_points = {target.rsplit(".", 1)[1].replace(":", ".") for target in scripts.values()}
     sources = {path.stem: path.read_text() for path in sorted((ROOT / "src" / "coverhom").glob("*.py"))}
     assert dead_public_names(sources, entry_points) == []
+
+
+def test_declared_python_is_the_oldest_python_ci_tests():
+    tomllib = pytest.importorskip("tomllib")
+    declared = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["requires-python"]
+    workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text()
+    versions = re.search(r"python-version: \[(.*)\]", workflow).group(1).split(",")
+    oldest = min(tuple(int(part) for part in v.strip(' "').split(".")) for v in versions)
+    assert declared == ">=%d.%d" % oldest
