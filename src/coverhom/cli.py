@@ -5,6 +5,11 @@ that `--format json` prints; `reportio` renders it as JSON or as a table.
 Exit codes: 0 when every verdict in the result passes, 1 on a verification
 failure, 2 on usage or parameter errors.
 
+Every run is parsed by its command's own parser, on the command line and in
+`--batch`. The top-level parser reads only `--batch`, `--help` and the input
+it refuses: no command, an unknown one, or an argument it refuses before a
+command's parser would run (`_by_command`).
+
 Only this module and `errors` load at start, so `--help`, usage errors and a
 malformed `--batch` file exit before the exact-arithmetic layers are
 imported. `main` imports them once every run has been parsed and checked,
@@ -237,14 +242,24 @@ def _check_grid_size(args: argparse.Namespace) -> None:
         )
 
 
+def _bounded_int(literal: str) -> int:
+    """A JSON integer literal, refused past the digit limit as json refuses it while the limit is on."""
+    if len(literal) - literal.startswith("-") > digit_limit():
+        raise ValueError("integer literal above the digit limit")
+    return int(literal)
+
+
 def _read_json(path: str, what: str):
     """The JSON document in a file; malformed content is a usage error that names the file."""
     import json
 
     what = f"{what} {path if len(path) <= ECHOED else _echoed(path)}"
+    # With the interpreter's digit limit off, json reads an integer literal of
+    # any length; its default limit then bounds them here.
+    bounded = {"parse_int": _bounded_int} if sys.get_int_max_str_digits() == 0 else {}
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return json.load(fh, **bounded)
     except json.JSONDecodeError as exc:
         raise DomainError(f"{what} is not valid JSON: {exc}") from None
     except RecursionError:
@@ -407,6 +422,28 @@ def _refuse(message: str):
     raise _Refused(message)
 
 
+def _parse_run(sp: argparse.ArgumentParser, command: str, argv: list[str], error) -> argparse.Namespace:
+    """One run of command, parsed by its own parser sp; arguments left over go to error, as argparse words it."""
+    args, extras = sp.parse_known_args(argv, argparse.Namespace(command=command, batch=None))
+    if extras:
+        error("unrecognized arguments: " + " ".join(extras))
+    return args
+
+
+def _by_command(parser: argparse.ArgumentParser, argv: list[str]) -> bool:
+    """Whether argv's command parser alone reads it as the top-level parser would.
+
+    The top-level parser hands everything after the command name to that
+    command's parser, but first scans every argument. Before the first "--",
+    Python 3.11 and 3.12 refuse there an argument that starts with "--=" (it
+    could be --help or --batch), so such a command line stays with it.
+    """
+    if not argv or argv[0] not in parser.commands:
+        return False
+    head = argv[: argv.index("--")] if "--" in argv else argv
+    return not any(arg.startswith("--=") for arg in head)
+
+
 def _batch_runs(parser: argparse.ArgumentParser, path: str) -> list[argparse.Namespace]:
     """Parse every entry of a batch file, so that a bad entry stops the batch before any run."""
     entries = _read_json(path, "batch file")
@@ -422,7 +459,7 @@ def _batch_runs(parser: argparse.ArgumentParser, path: str) -> list[argparse.Nam
         # argparse's reason goes into the one error line, without its usage block.
         sp.error = _refuse
         try:
-            args = sp.parse_args(argv, argparse.Namespace(command=command))
+            args = _parse_run(sp, command, argv, _refuse)
         except _Refused as exc:
             raise DomainError(f"batch entry {index} rejected: {command}: {exc}") from None
         finally:
@@ -445,8 +482,12 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        if _by_command(parser, argv):
+            args = _parse_run(parser.commands[argv[0]], argv[0], argv[1:], parser.error)
+        else:
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_PASS if exc.code == 0 else EXIT_USAGE
     except DomainError as exc:

@@ -16,7 +16,7 @@ from fractions import Fraction
 from operator import attrgetter
 from typing import Sequence
 
-from .errors import DomainError, IncompleteModelError, NoSuchCoverError
+from .errors import DomainError, IncompleteModelError, NoSuchCoverError, echoed_int
 from .homology import (
     HYPERBOLIC_PAIRING,
     MONODROMY_MATRIX,
@@ -206,7 +206,7 @@ def pi_dimension_bound(k: int, d: int) -> int:
     if _as_int(k) < 0:
         raise DomainError("double point count must be nonnegative")
     if _as_int(d) < 2:
-        raise DomainError(f"cover degree must be at least 2, got {d}")
+        raise DomainError(f"cover degree must be at least 2, got {echoed_int(d)}")
     return k * (d - 1)
 
 
@@ -323,7 +323,12 @@ def _installed_generator(
 ) -> SphericalGenerator:
     """A generator whose stored pairings are evaluated through the lift formulas."""
     gen = SphericalGenerator(label, Fraction(0), 0, branch_intersections, pushforward)
-    return replace(gen, omega_pairing=lift_omega_pairing(spec, gen), c1_pairing=lift_chern_pairing(spec, gen))
+    # The lift formulas read only the data checked above, so the pairings are
+    # set on the generator just built (a Fraction and an int, as it stores
+    # them) instead of building and checking it again.
+    object.__setattr__(gen, "omega_pairing", lift_omega_pairing(spec, gen))
+    object.__setattr__(gen, "c1_pairing", lift_chern_pairing(spec, gen))
+    return gen
 
 
 def _cover_model(spec: CoverSpec, **fields) -> ManifoldModel:
@@ -564,7 +569,7 @@ def build_tower7(d: int) -> tuple[CoverReport, CoverReport]:
     symplectic class still kills every spherical class.
     """
     if d < 2:
-        raise DomainError(f"tower degree must be at least 2, got {d}")
+        raise DomainError(f"tower degree must be at least 2, got {echoed_int(d)}")
     cfg = SurfaceConfig(g1=1, g2=1, m1=1, m2=1, d=2)
     base = product_base_model(cfg)
     spec1, cover1 = build_cyclic_cover(base, cfg)

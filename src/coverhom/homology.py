@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DimensionError, DomainError
+from .errors import DimensionError, DomainError, echoed_int
 from .intlinalg import IntMatrix, RationalVector, abelianized_b1, _as_fraction, _as_int
 from .plumbing import LinearChain
 
@@ -62,7 +62,7 @@ class SurfaceConfig:
         if self.m1 < 1 or self.m2 < 1:
             raise DomainError("multiplicities m1, m2 must be at least 1")
         if self.d < 2:
-            raise DomainError(f"cover degree must be at least 2, got {self.d}")
+            raise DomainError(f"cover degree must be at least 2, got {echoed_int(self.d)}")
         areas = tuple(_as_fraction(a) for a in self.omega_areas)
         if len(areas) != 2 or any(a <= 0 for a in areas):
             raise DomainError("omega_areas must be two positive rationals")

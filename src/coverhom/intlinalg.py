@@ -34,6 +34,8 @@ def _as_int(value) -> int:
 
 
 def _as_fraction(value) -> Fraction:
+    if type(value) is Fraction:
+        return value  # immutable, so Fraction(value) would only copy it
     if isinstance(value, float):
         raise DomainError(f"floating point rejected, got {value!r}; use int, str or Fraction")
     return Fraction(value)

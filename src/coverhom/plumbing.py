@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, echoed_int
 from .intlinalg import _as_int
 
 __all__ = [
@@ -56,7 +56,7 @@ def milnor_fiber_2_2_d(d: int) -> LinearChain:
     (a multiplicity-1 sheet contributes no spheres).
     """
     if d < 1:
-        raise DomainError(f"cover multiplicity must be at least 1, got {d}")
+        raise DomainError(f"cover multiplicity must be at least 1, got {echoed_int(d)}")
     return LinearChain(d - 1, PlumbingVertex(-2, 0))
 
 

@@ -1,8 +1,10 @@
+import io
 import json
 import os
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 
 import pytest
@@ -11,6 +13,7 @@ import coverhom.cli
 import coverhom.cover
 import coverhom.intlinalg
 from coverhom.cli import build_parser, main
+from coverhom.errors import DomainError, echoed_int
 from coverhom.intlinalg import IntMatrix
 from coverhom.reportio import all_pass, matrix_from_json, matrix_to_json
 
@@ -426,6 +429,79 @@ class TestSnfCli:
         assert run_main(capsys, "snf", str(path))[0] == 2
 
 
+VALID_RUNS = [
+    ["example2", "--m1", "2", "--area1", "3/2", "--kaehler"],
+    ["kodaira-thurston", "--format", "json"],
+    ["tower7", "-d", "3"],
+    ["catalog"],
+    ["kollar", "--omega-pullback", "--no-target-pi2-trivial"],
+    ["snf", "m.json", "--format", "json"],
+]
+
+REFUSED_RUNS = [
+    ["example2", "--expand"],
+    ["example2", "--batch", "x"],
+    ["tower7", "stray"],
+    ["snf", "m.json", "extra", "--also"],
+    ["example2", "--m1", "12x"],
+    ["example2", "--m1", "1" * 5001],
+    ["example2", "--area1", "abc"],
+    ["catalog", "--format", "xml"],
+    ["kollar", "--omega-pullback"],
+    ["tower7", "-h"],
+    ["example2", "--", "-d"],
+    # The top-level parser of Python 3.11 and 3.12 refuses it as --help or --batch.
+    ["example2", "--=x"],
+    ["--kaeh"],
+    ["exa"],
+    ["--"],
+]
+
+
+class TestCommandParser:
+    """A command line is read by its command's own parser, as the top-level parser would read it."""
+
+    @pytest.fixture(autouse=True)
+    def matrix_file(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "m.json").write_text(json.dumps({"rows": 2, "cols": 2, "entries": [2, 4, 6, 8]}))
+
+    @staticmethod
+    def top_level(argv):
+        """The run's fields as the top-level parser reads argv, or (exit code, stdout, stderr) as main refuses it."""
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                return vars(build_parser().parse_args(argv))
+            except SystemExit as exc:
+                code = 0 if exc.code == 0 else 2
+            except DomainError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                code = 2
+        return code, out.getvalue(), err.getvalue()
+
+    @pytest.mark.parametrize("argv", VALID_RUNS + REFUSED_RUNS, ids=lambda argv: " ".join(argv)[:40])
+    def test_same_result_as_the_top_level_parser(self, capsys, monkeypatch, argv):
+        runs = []
+        check = coverhom.cli._check_grid_size
+        monkeypatch.setattr(coverhom.cli, "_check_grid_size", lambda run: check(runs.append(vars(run)) or run))
+        result = run_main(capsys, *argv)
+        expected = self.top_level(argv)
+        if argv in VALID_RUNS:
+            assert runs == [expected] and result[0] == 0 and result[2] == ""
+        else:
+            assert runs == [] and result == expected
+
+    @pytest.mark.parametrize("argv", VALID_RUNS, ids=lambda argv: argv[0])
+    def test_command_line_skips_the_top_level_parser(self, capsys, monkeypatch, argv):
+        def refused(*args, **kwargs):
+            raise AssertionError("the top-level parser read a command line")
+
+        for name in ("parse_args", "parse_known_args"):
+            monkeypatch.setattr(coverhom.cli._parser(), name, refused)
+        assert run_main(capsys, *argv)[0] == 0
+
+
 class TestBatch:
     def test_two_runs_in_order(self, capsys, tmp_path):
         out_file = tmp_path / "kt.json"
@@ -658,12 +734,18 @@ class TestErrorBoundary:
             (["example2", "-d", HUGE], "error: example2: g1, g2, m1, m2 and d give report integers of up to "),
             (["tower7", "-d", HUGE], "error: tower7: d gives report integers of up to "),
             (["snf", "m.json"], "error: matrix entry 0: integer string of 5001 digits, "),
+            (["snf", "literal.json"], "error: matrix file literal.json holds an integer above the limit"),
+            (["--batch", "batch.json"], "error: batch file batch.json holds an integer above the limit"),
         ],
-        ids=["example2", "tower7", "snf"],
+        ids=["example2", "tower7", "snf", "snf-literal", "batch-literal"],
     )
     def test_bounds_hold_with_the_digit_limit_off(self, tmp_path, argv, message):
-        # With the interpreter's limit off, its default still bounds the digits read and printed.
+        # With the interpreter's limit off, its default still bounds the digits read and printed,
+        # JSON integer literals of 300,000 digits included.
         (tmp_path / "m.json").write_text(json.dumps({"rows": 1, "cols": 1, "entries": [self.HUGE]}))
+        literal = "9" * 300_000
+        (tmp_path / "literal.json").write_text(f'{{"rows": 1, "cols": 1, "entries": [{literal}]}}')
+        (tmp_path / "batch.json").write_text(f'[{{"command": "example2", "d": {literal}}}]')
         src = os.path.dirname(os.path.dirname(coverhom.cli.__file__))
         env = dict(os.environ, PYTHONPATH=src, PYTHONINTMAXSTRDIGITS="0")
         start = time.perf_counter()
@@ -745,6 +827,30 @@ class TestErrorBoundary:
         result = run_main(capsys, "example2", option, value)
         self.assert_one_line_usage_error(result)
         assert len(result[2].encode()) < 200 and result[2].startswith(message)
+
+    @pytest.mark.parametrize("command", ["example2", "kodaira-thurston", "tower7", "catalog"])
+    def test_long_refused_degree_named_by_its_digits(self, capsys, tmp_path, command):
+        d = -int("9" * 4000)
+        word = "tower" if command in ("tower7", "catalog") else "cover"
+        message = f"error: {word} degree must be at least 2, got a negative integer of 4000 digits\n"
+        assert run_main(capsys, command, "-d", str(d)) == (2, "", message)
+        assert run_batch(capsys, tmp_path, [{"command": command, "d": d}]) == (2, "", message)
+        # A short one is echoed.
+        assert run_main(capsys, command, "-d", "-5")[2] == f"error: {word} degree must be at least 2, got -5\n"
+
+    def test_echoed_int_counts_the_digits_of_a_long_integer(self):
+        # In full up to ECHOED characters, the sign included.
+        for n in (0, 10**100 - 1, -(10**99 - 1)):
+            assert echoed_int(n) == str(n)
+        assert echoed_int(10**100) == "an integer of 101 digits"
+        assert echoed_int(-(10**99)) == "a negative integer of 100 digits"
+        for k in (101, 333, 1000, 4300, 5000, 20000):
+            assert echoed_int(10**k - 1) == f"an integer of {k} digits"
+            assert echoed_int(-(10**k)) == f"a negative integer of {k + 1} digits"
+        # Powers of two sit at the ends of the bit-length estimate.
+        for b in range(333, 14000, 97):
+            for n in (2**b - 1, 2**b, 2**b + 1):
+                assert echoed_int(n) == f"an integer of {len(str(n))} digits"
 
     def test_short_bad_integer_option_keeps_the_parser_message(self, capsys):
         code, out, err = run_main(capsys, "example2", "--m1", "12x")

@@ -627,3 +627,14 @@ class TestRationalVector:
     def test_normalized(self):
         v = RationalVector((Fraction(2, 4),))
         assert v.coords == (Fraction(1, 2),)
+
+    def test_fraction_coordinates_kept_and_others_converted(self):
+        # A Fraction is immutable, so it is stored as given; a subclass becomes a plain Fraction.
+        class Sub(Fraction):
+            pass
+
+        q = Fraction(1, 3)
+        coords = RationalVector((q, Sub(2, 3), 4, "5/6")).coords
+        assert coords[0] is q
+        assert [type(c) for c in coords] == [Fraction] * 4
+        assert coords == (q, Fraction(2, 3), Fraction(4), Fraction(5, 6))
