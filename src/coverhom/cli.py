@@ -6,9 +6,9 @@ Exit codes: 0 when every verdict in the result passes, 1 on a verification
 failure, 2 on usage or parameter errors.
 
 Every run is parsed by its command's own parser, on the command line and in
-`--batch`. The top-level parser reads only `--batch`, `--help` and the input
-it refuses: no command, an unknown one, or an argument it refuses before a
-command's parser would run (`_by_command`).
+`--batch`. The top-level parser reads only a command line that does not
+start with a command name: `--batch`, `--help`, no command, an unknown or
+abbreviated one, or a leading `--`.
 
 Only this module and `errors` load at start, so `--help`, usage errors and a
 malformed `--batch` file exit before the exact-arithmetic layers are
@@ -430,20 +430,6 @@ def _parse_run(sp: argparse.ArgumentParser, command: str, argv: list[str], error
     return args
 
 
-def _by_command(parser: argparse.ArgumentParser, argv: list[str]) -> bool:
-    """Whether argv's command parser alone reads it as the top-level parser would.
-
-    The top-level parser hands everything after the command name to that
-    command's parser, but first scans every argument. Before the first "--",
-    Python 3.11 and 3.12 refuse there an argument that starts with "--=" (it
-    could be --help or --batch), so such a command line stays with it.
-    """
-    if not argv or argv[0] not in parser.commands:
-        return False
-    head = argv[: argv.index("--")] if "--" in argv else argv
-    return not any(arg.startswith("--=") for arg in head)
-
-
 def _batch_runs(parser: argparse.ArgumentParser, path: str) -> list[argparse.Namespace]:
     """Parse every entry of a batch file, so that a bad entry stops the batch before any run."""
     entries = _read_json(path, "batch file")
@@ -484,7 +470,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        if _by_command(parser, argv):
+        if argv and argv[0] in parser.commands:
             args = _parse_run(parser.commands[argv[0]], argv[0], argv[1:], parser.error)
         else:
             args = parser.parse_args(argv)

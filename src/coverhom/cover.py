@@ -3,10 +3,13 @@
 Every cover built here carries the data the class-lifting arithmetic needs:
 the lifted symplectic class is the pullback, and the lifted first Chern
 class picks up (1 - d_i) times the dual of each branch preimage component.
-Reports record pass/fail verdicts with numeric evidence; each verdict
-compares a stored or computed value with a second computation that does not
-share its route (adjunction against the lift formulas and the smoothing
-count, the monodromy's Hermite form against the stored presentation).
+The lift formulas read a sphere's pushforward and branch intersections, so
+each generator is built once, with its lifted pairings. Reports record
+pass/fail verdicts with numeric evidence; each verdict compares a stored or
+computed value with a second computation that does not share its route
+(adjunction against the lift formulas and the smoothing count, the
+monodromy's Hermite form against the stored presentation). `_report`
+assembles every report, with the assumptions and trace keys they share.
 """
 
 from __future__ import annotations
@@ -16,9 +19,8 @@ from fractions import Fraction
 from operator import attrgetter
 from typing import Sequence
 
-from .errors import DomainError, IncompleteModelError, NoSuchCoverError, echoed_int
+from .errors import DimensionError, DomainError, NoSuchCoverError, echoed_int
 from .homology import (
-    HYPERBOLIC_PAIRING,
     MONODROMY_MATRIX,
     MONODROMY_RELATORS,
     ChainBlock,
@@ -26,8 +28,8 @@ from .homology import (
     SmoothedSurface,
     SphericalGenerator,
     SurfaceConfig,
-    _pairing_value,
     grid_immersion,
+    hyperbolic_pairing,
     kodaira_thurston_model,
     product_base_model,
     smooth_double_points,
@@ -112,15 +114,13 @@ class Verdict:
 class CoverReport:
     """The computed invariants of one cover, and pass/fail verdicts.
 
-    cover is the cover's model, which holds its Euler characteristic,
-    spherical classes and Kaehler flag. cover_b1 is cover.b1, computed once
-    as the report is built.
+    cover is the cover's model, which holds its Euler characteristic, b1,
+    spherical classes and Kaehler flag.
     """
 
     family: str
     parameters: tuple[tuple[str, object], ...]
     cover: ManifoldModel
-    cover_b1: int | None
     pi_lower_bound: int
     verdicts: tuple[Verdict, ...]
     assumptions: tuple[str, ...]
@@ -148,36 +148,29 @@ class CoverReport:
 # Lift formulas and Euler-characteristic bookkeeping
 
 
-def lift_omega_pairing(spec: CoverSpec, gen: SphericalGenerator) -> Fraction:
-    """Pairing of the lifted symplectic class with gen.
+def lift_omega_pairing(spec: CoverSpec, pushforward: Sequence[int]) -> Fraction:
+    """Pairing of the lifted symplectic class with a sphere whose image class is pushforward.
 
     The lifted class is the pullback, so the value is the base pairing with
-    the pushforward of gen; it is exactly 0 whenever the pushforward dies.
+    the pushforward; it is exactly 0 whenever the pushforward dies.
     """
-    if gen.pushforward is None:
-        raise IncompleteModelError(f"generator {gen.label!r} has no pushforward data")
-    return spec.base.omega_class.dot(gen.pushforward)
+    return spec.base.omega_class.dot(pushforward)
 
 
-def lift_chern_pairing(spec: CoverSpec, gen: SphericalGenerator) -> int:
-    """Pairing of the lifted first Chern class with gen.
+def lift_chern_pairing(spec: CoverSpec, pushforward: Sequence[int], branch_intersections: Sequence[int]) -> int:
+    """Pairing of the lifted first Chern class with a sphere.
 
     Base contribution through the pushforward, plus (1 - d_i) times the
-    intersection of gen with each branch preimage component.
+    sphere's intersection with each branch preimage component, in component order.
     """
-    if len(gen.branch_intersections) != len(spec.components):
-        raise IncompleteModelError(
-            f"generator {gen.label!r} stores {len(gen.branch_intersections)} branch "
-            f"intersections for {len(spec.components)} components"
+    if len(branch_intersections) != len(spec.components):
+        raise DimensionError(
+            f"{len(branch_intersections)} branch intersections for {len(spec.components)} branch components"
         )
-    if gen.pushforward is None:
-        raise IncompleteModelError(f"generator {gen.label!r} has no pushforward data")
-    base_part = spec.base.c1_class.dot(gen.pushforward)
+    base_part = spec.base.c1_class.dot(pushforward)
     if base_part.denominator != 1:
         raise DomainError("chern pairing against an integral class must be an integer")
-    branch_part = sum(
-        (1 - c.multiplicity) * x for c, x in zip(spec.components, gen.branch_intersections)
-    )
+    branch_part = sum((1 - c.multiplicity) * x for c, x in zip(spec.components, branch_intersections))
     return int(base_part) + branch_part
 
 
@@ -191,10 +184,10 @@ def riemann_hurwitz_euler(spec: CoverSpec) -> int:
 def adjunction_euler(base: ManifoldModel, class_vector: Sequence[int]) -> int:
     """chi of a connected symplectic surface in base, from its class alone, by adjunction.
 
-    chi(B) = <c1(X), B> - B.B, with B.B taken in HYPERBOLIC_PAIRING, the
+    chi(B) = <c1(X), B> - B.B, with B.B taken in hyperbolic_pairing, the
     pairing of every base's named classes. No component or double point is counted.
     """
-    return int(base.c1_class.dot(class_vector)) - _pairing_value(HYPERBOLIC_PAIRING, class_vector, class_vector)
+    return int(base.c1_class.dot(class_vector)) - hyperbolic_pairing(class_vector, class_vector)
 
 
 def pi_dimension_bound(k: int, d: int) -> int:
@@ -322,13 +315,9 @@ def _installed_generator(
     spec: CoverSpec, label: str, pushforward: tuple[int, ...], branch_intersections: tuple[int, ...]
 ) -> SphericalGenerator:
     """A generator whose stored pairings are evaluated through the lift formulas."""
-    gen = SphericalGenerator(label, Fraction(0), 0, branch_intersections, pushforward)
-    # The lift formulas read only the data checked above, so the pairings are
-    # set on the generator just built (a Fraction and an int, as it stores
-    # them) instead of building and checking it again.
-    object.__setattr__(gen, "omega_pairing", lift_omega_pairing(spec, gen))
-    object.__setattr__(gen, "c1_pairing", lift_chern_pairing(spec, gen))
-    return gen
+    omega = lift_omega_pairing(spec, pushforward)
+    c1 = lift_chern_pairing(spec, pushforward, branch_intersections)
+    return SphericalGenerator(label, omega, c1, branch_intersections, pushforward)
 
 
 def _cover_model(spec: CoverSpec, **fields) -> ManifoldModel:
@@ -340,7 +329,6 @@ def _cover_model(spec: CoverSpec, **fields) -> ManifoldModel:
     return ManifoldModel(
         kind="cover",
         euler_characteristic=riemann_hurwitz_euler(spec),
-        class_basis_labels=(),
         omega_class=RationalVector(()),
         c1_class=RationalVector(()),
         pi2_trivial=False,
@@ -367,7 +355,7 @@ def build_cyclic_cover(
     component = BranchComponent(multiplicity=cfg.d, euler_characteristic=branch.euler_characteristic)
     spec = CoverSpec(base=base, degree=cfg.d, branch=branch, components=(component,))
     chain = milnor_fiber_2_2_d(cfg.d)
-    template = _installed_generator(spec, "double point 1, sphere 1", (0,) * len(base.class_basis_labels), (0,))
+    template = _installed_generator(spec, "double point 1, sphere 1", (0,) * len(base.omega_class), (0,))
     h1_generators: int | None = None
     h1_relators: tuple[tuple[int, ...], ...] = ()
     if base.kind == "kodaira-thurston":
@@ -455,22 +443,48 @@ def _prediction_verdicts(spec: CoverSpec, cover: ManifoldModel) -> list[Verdict]
     ]
 
 
-def _grid_trace(b1_known: bool) -> tuple[tuple[str, str], ...]:
-    return (
-        ("invariants.euler_characteristic", "riemann_hurwitz_euler"),
-        (
-            "invariants.b1",
-            "abelianized_b1 on the stored presentation" if b1_known else "not determined by the construction",
+def _report(
+    cover: ManifoldModel,
+    *,
+    family: str,
+    parameters: tuple[tuple[str, object], ...],
+    pi_lower_bound: int,
+    verdicts: Sequence[Verdict],
+    assumptions: Sequence[str],
+    routes: tuple[str, str, str],
+) -> CoverReport:
+    """A cover's report, with the assumptions and trace every construction shares.
+
+    assumptions are the construction's own, placed after the pushforward and
+    sign conventions; routes name how the spherical bound and the omega and
+    c1 findings were reached.
+    """
+    b1_known = cover.b1 is not None
+    shared = [ASSUMPTION_PUSHFORWARD, ASSUMPTION_SIGN, *assumptions]
+    if not b1_known:
+        shared.append(ASSUMPTION_B1_UNKNOWN)
+    if cover.kaehler:
+        shared.append(ASSUMPTION_KAEHLER_SMOOTHING)
+    bound_route, omega_route, c1_route = routes
+    return CoverReport(
+        family=family,
+        parameters=parameters,
+        cover=cover,
+        pi_lower_bound=pi_lower_bound,
+        verdicts=tuple(verdicts),
+        assumptions=tuple(shared),
+        trace=(
+            ("invariants.euler_characteristic", "riemann_hurwitz_euler"),
+            (
+                "invariants.b1",
+                "abelianized_b1 on the stored presentation" if b1_known else "not determined by the construction",
+            ),
+            ("invariants.pi_lower_bound", bound_route),
+            ("pairings[].omega", "lift_omega_pairing"),
+            ("pairings[].c1", "lift_chern_pairing"),
+            ("findings.omega_on_spherical_classes", omega_route),
+            ("findings.c1_on_spherical_classes", c1_route),
         ),
-        (
-            "invariants.pi_lower_bound",
-            "pi_dimension_bound: k*(d-1) for k double points; "
-            "the bound verdict checks it against k times the chain's rank from its continuant",
-        ),
-        ("pairings[].omega", "lift_omega_pairing"),
-        ("pairings[].c1", "lift_chern_pairing"),
-        ("findings.omega_on_spherical_classes", "installed pairings plus aspherical-base prediction"),
-        ("findings.c1_on_spherical_classes", "installed pairings plus connected-preimage prediction"),
     )
 
 
@@ -497,22 +511,19 @@ def _assemble_grid_report(
     )
     verdicts.extend(extra_verdicts)
     verdicts.extend((_chain_c1_verdict(block), _euler_verdict(spec, cover)))
-    assumptions = [ASSUMPTION_PUSHFORWARD, ASSUMPTION_SIGN, ASSUMPTION_UNIQUE_COVER]
-    assumptions.extend(extra_assumptions)
-    cover_b1 = cover.b1
-    if cover_b1 is None:
-        assumptions.append(ASSUMPTION_B1_UNKNOWN)
-    if cover.kaehler:
-        assumptions.append(ASSUMPTION_KAEHLER_SMOOTHING)
-    return CoverReport(
+    return _report(
+        cover,
         family=family,
         parameters=parameters,
-        cover=cover,
-        cover_b1=cover_b1,
         pi_lower_bound=bound,
-        verdicts=tuple(verdicts),
-        assumptions=tuple(assumptions),
-        trace=_grid_trace(cover_b1 is not None),
+        verdicts=verdicts,
+        assumptions=(ASSUMPTION_UNIQUE_COVER, *extra_assumptions),
+        routes=(
+            "pi_dimension_bound: k*(d-1) for k double points; "
+            "the bound verdict checks it against k times the chain's rank from its continuant",
+            "installed pairings plus aspherical-base prediction",
+            "installed pairings plus connected-preimage prediction",
+        ),
     )
 
 
@@ -588,17 +599,11 @@ def build_tower7(d: int) -> tuple[CoverReport, CoverReport]:
     # both pairings inherited from the stage-1 evaluation.
     base2 = replace(
         cover1,
-        class_basis_labels=("sphere S",),
         omega_class=RationalVector((sphere.omega_pairing,)),
         c1_class=RationalVector((sphere.c1_pairing,)),
     )
     tori = (BranchComponent(multiplicity=d, euler_characteristic=0),) * 2
-    branch2 = SmoothedSurface(
-        euler_characteristic=0,
-        genus=None,
-        class_vector=None,
-        connected=False,
-    )
+    branch2 = SmoothedSurface(euler_characteristic=0, class_vector=None, connected=False)
     spec2 = CoverSpec(base=base2, degree=d, branch=branch2, components=tori)
     lifted = _installed_generator(spec2, "lifted sphere over S", (1,), (1, 1))
     c1 = lifted.c1_pairing
@@ -614,28 +619,17 @@ def build_tower7(d: int) -> tuple[CoverReport, CoverReport]:
             f"pairing {c1} vs 2*(1-{d}) = {expected}",
         )
     )
-    report2 = CoverReport(
+    report2 = _report(
+        cover2,
         family="tower7-stage2",
         parameters=(("stage", 2), ("d", d)),
-        cover=cover2,
-        cover_b1=None,
         pi_lower_bound=1,
-        verdicts=tuple(verdicts),
-        assumptions=(
-            ASSUMPTION_PUSHFORWARD,
-            ASSUMPTION_SIGN,
-            ASSUMPTION_TOWER_CHOICE,
-            ASSUMPTION_TOWER_SIGNS,
-            ASSUMPTION_B1_UNKNOWN,
-        ),
-        trace=(
-            ("invariants.euler_characteristic", "riemann_hurwitz_euler"),
-            ("invariants.b1", "not determined by the construction"),
-            ("invariants.pi_lower_bound", "nonzero chern pairing certifies a nonzero spherical class"),
-            ("pairings[].omega", "lift_omega_pairing"),
-            ("pairings[].c1", "lift_chern_pairing"),
-            ("findings.omega_on_spherical_classes", "installed pairing plus aspherical-base prediction"),
-            ("findings.c1_on_spherical_classes", "installed pairing (witness sphere)"),
+        verdicts=verdicts,
+        assumptions=(ASSUMPTION_TOWER_CHOICE, ASSUMPTION_TOWER_SIGNS),
+        routes=(
+            "nonzero chern pairing certifies a nonzero spherical class",
+            "installed pairing plus aspherical-base prediction",
+            "installed pairing (witness sphere)",
         ),
     )
     return report1, report2

@@ -38,9 +38,5 @@ class NoSuchCoverError(DomainError):
     """The requested branched cover does not exist (divisibility obstruction)."""
 
 
-class IncompleteModelError(ValueError):
-    """A pairing was requested from a generator that lacks the stored data."""
-
-
 class VerificationError(ArithmeticError):
     """A computed value contradicts the independent computation that justifies it."""

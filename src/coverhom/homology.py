@@ -1,18 +1,21 @@
 """Homological models of the base manifolds and their branch surfaces.
 
-Second homology is never tracked in full: each manifold carries a small
-named class basis (horizontal/vertical for products, section/fiber for the
+Second homology is never tracked in full: each base carries two named
+classes (horizontal/vertical for products, section/fiber for the
 torus-bundle quotient) and the cohomology classes of interest are stored as
-their pairing values against those named classes. Coordinate order is fixed
-as (horizontal-like, vertical-like) throughout, so the class of the grid
-configuration below is (m2*d, m1*d).
+their pairing values against those classes. Coordinate order is fixed as
+(horizontal-like, vertical-like) throughout, so the class of the grid
+configuration below is (m2*d, m1*d). In every base the two named classes
+have square 0 and meet once, so classes pair by `hyperbolic_pairing`.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
+from typing import Sequence
 
 from .errors import DimensionError, DomainError, echoed_int
 from .intlinalg import IntMatrix, RationalVector, abelianized_b1, _as_fraction, _as_int
@@ -30,12 +33,16 @@ __all__ = [
     "smooth_double_points",
     "product_base_model",
     "kodaira_thurston_model",
-    "HYPERBOLIC_PAIRING",
+    "hyperbolic_pairing",
 ]
 
-# Pairing of the two named classes in every base built here: both squares
-# vanish (trivial normal bundles) and the classes meet once.
-HYPERBOLIC_PAIRING = IntMatrix(2, 2, (0, 1, 1, 0))
+
+def hyperbolic_pairing(a: Sequence[int], b: Sequence[int]) -> int:
+    """Intersection number of two classes in the named basis of every base built here.
+
+    Both named classes have square 0 (trivial normal bundles) and they meet once.
+    """
+    return a[0] * b[1] + a[1] * b[0]
 
 
 @dataclass(frozen=True)
@@ -71,13 +78,18 @@ class SurfaceConfig:
 
 @dataclass(frozen=True)
 class ImmersedComponent:
+    """A surface of the given genus whose class has two coordinates in the named basis."""
+
     genus: int
-    class_vector: tuple[int, ...]
+    class_vector: tuple[int, int]
 
     def __post_init__(self):
         if _as_int(self.genus) < 0:
             raise DomainError("component genus must be nonnegative")
-        object.__setattr__(self, "class_vector", tuple(_as_int(x) for x in self.class_vector))
+        vector = tuple(_as_int(x) for x in self.class_vector)
+        if len(vector) != 2:
+            raise DimensionError(f"a component class has two coordinates, got {len(vector)}")
+        object.__setattr__(self, "class_vector", vector)
 
 
 @dataclass(frozen=True)
@@ -86,18 +98,13 @@ class ImmersedConfig:
 
     components: tuple[tuple[ImmersedComponent, int], ...]
     double_points: int
-    pairing: IntMatrix
 
     def __post_init__(self):
         if _as_int(self.double_points) < 0:
             raise DomainError("double point count must be nonnegative")
-        if self.pairing.rows != self.pairing.cols or not self.pairing.is_symmetric():
-            raise DomainError("ambient pairing must be a symmetric square matrix")
-        for comp, count in self.components:
+        for _, count in self.components:
             if _as_int(count) < 1:
                 raise DomainError("component count must be at least 1")
-            if len(comp.class_vector) != self.pairing.rows:
-                raise DimensionError("component class vector does not match ambient pairing size")
         object.__setattr__(self, "components", tuple(self.components))
 
 
@@ -106,20 +113,13 @@ class SmoothedSurface:
     """Result of smoothing the double points of an immersed surface."""
 
     euler_characteristic: int
-    genus: int | None
     class_vector: tuple[int, ...] | None
     connected: bool
 
     def __post_init__(self):
-        _as_int(self.euler_characteristic)
-        if self.genus is not None:
-            _as_int(self.genus)
-        if self.connected:
-            chi = self.euler_characteristic
-            if chi % 2 != 0:
-                raise DomainError("a closed orientable surface has even euler characteristic")
-            if self.genus != 1 - chi // 2 or self.genus < 0:
-                raise DomainError("genus of a connected surface must equal 1 - chi/2, >= 0")
+        chi = _as_int(self.euler_characteristic)
+        if self.connected and (chi % 2 != 0 or chi > 2):
+            raise DomainError(f"a connected surface has even euler characteristic at most 2, got {echoed_int(chi)}")
         if self.class_vector is not None:
             object.__setattr__(self, "class_vector", tuple(_as_int(x) for x in self.class_vector))
 
@@ -130,16 +130,15 @@ class SphericalGenerator:
 
     pushforward holds the image class in the base's named basis (all zeros
     for chain spheres, which live over balls around double points of the
-    branch configuration); None means the construction supplies no such
-    data. branch_intersections pairs the class with each branch component,
-    in component order.
+    branch configuration). branch_intersections pairs the class with each
+    branch component, in component order.
     """
 
     label: str
     omega_pairing: Fraction
     c1_pairing: int
     branch_intersections: tuple[int, ...]
-    pushforward: tuple[int, ...] | None = None
+    pushforward: tuple[int, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "omega_pairing", _as_fraction(self.omega_pairing))
@@ -147,8 +146,7 @@ class SphericalGenerator:
         object.__setattr__(
             self, "branch_intersections", tuple(_as_int(x) for x in self.branch_intersections)
         )
-        if self.pushforward is not None:
-            object.__setattr__(self, "pushforward", tuple(_as_int(x) for x in self.pushforward))
+        object.__setattr__(self, "pushforward", tuple(_as_int(x) for x in self.pushforward))
 
 
 @dataclass(frozen=True)
@@ -183,14 +181,14 @@ class ManifoldModel:
     first homology; b1 is then unknown. symplectically_aspherical records
     whether the symplectic class is known to kill every spherical class
     (always true when pi_2 is trivial). The spherical classes are the
-    chain_block's spheres followed by spherical_generators.
+    chain_block's spheres followed by spherical_generators. omega_class and
+    c1_class pair with the named classes: two for a base, none for a cover.
     """
 
     kind: str
     euler_characteristic: int
     h1_generators: int | None
     h1_relators: tuple[tuple[int, ...], ...]
-    class_basis_labels: tuple[str, ...]
     omega_class: RationalVector
     c1_class: RationalVector
     spherical_generators: tuple[SphericalGenerator, ...]
@@ -200,10 +198,8 @@ class ManifoldModel:
     chain_block: ChainBlock | None = None
 
     def __post_init__(self):
-        labels = tuple(self.class_basis_labels)
-        object.__setattr__(self, "class_basis_labels", labels)
-        if len(self.omega_class) != len(labels) or len(self.c1_class) != len(labels):
-            raise DimensionError("omega/c1 class vectors must match the named basis length")
+        if len(self.omega_class) != len(self.c1_class):
+            raise DimensionError("omega and c1 class vectors must pair with the same named classes")
         rel = tuple(tuple(_as_int(x) for x in r) for r in self.h1_relators)
         object.__setattr__(self, "h1_relators", rel)
         if self.h1_generators is None:
@@ -217,7 +213,7 @@ class ManifoldModel:
             raise DomainError("trivial pi_2 forces the symplectic class to kill spherical classes")
         object.__setattr__(self, "spherical_generators", tuple(self.spherical_generators))
 
-    @property
+    @cached_property
     def b1(self) -> int | None:
         if self.h1_generators is None:
             return None
@@ -235,12 +231,7 @@ def grid_immersion(cfg: SurfaceConfig) -> ImmersedConfig:
     return ImmersedConfig(
         components=((vertical, cfg.m1 * cfg.d), (horizontal, cfg.m2 * cfg.d)),
         double_points=cfg.m1 * cfg.m2 * cfg.d * cfg.d,
-        pairing=HYPERBOLIC_PAIRING,
     )
-
-
-def _pairing_value(q: IntMatrix, a: tuple[int, ...], b: tuple[int, ...]) -> int:
-    return sum(a[i] * q.entry(i, j) * b[j] for i in range(q.rows) for j in range(q.cols))
 
 
 def _pairing_graph_connected(b: ImmersedConfig) -> bool:
@@ -258,7 +249,7 @@ def _pairing_graph_connected(b: ImmersedConfig) -> bool:
     if not classes:
         return False
     if len(classes) == 1:
-        return counts[classes[0]] == 1 or _pairing_value(b.pairing, classes[0], classes[0]) != 0
+        return counts[classes[0]] == 1 or hyperbolic_pairing(classes[0], classes[0]) != 0
     parent = list(range(len(classes)))
 
     def find(i):
@@ -269,7 +260,7 @@ def _pairing_graph_connected(b: ImmersedConfig) -> bool:
 
     for i in range(len(classes)):
         for j in range(i + 1, len(classes)):
-            if _pairing_value(b.pairing, classes[i], classes[j]):
+            if hyperbolic_pairing(classes[i], classes[j]):
                 parent[find(i)] = find(j)
     return len({find(i) for i in range(len(classes))}) == 1
 
@@ -277,20 +268,8 @@ def _pairing_graph_connected(b: ImmersedConfig) -> bool:
 def smooth_double_points(b: ImmersedConfig) -> SmoothedSurface:
     """Smooth all double points: chi drops by 2 per point, the class is the sum."""
     chi = sum(n * (2 - 2 * c.genus) for c, n in b.components) - 2 * b.double_points
-    width = b.pairing.rows
-    total = tuple(sum(n * c.class_vector[i] for c, n in b.components) for i in range(width))
-    connected = _pairing_graph_connected(b)
-    genus = None
-    if connected:
-        if chi % 2 != 0 or 1 - chi // 2 < 0:
-            raise DomainError("immersed configuration is inconsistent with a connected smoothing")
-        genus = 1 - chi // 2
-    return SmoothedSurface(
-        euler_characteristic=chi,
-        genus=genus,
-        class_vector=total,
-        connected=connected,
-    )
+    total = tuple(sum(n * c.class_vector[i] for c, n in b.components) for i in range(2))
+    return SmoothedSurface(euler_characteristic=chi, class_vector=total, connected=_pairing_graph_connected(b))
 
 
 def product_base_model(cfg: SurfaceConfig) -> ManifoldModel:
@@ -304,7 +283,6 @@ def product_base_model(cfg: SurfaceConfig) -> ManifoldModel:
         euler_characteristic=chi,
         h1_generators=b1,
         h1_relators=(),
-        class_basis_labels=("horizontal", "vertical"),
         omega_class=RationalVector(cfg.omega_areas),
         c1_class=RationalVector((2 - 2 * cfg.g1, 2 - 2 * cfg.g2)),
         spherical_generators=(),
@@ -339,7 +317,6 @@ def kodaira_thurston_model(areas: tuple[Fraction, Fraction] = (Fraction(1), Frac
         euler_characteristic=0,
         h1_generators=4,
         h1_relators=MONODROMY_RELATORS,
-        class_basis_labels=("section", "fiber"),
         omega_class=RationalVector(a),
         c1_class=RationalVector((0, 0)),
         spherical_generators=(),

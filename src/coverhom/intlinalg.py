@@ -36,6 +36,8 @@ def _as_int(value) -> int:
 def _as_fraction(value) -> Fraction:
     if type(value) is Fraction:
         return value  # immutable, so Fraction(value) would only copy it
+    if isinstance(value, bool):
+        raise DomainError(f"rational required, got {value!r}")
     if isinstance(value, float):
         raise DomainError(f"floating point rejected, got {value!r}; use int, str or Fraction")
     return Fraction(value)
@@ -76,11 +78,6 @@ class IntMatrix:
             cols = 0
         return cls(len(data), cols, tuple(chain.from_iterable(data)))
 
-    def entry(self, i: int, j: int) -> int:
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise DimensionError(f"index ({i},{j}) outside {self.rows}x{self.cols} matrix")
-        return self.entries[i * self.cols + j]
-
     def row(self, i: int) -> tuple[int, ...]:
         if not 0 <= i < self.rows:
             raise DimensionError(f"row {i} outside {self.rows}x{self.cols} matrix")
@@ -117,11 +114,6 @@ class IntMatrix:
         return IntMatrix(self.rows, n, tuple(chain.from_iterable(zip(*out))))
 
     __matmul__ = mul
-
-    def is_symmetric(self) -> bool:
-        return self.rows == self.cols and all(
-            self.row(i) == self.column(i) for i in range(self.rows)
-        )
 
     def diagonal(self) -> tuple[int, ...]:
         step = self.cols + 1

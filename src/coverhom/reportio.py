@@ -147,7 +147,7 @@ def report_to_dict(r: CoverReport) -> dict:
         "parameters": {k: encode_value(v) for k, v in r.parameters},
         "invariants": {
             "euler_characteristic": encode_int(r.cover.euler_characteristic),
-            "b1": None if r.cover_b1 is None else encode_int(r.cover_b1),
+            "b1": None if r.cover.b1 is None else encode_int(r.cover.b1),
             "pi_lower_bound": encode_int(r.pi_lower_bound),
         },
         "findings": dict(zip(("omega_on_spherical_classes", "c1_on_spherical_classes"), r.signature)),

@@ -163,13 +163,25 @@ def euler_by_complement(degree, chi_base, chi_branch, component_chis):
     return degree * (chi_base - chi_branch) + sum(component_chis)
 
 
+# Gram matrix of the two named classes of every base: square 0 each, meeting once.
+HYPERBOLIC_ROWS = [[0, 1], [1, 0]]
+
+
+def gram_pairing(a, b, pairing_rows):
+    """Pairing a^T Q b of two class vectors against an explicit Gram matrix Q."""
+    n = len(a)
+    return sum(a[i] * pairing_rows[i][j] * b[j] for i in range(n) for j in range(n))
+
+
 def pairing_square(class_vector, pairing_rows):
     """Self-intersection of a class vector against an explicit Gram matrix."""
-    n = len(class_vector)
-    return sum(
-        class_vector[i] * pairing_rows[i][j] * class_vector[j]
-        for i in range(n)
-        for j in range(n)
+    return gram_pairing(class_vector, class_vector, pairing_rows)
+
+
+def is_symmetric_rows(rows):
+    """Whether a list-of-lists matrix is square and equal to its transpose."""
+    return all(len(r) == len(rows) for r in rows) and all(
+        x == rows[j][i] for i, r in enumerate(rows) for j, x in enumerate(r)
     )
 
 

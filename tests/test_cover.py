@@ -30,9 +30,8 @@ from coverhom.cover import (
     riemann_hurwitz_euler,
     _require_divisible,
 )
-from coverhom.errors import DomainError, IncompleteModelError, NoSuchCoverError
+from coverhom.errors import DimensionError, DomainError, NoSuchCoverError
 from coverhom.homology import (
-    HYPERBOLIC_PAIRING,
     MONODROMY_RELATORS,
     SmoothedSurface,
     SphericalGenerator,
@@ -45,7 +44,7 @@ from coverhom.intlinalg import IntMatrix, rank
 from coverhom.plumbing import LinearChain, PlumbingVertex, chain_rank, milnor_fiber_2_2_d
 from coverhom.reportio import report_to_dict
 
-from oracles import block_diag, chain_listing, chain_rows, euler_by_complement, pairing_square
+from oracles import HYPERBOLIC_ROWS, block_diag, chain_listing, chain_rows, euler_by_complement, pairing_square
 
 
 def make_cfg(g1=1, g2=1, m1=1, m2=1, d=2, areas=(1, 1)):
@@ -73,20 +72,10 @@ def kt_report_with_relators(monkeypatch, relators):
     return kodaira_thurston_family_report(make_cfg())
 
 
-def gen(pushforward=None, branch=(), omega=0, c1=0, label="test"):
-    return SphericalGenerator(
-        label=label,
-        omega_pairing=Fraction(omega),
-        c1_pairing=c1,
-        branch_intersections=branch,
-        pushforward=pushforward,
-    )
-
-
 class TestCoverSpecValidation:
     def test_nontrivial_cover_needs_mult_two(self):
         base = product_base_model(make_cfg())
-        branch = SmoothedSurface(0, 1, (1, 1), True)
+        branch = SmoothedSurface(0, (1, 1), True)
         comp = BranchComponent(1, 0)
         with pytest.raises(DomainError):
             CoverSpec(base, 2, branch, (comp,))
@@ -94,7 +83,7 @@ class TestCoverSpecValidation:
     def test_one_component_over_a_disconnected_branch(self):
         # One preimage component is a connected preimage, which a disconnected branch locus cannot have.
         base = product_base_model(make_cfg())
-        branch = SmoothedSurface(0, None, None, False)
+        branch = SmoothedSurface(0, None, False)
         with pytest.raises(DomainError, match="disconnected branch locus"):
             CoverSpec(base, 2, branch, (BranchComponent(2, 0),))
         assert not CoverSpec(base, 2, branch, (BranchComponent(2, 0),) * 2).preimage_connected
@@ -104,61 +93,68 @@ class TestLiftPairings:
     def test_identity_cover_horizontal(self):
         base = product_base_model(make_cfg(areas=(Fraction(5), Fraction(7))))
         spec = identity_cover(base)
-        g = gen(pushforward=(1, 0))
-        assert lift_omega_pairing(spec, g) == Fraction(5)
+        assert lift_omega_pairing(spec, (1, 0)) == Fraction(5)
 
     def test_linearity_scaling(self):
         base = product_base_model(make_cfg(areas=(1, "2/3")))
         spec = identity_cover(base)
-        g = gen(pushforward=(0, 2))
-        assert lift_omega_pairing(spec, g) == Fraction(4, 3)
+        assert lift_omega_pairing(spec, (0, 2)) == Fraction(4, 3)
 
     def test_milnor_generator_zero(self):
         cfg = make_cfg()
         spec, cover = build_cyclic_cover(product_base_model(cfg), cfg)
         g = cover.chain_block.template
-        assert lift_omega_pairing(spec, g) == 0
-        assert lift_chern_pairing(spec, g) == 0
+        assert lift_omega_pairing(spec, g.pushforward) == 0
+        assert lift_chern_pairing(spec, g.pushforward, g.branch_intersections) == 0
 
     def test_two_component_sphere_pairing(self):
         # Two branch components of multiplicity d, each met once, pushforward dead.
         base = product_base_model(make_cfg())
         for d in (2, 3, 5):
-            branch = SmoothedSurface(0, None, None, False)
+            branch = SmoothedSurface(0, None, False)
             comps = (BranchComponent(d, 0), BranchComponent(d, 0))
             spec = CoverSpec(base, d, branch, comps)
-            g = gen(pushforward=(0, 0), branch=(1, 1))
-            assert lift_chern_pairing(spec, g) == 2 * (1 - d)
+            assert lift_chern_pairing(spec, (0, 0), (1, 1)) == 2 * (1 - d)
 
     def test_unbranched_reduces_to_base_pairing(self):
         base = product_base_model(make_cfg(g1=2, g2=1))
         spec = identity_cover(base)
-        g = gen(pushforward=(1, 0))
-        assert lift_chern_pairing(spec, g) == -2
+        assert lift_chern_pairing(spec, (1, 0), ()) == -2
 
     def test_multiplicity_one_component_drops_out(self):
         base = product_base_model(make_cfg(g1=2, g2=1))
-        branch = SmoothedSurface(-2, 2, (1, 1), True)
+        branch = SmoothedSurface(-2, (1, 1), True)
         comp = BranchComponent(1, -2)
         spec = CoverSpec(base, 1, branch, (comp,))
-        g = gen(pushforward=(1, 0), branch=(3,))
-        assert lift_chern_pairing(spec, g) == -2
-
-    def test_missing_pushforward_rejected(self):
-        base = product_base_model(make_cfg())
-        spec = identity_cover(base)
-        bad = SphericalGenerator("no data", Fraction(0), 0, (), pushforward=None)
-        with pytest.raises(IncompleteModelError):
-            lift_omega_pairing(spec, bad)
-        with pytest.raises(IncompleteModelError):
-            lift_chern_pairing(spec, bad)
+        assert lift_chern_pairing(spec, (1, 0), (3,)) == -2
 
     def test_missing_branch_intersections_rejected(self):
         cfg = make_cfg()
         spec, _ = build_cyclic_cover(product_base_model(cfg), cfg)
-        bad = gen(pushforward=(0, 0), branch=())
-        with pytest.raises(IncompleteModelError):
-            lift_chern_pairing(spec, bad)
+        for intersections in ((), (0, 0)):
+            with pytest.raises(DimensionError, match=f"{len(intersections)} branch intersections for 1 branch"):
+                lift_chern_pairing(spec, (0, 0), intersections)
+            with pytest.raises(DimensionError):
+                coverhom.cover._installed_generator(spec, "bad", (0, 0), intersections)
+
+    @pytest.mark.parametrize("pushforward", [(), (0,), (0, 0, 0)])
+    def test_wrong_pushforward_length_rejected(self, pushforward):
+        cfg = make_cfg()
+        spec, _ = build_cyclic_cover(product_base_model(cfg), cfg)
+        with pytest.raises(DimensionError):
+            lift_omega_pairing(spec, pushforward)
+        with pytest.raises(DimensionError):
+            lift_chern_pairing(spec, pushforward, (0,))
+        with pytest.raises(DimensionError):
+            coverhom.cover._installed_generator(spec, "bad", pushforward, (0,))
+
+    @pytest.mark.parametrize("bad", [True, 0.5])
+    def test_non_integer_pushforward_rejected(self, bad):
+        # The lift formulas read the pushforward before the generator checks it.
+        cfg = make_cfg()
+        spec, _ = build_cyclic_cover(product_base_model(cfg), cfg)
+        with pytest.raises(DomainError):
+            coverhom.cover._installed_generator(spec, "bad", (bad, 0), (0,))
 
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(
@@ -170,17 +166,14 @@ class TestLiftPairings:
     )
     def test_lift_pairings_additive(self, u, v, bu, bv, d):
         base = product_base_model(make_cfg(g1=2, g2=3, areas=("1/2", "7/3")))
-        branch = SmoothedSurface(0, None, None, False)
+        branch = SmoothedSurface(0, None, False)
         comps = (BranchComponent(d, 0), BranchComponent(d, 0))
         spec = CoverSpec(base, d, branch, comps)
-        ga = gen(pushforward=u, branch=(bu, bu))
-        gb = gen(pushforward=v, branch=(bv, bv))
-        gsum = gen(
-            pushforward=tuple(x + y for x, y in zip(u, v)),
-            branch=(bu + bv, bu + bv),
+        usum = tuple(x + y for x, y in zip(u, v))
+        assert lift_omega_pairing(spec, usum) == lift_omega_pairing(spec, u) + lift_omega_pairing(spec, v)
+        assert lift_chern_pairing(spec, usum, (bu + bv,) * 2) == (
+            lift_chern_pairing(spec, u, (bu, bu)) + lift_chern_pairing(spec, v, (bv, bv))
         )
-        assert lift_omega_pairing(spec, gsum) == lift_omega_pairing(spec, ga) + lift_omega_pairing(spec, gb)
-        assert lift_chern_pairing(spec, gsum) == lift_chern_pairing(spec, ga) + lift_chern_pairing(spec, gb)
 
 
 class TestRiemannHurwitz:
@@ -214,7 +207,7 @@ class TestRiemannHurwitz:
         # Adjunction on the branch class: <c1, B> - B.B, with B = (m2*d, m1*d).
         assert spec.branch.class_vector == (m2 * d, m1 * d)
         c1_on_class = m2 * d * (2 - 2 * g1) + m1 * d * (2 - 2 * g2)
-        square = pairing_square((m2 * d, m1 * d), HYPERBOLIC_PAIRING.to_rows())
+        square = pairing_square((m2 * d, m1 * d), HYPERBOLIC_ROWS)
         assert adjunction_euler(spec.base, spec.branch.class_vector) == c1_on_class - square == chi_b
 
     def test_adjunction_on_torus_bundle_base(self):
@@ -364,7 +357,7 @@ class TestFamilyReports:
         assert report.pi_lower_bound == 4
         assert report.cover.euler_characteristic == 8
         assert report.omega_vanishes_on_pi and report.c1_vanishes_on_pi
-        assert report.cover_b1 is None
+        assert report.cover.b1 is None
 
     def test_example2_bound_grid(self):
         for m1, m2, d in ((1, 1, 2), (2, 2, 3), (4, 4, 5), (1, 3, 4)):
@@ -391,7 +384,7 @@ class TestFamilyReports:
     def test_kodaira_thurston_report(self):
         report = kodaira_thurston_family_report(make_cfg(m1=3, m2=2, d=5))
         assert report.passed
-        assert report.cover_b1 == 3
+        assert report.cover.b1 == 3
         assert not report.cover.kaehler
         names = [v.name for v in report.verdicts]
         assert "cover first Betti number equals 3; odd b1 rules out Kaehler homotopy type" in names
@@ -597,7 +590,7 @@ def patched(name, replacement):
 
 def miscounted(immersed):
     branch = smooth_double_points(immersed)
-    return replace(branch, euler_characteristic=branch.euler_characteristic + 2, genus=branch.genus - 1)
+    return replace(branch, euler_characteristic=branch.euler_characteristic + 2)
 
 
 def failing_grid_report(monkeypatch):

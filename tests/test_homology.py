@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from coverhom.cover import BranchComponent, CoverSpec, pi_dimension_bound
 from coverhom.errors import DimensionError, DomainError
 from coverhom.homology import (
-    HYPERBOLIC_PAIRING,
     ImmersedComponent,
     ImmersedConfig,
     ManifoldModel,
@@ -17,14 +16,15 @@ from coverhom.homology import (
     SphericalGenerator,
     SurfaceConfig,
     grid_immersion,
+    hyperbolic_pairing,
     kodaira_thurston_model,
     product_base_model,
     smooth_double_points,
 )
-from coverhom.intlinalg import IntMatrix, RationalVector, abelianized_b1
+from coverhom.intlinalg import RationalVector, abelianized_b1
 from coverhom.plumbing import PlumbingVertex
 
-from oracles import pairing_square
+from oracles import HYPERBOLIC_ROWS, gram_pairing, pairing_square
 
 cfg_params = st.tuples(
     st.integers(1, 3), st.integers(1, 3), st.integers(1, 4), st.integers(1, 4), st.integers(2, 5)
@@ -49,6 +49,10 @@ class TestSurfaceConfig:
     def test_rejects_float_areas(self):
         with pytest.raises(DomainError):
             make_cfg(areas=(0.5, 1))
+
+    def test_rejects_bool_areas(self):
+        with pytest.raises(DomainError, match="rational required"):
+            SurfaceConfig(1, 1, 1, 1, 2, (True, 1))
 
     def test_accepts_string_rationals(self):
         cfg = make_cfg(areas=("3/2", 2))
@@ -82,70 +86,66 @@ class TestGridImmersion:
         assert sum(n for _, n in b.components) == m1 * d + m2 * d
 
 
+# Two spheres, one in each named class: they meet once.
+_SPHERES = ((ImmersedComponent(0, (1, 0)), 1), (ImmersedComponent(0, (0, 1)), 1))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.tuples(st.integers(-50, 50), st.integers(-50, 50)), st.tuples(st.integers(-50, 50), st.integers(-50, 50)))
+def test_hyperbolic_pairing_matches_the_gram_matrix(a, b):
+    assert hyperbolic_pairing(a, b) == gram_pairing(a, b, HYPERBOLIC_ROWS) == hyperbolic_pairing(b, a)
+
+
 class TestSmoothDoublePoints:
     def test_two_lines_in_plane(self):
         # Two spheres meeting once smooth to a sphere: chi = 4 - 2 = 2.
-        pairing = IntMatrix.from_rows([[1]])
-        b = ImmersedConfig(
-            components=((ImmersedComponent(0, (1,)), 2),),
-            double_points=1,
-            pairing=pairing,
-        )
-        s = smooth_double_points(b)
-        assert s.euler_characteristic == 2
-        assert s.genus == 0
-        assert s.connected
-        assert s.class_vector == (2,)
+        s = smooth_double_points(ImmersedConfig(components=_SPHERES, double_points=1))
+        assert s == SmoothedSurface(euler_characteristic=2, class_vector=(1, 1), connected=True)
+        assert 1 - s.euler_characteristic // 2 == 0
 
     def test_minimal_grid(self):
         s = smooth_double_points(grid_immersion(make_cfg()))
         # Oracle route: class (2, 2) against the hyperbolic pairing.
         assert s.class_vector == (2, 2)
-        assert pairing_square(s.class_vector, [[0, 1], [1, 0]]) == 8
+        assert pairing_square(s.class_vector, HYPERBOLIC_ROWS) == 8
         assert s.euler_characteristic == -8
-        assert s.genus == 5
+        assert 1 - s.euler_characteristic // 2 == 5
         assert s.connected
 
     def test_nothing_to_smooth(self):
-        pairing = IntMatrix.from_rows([[0]])
-        b = ImmersedConfig(
-            components=((ImmersedComponent(3, (1,)), 1),),
-            double_points=0,
-            pairing=pairing,
-        )
+        b = ImmersedConfig(components=((ImmersedComponent(3, (1, 0)), 1),), double_points=0)
         s = smooth_double_points(b)
         assert s.euler_characteristic == 2 - 2 * 3
-        assert s.class_vector == (1,)
+        assert s.class_vector == (1, 0)
         assert s.connected
-        assert s.genus == 3
 
     def test_disconnected_parallel_copies(self):
-        b = ImmersedConfig(
-            components=((ImmersedComponent(1, (0, 1)), 2),),
-            double_points=0,
-            pairing=HYPERBOLIC_PAIRING,
-        )
+        b = ImmersedConfig(components=((ImmersedComponent(1, (0, 1)), 2),), double_points=0)
         s = smooth_double_points(b)
         assert not s.connected
-        assert s.genus is None
+        assert s.class_vector == (0, 2)
 
     def test_distinct_classes_that_do_not_pair(self):
         b = ImmersedConfig(
             components=((ImmersedComponent(1, (1, 0)), 1), (ImmersedComponent(1, (2, 0)), 1)),
             double_points=0,
-            pairing=HYPERBOLIC_PAIRING,
         )
         assert not smooth_double_points(b).connected
 
+    @pytest.mark.parametrize("vector", [(1,), (1, 0, 0), ()])
+    def test_component_class_has_two_coordinates(self, vector):
+        with pytest.raises(DimensionError):
+            ImmersedComponent(1, vector)
+
     def test_large_grid_pairs_distinct_classes_only(self, monkeypatch):
         calls = []
-        pairing_value = coverhom.homology._pairing_value
+        pairing = coverhom.homology.hyperbolic_pairing
 
-        def counted(q, a, b):
+        def counted(a, b):
             calls.append((a, b))
-            return pairing_value(q, a, b)
+            return pairing(a, b)
 
-        monkeypatch.setattr(coverhom.homology, "_pairing_value", counted)
+        monkeypatch.setattr(coverhom.homology, "hyperbolic_pairing", counted)
 
         def smoothed(m1):
             calls.clear()
@@ -155,33 +155,28 @@ class TestSmoothDoublePoints:
         _, _, few = smoothed(1)
         b, s, many = smoothed(10**12)
         assert b.components == ((ImmersedComponent(3, (0, 1)), 2 * 10**12), (ImmersedComponent(2, (1, 0)), 2))
-        assert many == few
+        assert 0 < many == few
         # 2*10^12 genus-3 verticals and 2 genus-2 horizontals meeting in 4*10^12 points.
         chi = 2 * 10**12 * (2 - 6) + 2 * (2 - 4) - 2 * 4 * 10**12
-        assert s == SmoothedSurface(chi, 1 - chi // 2, (2, 2 * 10**12), True)
+        assert s == SmoothedSurface(chi, (2, 2 * 10**12), True)
 
     def test_counted_equals_listed(self):
         torus = ImmersedComponent(1, (0, 1))
         line = ImmersedComponent(1, (1, 0))
-        counted = ImmersedConfig(((torus, 3), (line, 2)), 6, HYPERBOLIC_PAIRING)
-        listed = ImmersedConfig(((torus, 1),) * 3 + ((line, 1),) * 2, 6, HYPERBOLIC_PAIRING)
+        counted = ImmersedConfig(((torus, 3), (line, 2)), 6)
+        listed = ImmersedConfig(((torus, 1),) * 3 + ((line, 1),) * 2, 6)
         assert smooth_double_points(counted) == smooth_double_points(listed)
 
     @pytest.mark.parametrize("count", [0, -1, True])
     def test_bad_component_count_rejected(self, count):
         with pytest.raises(DomainError):
-            ImmersedConfig(((ImmersedComponent(1, (0, 1)), count),), 0, HYPERBOLIC_PAIRING)
+            ImmersedConfig(((ImmersedComponent(1, (0, 1)), count),), 0)
 
     def test_inconsistent_configuration_rejected(self):
         # Two spheres whose classes pair, but no double point recorded:
         # chi would exceed 2 for a connected surface.
-        pairing = IntMatrix.from_rows([[1]])
-        b = ImmersedConfig(
-            components=((ImmersedComponent(0, (1,)), 1), (ImmersedComponent(0, (1,)), 1)),
-            double_points=0,
-            pairing=pairing,
-        )
-        with pytest.raises(DomainError):
+        b = ImmersedConfig(components=_SPHERES, double_points=0)
+        with pytest.raises(DomainError, match="at most 2, got 4"):
             smooth_double_points(b)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
@@ -193,8 +188,7 @@ class TestSmoothDoublePoints:
         chi_disjoint = m1 * d * (2 - 2 * g2) + m2 * d * (2 - 2 * g1)
         assert s.euler_characteristic == chi_disjoint - 2 * b.double_points
         assert s.connected
-        assert s.genus is not None and s.genus >= 0
-        assert s.genus == 1 - s.euler_characteristic // 2
+        assert s.euler_characteristic % 2 == 0 and 1 - s.euler_characteristic // 2 >= 0
 
 
 class TestProductBaseModel:
@@ -255,7 +249,6 @@ class TestModelValidation:
                 euler_characteristic=0,
                 h1_generators=0,
                 h1_relators=(),
-                class_basis_labels=("a", "b"),
                 omega_class=RationalVector((1,)),
                 c1_class=RationalVector((0, 0)),
                 spherical_generators=(),
@@ -271,7 +264,6 @@ class TestModelValidation:
                 euler_characteristic=0,
                 h1_generators=0,
                 h1_relators=(),
-                class_basis_labels=(),
                 omega_class=RationalVector(()),
                 c1_class=RationalVector(()),
                 spherical_generators=(),
@@ -292,13 +284,11 @@ class TestModelValidation:
                 )
 
     def test_smoothed_surface_invariant(self):
-        with pytest.raises(DomainError):
-            SmoothedSurface(
-                euler_characteristic=3,
-                genus=0,
-                class_vector=None,
-                connected=True,
-            )
+        # A connected closed orientable surface has chi = 2 - 2g: even, at most 2.
+        for chi in (3, 4, -1):
+            with pytest.raises(DomainError):
+                SmoothedSurface(euler_characteristic=chi, class_vector=None, connected=True)
+            assert not SmoothedSurface(euler_characteristic=chi, class_vector=None, connected=False).connected
 
 
 _TORUS = ImmersedComponent(1, (0, 1))
@@ -308,14 +298,14 @@ _TORUS = ImmersedComponent(1, (0, 1))
     "build",
     [
         lambda: ImmersedComponent(0.5, (1, 0)),
-        lambda: ImmersedConfig(((_TORUS, 1),), 1.5, HYPERBOLIC_PAIRING),
-        lambda: ImmersedConfig(((_TORUS, 2.0),), 0, HYPERBOLIC_PAIRING),
+        lambda: ImmersedConfig(((_TORUS, 1),), 1.5),
+        lambda: ImmersedConfig(((_TORUS, 2.0),), 0),
         lambda: PlumbingVertex(-2.0, 0),
         lambda: PlumbingVertex(-2, 0.5),
         lambda: BranchComponent(2.5, 0),
         lambda: BranchComponent(2, 0.5),
-        lambda: SmoothedSurface(0.0, 1.0, None, True),
-        lambda: SmoothedSurface(0, 1.0, None, True),
+        lambda: SmoothedSurface(0.0, None, True),
+        lambda: SmoothedSurface(0, (1.0, 0), True),
         lambda: CoverSpec(product_base_model(make_cfg()), 2.0, None, ()),
         lambda: pi_dimension_bound(1.5, 2),
         lambda: pi_dimension_bound(1, 2.0),
@@ -329,7 +319,7 @@ _TORUS = ImmersedComponent(1, (0, 1))
         "branch-multiplicity",
         "branch-euler",
         "smoothed-euler",
-        "smoothed-genus",
+        "smoothed-class",
         "cover-degree",
         "bound-k",
         "bound-d",

@@ -27,6 +27,7 @@ from oracles import (
     in_row_lattice_by_smith,
     matmul_rows,
     rank_by_minors,
+    is_symmetric_rows,
     same_row_lattice_by_smith,
     transpose_rows,
 )
@@ -184,9 +185,7 @@ class TestIntMatrix:
         rows, (m, n) = case
         a = IntMatrix.from_rows(rows, cols=n)
         assert a.diagonal() == tuple(rows[i][i] for i in range(min(m, n)))
-        symmetric = m == n and all(rows[i][j] == rows[j][i] for i in range(m) for j in range(n))
-        assert a.is_symmetric() == symmetric
-        assert a.mul(IntMatrix.from_rows(transpose_rows(rows, n), cols=m)).is_symmetric()
+        assert is_symmetric_rows(a.mul(IntMatrix.from_rows(transpose_rows(rows, n), cols=m)).to_rows())
 
 
 class TestSnf:
@@ -518,13 +517,14 @@ def _lattice_pairs(count, seed):
 def _is_hermite(h: IntMatrix) -> bool:
     """Nonzero rows with positive pivots moving right, zeros below them and entries above in [0, pivot)."""
     pivots = []
-    for row in h.to_rows():
+    rows = h.to_rows()
+    for row in rows:
         c = next((j for j, x in enumerate(row) if x), None)
         if c is None or row[c] <= 0 or (pivots and c <= pivots[-1]):
             return False
         pivots.append(c)
     return all(
-        0 <= h.entry(i, c) < h.entry(r, c) if i < r else h.entry(i, c) == 0
+        0 <= rows[i][c] < rows[r][c] if i < r else rows[i][c] == 0
         for r, c in enumerate(pivots)
         for i in range(h.rows)
         if i != r
@@ -614,12 +614,23 @@ class TestRationalVector:
         with pytest.raises(DomainError):
             v.dot((0, bad))
 
+    @pytest.mark.parametrize("bad", [True, False])
+    def test_rejects_bools(self, bad):
+        # An int subclass, but no rational: refused as a coordinate and in a dot, as _as_int refuses it.
+        with pytest.raises(DomainError, match="rational required"):
+            RationalVector((bad, 1))
+        v = RationalVector((5, 7))
+        with pytest.raises(DomainError):
+            v.dot((bad, 0))
+        with pytest.raises(DomainError):
+            v.dot((0, bad))
+
     def test_dot_matches_the_unskipped_sum(self):
         rnd = random.Random(7)
         for _ in range(500):
             n = rnd.randint(0, 6)
             coords = [Fraction(rnd.randint(-9, 9), rnd.randint(1, 9)) for _ in range(n)]
-            other = [rnd.choice((0, 0, 0, rnd.randint(-5, 5), Fraction(rnd.randint(-5, 5), 3), "2/7", False)) for _ in range(n)]
+            other = [rnd.choice((0, 0, 0, rnd.randint(-5, 5), Fraction(rnd.randint(-5, 5), 3), "2/7", Fraction(0))) for _ in range(n)]
             got = RationalVector(coords).dot(other)
             assert type(got) is Fraction
             assert got == sum((c * Fraction(x) for c, x in zip(coords, other)), Fraction(0))
