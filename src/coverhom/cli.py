@@ -24,7 +24,7 @@ import functools
 import sys
 from collections.abc import Sequence
 
-from .errors import ECHOED, DomainError, VerificationError, digit_limit
+from .errors import ECHOED, DomainError, VerificationError, digit_limit, digits
 
 __all__ = [
     "build_parser",
@@ -214,17 +214,12 @@ def cmd_snf(args: argparse.Namespace) -> dict:
 # Argument parsing and dispatch
 
 
-def _digits(n: int) -> int:
-    """An upper bound on the decimal digits of n, from its bit length (log10(2) < 0.30103)."""
-    return abs(n).bit_length() * 30103 // 100000 + 1
-
-
 def _check_grid_size(args: argparse.Namespace) -> None:
     # The one size bound. A report's cost grows with the digits of its
     # parameters, not their values. Every integer a grid report prints, the
     # Euler characteristic the largest, is at most 8*d^3*(m1+g1+1)*(m2+g2+1)
     # in absolute value; tower7 and catalog print none above stage 2's Euler
-    # characteristic 8*d. That is sized from its bit length against the
+    # characteristic 8*d. Its exact digit count is held against the
     # interpreter's digit limit, or its default when the limit is off.
     if args.command in ("tower7", "catalog"):
         names, largest = "d gives", 8 * args.d
@@ -234,10 +229,10 @@ def _check_grid_size(args: argparse.Namespace) -> None:
         largest = 8 * args.d**3 * (args.m1 + abs(g1) + 1) * (args.m2 + abs(g2) + 1)
     else:
         return
-    digits, limit = _digits(largest), digit_limit()
-    if digits > limit:
+    size, limit = digits(largest), digit_limit()
+    if size > limit:
         raise DomainError(
-            f"{args.command}: {names} report integers of up to {digits} digits, "
+            f"{args.command}: {names} report integers of up to {size} digits, "
             f"above the limit of {limit} digits for printing an integer"
         )
 
@@ -311,6 +306,13 @@ def _rational(text: str):
         raise argparse.ArgumentTypeError(f"must be a rational like 3/2, got {_echoed(text)}") from None
 
 
+def _out_path(text: str) -> str:
+    """An --out value; an empty one names no file."""
+    if not text:
+        raise argparse.ArgumentTypeError("must be a file path, got ''")
+    return text
+
+
 def _format(text: str) -> str:
     """A --format value; argparse checks the choice itself unless the value is too long to echo."""
     if len(text) > ECHOED:
@@ -377,7 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     for sp in sub.choices.values():
         sp.add_argument("--format", type=_format, choices=("table", "json"), default="table")
-        sp.add_argument("--out", metavar="PATH", help="write the report to this file instead of stdout")
+        summary = "write the report to this file instead of stdout"
+        sp.add_argument("--out", type=_out_path, metavar="PATH", help=summary)
     return p
 
 
@@ -495,7 +498,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         for run in runs:
             doc = run.run(run)
             text = reportio.render_json(doc) if run.format == "json" else reportio.render_table(doc)
-            if run.out:
+            if run.out is not None:
                 with open(run.out, "w") as fh:
                     fh.write(text)
             else:

@@ -4,12 +4,15 @@ Every cover built here carries the data the class-lifting arithmetic needs:
 the lifted symplectic class is the pullback, and the lifted first Chern
 class picks up (1 - d_i) times the dual of each branch preimage component.
 The lift formulas read a sphere's pushforward and branch intersections, so
-each generator is built once, with its lifted pairings. Reports record
-pass/fail verdicts with numeric evidence; each verdict compares a stored or
-computed value with a second computation that does not share its route
-(adjunction against the lift formulas and the smoothing count, the
-monodromy's Hermite form against the stored presentation). `_report`
-assembles every report, with the assumptions and trace keys they share.
+each generator is built once, with its lifted pairings. A grid cover is
+built from its `SurfaceConfig` alone: `build_cyclic_cover` makes the base
+and the smoothed branch surface from it, so the two cannot disagree.
+Reports record pass/fail verdicts with numeric evidence; each verdict
+compares a stored or computed value with a second computation that does
+not share its route (adjunction against the lift formulas and the smoothing
+count, the monodromy's Hermite form against the stored presentation).
+`_report` assembles every report, with the assumptions and trace keys they
+share.
 """
 
 from __future__ import annotations
@@ -17,9 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from operator import attrgetter
-from typing import Sequence
+from typing import Callable, Sequence
 
-from .errors import DimensionError, DomainError, NoSuchCoverError, echoed_int
+from .errors import DimensionError, DomainError, echoed_int
 from .homology import (
     MONODROMY_MATRIX,
     MONODROMY_RELATORS,
@@ -28,11 +31,10 @@ from .homology import (
     SmoothedSurface,
     SphericalGenerator,
     SurfaceConfig,
-    grid_immersion,
     hyperbolic_pairing,
     kodaira_thurston_model,
     product_base_model,
-    smooth_double_points,
+    smoothed_grid,
 )
 from .intlinalg import IntMatrix, RationalVector, _as_int, hermite, same_row_lattice
 from .plumbing import chain_rank, milnor_fiber_2_2_d
@@ -229,7 +231,7 @@ def coinvariant_relators() -> tuple[tuple[int, ...], ...]:
     return tuple(col + (0, 0) for col in columns if any(col))
 
 
-def kodaira_thurston_cover_b1(cfg: SurfaceConfig) -> int:
+def kodaira_thurston_cover_b1() -> int:
     """First Betti number of the torus-bundle-family cover: always 3.
 
     Collapsing the simply connected chain regions gives a singular
@@ -238,8 +240,6 @@ def kodaira_thurston_cover_b1(cfg: SurfaceConfig) -> int:
     coinvariants of the fiber's, coker(M - I): b1 is 4 minus the relators'
     Hermite row count, a rank not taken by the presented b1's Bareiss route.
     """
-    if cfg.g1 != 1 or cfg.g2 != 1:
-        raise DomainError("torus-bundle family needs g1 = g2 = 1")
     relators = IntMatrix.from_rows(coinvariant_relators(), cols=4)
     return 4 - hermite(relators).rows
 
@@ -288,29 +288,6 @@ ASSUMPTION_TOWER_SPHERE = (
 )
 
 
-def _require_divisible(class_vector: Sequence[int], d: int) -> None:
-    if any(c % d != 0 for c in class_vector):
-        raise NoSuchCoverError(
-            f"branch class {tuple(class_vector)} is not divisible by the degree {d}; "
-            "no cyclic cover with full multiplicity exists"
-        )
-
-
-def _check_base_matches(base: ManifoldModel, cfg: SurfaceConfig) -> None:
-    if base.kind == "product":
-        if cfg.g1 < 1 or cfg.g2 < 1:
-            raise DomainError("product family needs both genera at least 1")
-        if base.euler_characteristic != (2 - 2 * cfg.g1) * (2 - 2 * cfg.g2):
-            raise DomainError("base euler characteristic disagrees with the configuration genera")
-    elif base.kind == "kodaira-thurston":
-        if cfg.g1 != 1 or cfg.g2 != 1:
-            raise DomainError("torus-bundle base needs g1 = g2 = 1")
-    else:
-        raise DomainError(f"unsupported base kind {base.kind!r}")
-    if tuple(base.omega_class) != cfg.omega_areas:
-        raise DomainError("base symplectic areas disagree with the configuration")
-
-
 def _installed_generator(
     spec: CoverSpec, label: str, pushforward: tuple[int, ...], branch_intersections: tuple[int, ...]
 ) -> SphericalGenerator:
@@ -327,7 +304,6 @@ def _cover_model(spec: CoverSpec, **fields) -> ManifoldModel:
     symplectically aspherical when the pullback criterion holds for the base.
     """
     return ManifoldModel(
-        kind="cover",
         euler_characteristic=riemann_hurwitz_euler(spec),
         omega_class=RationalVector(()),
         c1_class=RationalVector(()),
@@ -338,36 +314,29 @@ def _cover_model(spec: CoverSpec, **fields) -> ManifoldModel:
 
 
 def build_cyclic_cover(
-    base: ManifoldModel, cfg: SurfaceConfig, kaehler: bool = False
+    cfg: SurfaceConfig, base_model: Callable[[SurfaceConfig], ManifoldModel], kaehler: bool = False
 ) -> tuple[CoverSpec, ManifoldModel]:
-    """Degree-d cyclic cover branched with multiplicity d over the smoothed grid.
+    """Degree-d cyclic cover of base_model(cfg), branched with multiplicity d over the smoothed grid.
 
+    The branch class d*(m2, m1) is divisible by d, so the cover exists.
     Installs one chain of d - 1 spheres of square -2 per double point, as
     one chain block. Every chain sphere has vanishing pushforward and zero
     branch intersections, so one template generator stands for all of
     them; its stored pairings are evaluated through the lift formulas
-    rather than written down directly.
+    rather than written down directly. The construction does not determine
+    the cover's first homology.
     """
-    _check_base_matches(base, cfg)
-    immersed = grid_immersion(cfg)
-    branch = smooth_double_points(immersed)
-    _require_divisible(branch.class_vector, cfg.d)
+    branch = smoothed_grid(cfg)
     component = BranchComponent(multiplicity=cfg.d, euler_characteristic=branch.euler_characteristic)
-    spec = CoverSpec(base=base, degree=cfg.d, branch=branch, components=(component,))
-    chain = milnor_fiber_2_2_d(cfg.d)
-    template = _installed_generator(spec, "double point 1, sphere 1", (0,) * len(base.omega_class), (0,))
-    h1_generators: int | None = None
-    h1_relators: tuple[tuple[int, ...], ...] = ()
-    if base.kind == "kodaira-thurston":
-        h1_generators = 4
-        h1_relators = MONODROMY_RELATORS
+    spec = CoverSpec(base=base_model(cfg), degree=cfg.d, branch=branch, components=(component,))
+    template = _installed_generator(spec, "double point 1, sphere 1", (0, 0), (0,))
     cover = _cover_model(
         spec,
-        h1_generators=h1_generators,
-        h1_relators=h1_relators,
+        h1_generators=None,
+        h1_relators=(),
         spherical_generators=(),
         kaehler=kaehler,
-        chain_block=ChainBlock(chain, immersed.double_points, template),
+        chain_block=ChainBlock(milnor_fiber_2_2_d(cfg.d), cfg.double_points, template),
     )
     return spec, cover
 
@@ -534,19 +503,21 @@ def _grid_parameters(cfg: SurfaceConfig) -> tuple[tuple[str, object], ...]:
 
 def product_family_report(cfg: SurfaceConfig, kaehler: bool = False) -> CoverReport:
     """Cover of a product of positive-genus surfaces, branched over the grid."""
-    base = product_base_model(cfg)
-    spec, cover = build_cyclic_cover(base, cfg, kaehler=kaehler)
+    spec, cover = build_cyclic_cover(cfg, product_base_model, kaehler=kaehler)
     parameters = (("g1", cfg.g1), ("g2", cfg.g2), *_grid_parameters(cfg), ("kaehler", kaehler))
     return _assemble_grid_report(spec, cover, family="example2", parameters=parameters)
 
 
 def kodaira_thurston_family_report(cfg: SurfaceConfig) -> CoverReport:
-    """Cover of the torus-bundle quotient; checks b1 = 3 and the non-Kaehler flag."""
-    base = kodaira_thurston_model(cfg.omega_areas)
-    spec, cover = build_cyclic_cover(base, cfg)
+    """Cover of the torus-bundle quotient; checks b1 = 3 and the non-Kaehler flag.
+
+    The cover's H1 presentation keeps the base's generators and its monodromy relation.
+    """
+    spec, cover = build_cyclic_cover(cfg, kodaira_thurston_model)
+    cover = replace(cover, h1_generators=4, h1_relators=MONODROMY_RELATORS)
     derived = coinvariant_relators()
     presented_b1 = cover.b1
-    derived_b1 = kodaira_thurston_cover_b1(cfg)
+    derived_b1 = kodaira_thurston_cover_b1()
     extra = (
         Verdict(
             "cover first Betti number equals 3; odd b1 rules out Kaehler homotopy type",
@@ -581,9 +552,7 @@ def build_tower7(d: int) -> tuple[CoverReport, CoverReport]:
     """
     if d < 2:
         raise DomainError(f"tower degree must be at least 2, got {echoed_int(d)}")
-    cfg = SurfaceConfig(g1=1, g2=1, m1=1, m2=1, d=2)
-    base = product_base_model(cfg)
-    spec1, cover1 = build_cyclic_cover(base, cfg)
+    spec1, cover1 = build_cyclic_cover(SurfaceConfig(g1=1, g2=1, m1=1, m2=1, d=2), product_base_model)
 
     sphere = _installed_generator(spec1, "sphere S (two lifted vanishing disks)", (0, 0), (0,))
     cover1 = replace(cover1, spherical_generators=cover1.spherical_generators + (sphere,))

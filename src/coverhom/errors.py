@@ -6,19 +6,23 @@ import sys
 ECHOED = 100
 
 
-def echoed_int(n: int) -> str:
-    """n for an error line: in full while it is at most ECHOED characters, else its number of digits.
+def digits(n: int) -> int:
+    """The number of decimal digits of n, counted from its bit length and powers of ten.
 
-    The digits are counted from the bit length and powers of ten, since str()
-    of a long n may pass the interpreter's digit limit.
+    str() of a long n may pass the interpreter's digit limit, so it is not used.
     """
+    size = abs(n)
+    count = max(size.bit_length() - 1, 0) * 30102999 // 10**8 + 1  # a lower bound: 0.30102999 < log10(2)
+    while size >= 10**count:
+        count += 1
+    return count
+
+
+def echoed_int(n: int) -> str:
+    """n for an error line: in full while it is at most ECHOED characters, else its number of digits."""
     if -(10 ** (ECHOED - 1)) < n < 10**ECHOED:
         return str(n)
-    size = abs(n)
-    digits = (size.bit_length() - 1) * 30102999 // 10**8 + 1  # a lower bound: 0.30102999 < log10(2)
-    while size >= 10**digits:
-        digits += 1
-    return f"{'a negative' if n < 0 else 'an'} integer of {digits} digits"
+    return f"{'a negative' if n < 0 else 'an'} integer of {digits(n)} digits"
 
 
 def digit_limit() -> int:
@@ -32,10 +36,6 @@ class DimensionError(ValueError):
 
 class DomainError(ValueError):
     """A parameter lies outside its documented range."""
-
-
-class NoSuchCoverError(DomainError):
-    """The requested branched cover does not exist (divisibility obstruction)."""
 
 
 class VerificationError(ArithmeticError):

@@ -1,17 +1,19 @@
 """Homological models of the base manifolds and their branch surfaces.
 
-Second homology is never tracked in full: each base carries two named
-classes (horizontal/vertical for products, section/fiber for the
-torus-bundle quotient) and the cohomology classes of interest are stored as
-their pairing values against those classes. Coordinate order is fixed as
-(horizontal-like, vertical-like) throughout, so the class of the grid
-configuration below is (m2*d, m1*d). In every base the two named classes
-have square 0 and meet once, so classes pair by `hyperbolic_pairing`.
+A `SurfaceConfig` is the one description of a grid of surfaces: its
+double-point count, the smoothed branch surface (`smoothed_grid`) and both
+base models are read from it. Second homology is never tracked in full:
+each base carries two named classes (horizontal/vertical for products,
+section/fiber for the torus-bundle quotient) and the cohomology classes of
+interest are stored as their pairing values against those classes.
+Coordinate order is fixed as (horizontal-like, vertical-like) throughout,
+so the class of the grid configuration below is (m2*d, m1*d). In every base
+the two named classes have square 0 and meet once, so classes pair by
+`hyperbolic_pairing`.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -23,14 +25,11 @@ from .plumbing import LinearChain
 
 __all__ = [
     "SurfaceConfig",
-    "ImmersedComponent",
-    "ImmersedConfig",
     "SmoothedSurface",
     "SphericalGenerator",
     "ChainBlock",
     "ManifoldModel",
-    "grid_immersion",
-    "smooth_double_points",
+    "smoothed_grid",
     "product_base_model",
     "kodaira_thurston_model",
     "hyperbolic_pairing",
@@ -75,37 +74,10 @@ class SurfaceConfig:
             raise DomainError("omega_areas must be two positive rationals")
         object.__setattr__(self, "omega_areas", areas)
 
-
-@dataclass(frozen=True)
-class ImmersedComponent:
-    """A surface of the given genus whose class has two coordinates in the named basis."""
-
-    genus: int
-    class_vector: tuple[int, int]
-
-    def __post_init__(self):
-        if _as_int(self.genus) < 0:
-            raise DomainError("component genus must be nonnegative")
-        vector = tuple(_as_int(x) for x in self.class_vector)
-        if len(vector) != 2:
-            raise DimensionError(f"a component class has two coordinates, got {len(vector)}")
-        object.__setattr__(self, "class_vector", vector)
-
-
-@dataclass(frozen=True)
-class ImmersedConfig:
-    """A generically immersed surface: (component, count) pairs, plus a double-point count."""
-
-    components: tuple[tuple[ImmersedComponent, int], ...]
-    double_points: int
-
-    def __post_init__(self):
-        if _as_int(self.double_points) < 0:
-            raise DomainError("double point count must be nonnegative")
-        for _, count in self.components:
-            if _as_int(count) < 1:
-                raise DomainError("component count must be at least 1")
-        object.__setattr__(self, "components", tuple(self.components))
+    @property
+    def double_points(self) -> int:
+        """Every one of the m1*d vertical-like surfaces meets each of the m2*d horizontal-like ones once."""
+        return self.m1 * self.m2 * self.d * self.d
 
 
 @dataclass(frozen=True)
@@ -185,7 +157,6 @@ class ManifoldModel:
     c1_class pair with the named classes: two for a base, none for a cover.
     """
 
-    kind: str
     euler_characteristic: int
     h1_generators: int | None
     h1_relators: tuple[tuple[int, ...], ...]
@@ -220,56 +191,17 @@ class ManifoldModel:
         return abelianized_b1(self.h1_generators, self.h1_relators)
 
 
-def grid_immersion(cfg: SurfaceConfig) -> ImmersedConfig:
-    """Grid of m1*d vertical-like and m2*d horizontal-like surfaces.
+def smoothed_grid(cfg: SurfaceConfig) -> SmoothedSurface:
+    """The grid of m1*d vertical-like and m2*d horizontal-like surfaces, with its double points smoothed.
 
-    Every vertical meets every horizontal once and positively, giving
-    m1*m2*d^2 double points.
+    The verticals have genus g2 and class (0, 1), the horizontals genus g1
+    and class (1, 0). Smoothing drops chi by 2 per double point and keeps
+    the class of the union; every vertical meets every horizontal, so the
+    result is connected.
     """
-    vertical = ImmersedComponent(cfg.g2, (0, 1))
-    horizontal = ImmersedComponent(cfg.g1, (1, 0))
-    return ImmersedConfig(
-        components=((vertical, cfg.m1 * cfg.d), (horizontal, cfg.m2 * cfg.d)),
-        double_points=cfg.m1 * cfg.m2 * cfg.d * cfg.d,
-    )
-
-
-def _pairing_graph_connected(b: ImmersedConfig) -> bool:
-    # Components are joined when their classes pair nontrivially; for the
-    # grid this is the complete bipartite pattern vertical-horizontal.
-    # Components of equal class have equal neighbours, so it suffices to
-    # join the distinct classes: with two or more of them, the graph is
-    # connected exactly when they are, and every class has a neighbour to
-    # join its copies through. A single class of several components needs
-    # a nonzero square.
-    counts = Counter()
-    for c, n in b.components:
-        counts[c.class_vector] += n
-    classes = list(counts)
-    if not classes:
-        return False
-    if len(classes) == 1:
-        return counts[classes[0]] == 1 or hyperbolic_pairing(classes[0], classes[0]) != 0
-    parent = list(range(len(classes)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(len(classes)):
-        for j in range(i + 1, len(classes)):
-            if hyperbolic_pairing(classes[i], classes[j]):
-                parent[find(i)] = find(j)
-    return len({find(i) for i in range(len(classes))}) == 1
-
-
-def smooth_double_points(b: ImmersedConfig) -> SmoothedSurface:
-    """Smooth all double points: chi drops by 2 per point, the class is the sum."""
-    chi = sum(n * (2 - 2 * c.genus) for c, n in b.components) - 2 * b.double_points
-    total = tuple(sum(n * c.class_vector[i] for c, n in b.components) for i in range(2))
-    return SmoothedSurface(euler_characteristic=chi, class_vector=total, connected=_pairing_graph_connected(b))
+    verticals, horizontals = cfg.m1 * cfg.d, cfg.m2 * cfg.d
+    chi = verticals * (2 - 2 * cfg.g2) + horizontals * (2 - 2 * cfg.g1) - 2 * cfg.double_points
+    return SmoothedSurface(euler_characteristic=chi, class_vector=(horizontals, verticals), connected=True)
 
 
 def product_base_model(cfg: SurfaceConfig) -> ManifoldModel:
@@ -279,7 +211,6 @@ def product_base_model(cfg: SurfaceConfig) -> ManifoldModel:
     chi = (2 - 2 * cfg.g1) * (2 - 2 * cfg.g2)
     b1 = 2 * cfg.g1 + 2 * cfg.g2
     return ManifoldModel(
-        kind="product",
         euler_characteristic=chi,
         h1_generators=b1,
         h1_relators=(),
@@ -303,21 +234,20 @@ MONODROMY_RELATORS: tuple[tuple[int, ...], ...] = ((1, 0, 0, 0),)
 MONODROMY_MATRIX = IntMatrix(2, 2, (1, 1, 0, 1))
 
 
-def kodaira_thurston_model(areas: tuple[Fraction, Fraction] = (Fraction(1), Fraction(1))) -> ManifoldModel:
+def kodaira_thurston_model(cfg: SurfaceConfig) -> ManifoldModel:
     """Symplectic torus-bundle quotient of R^4 with b1 = 3 (so never Kaehler).
 
     The named classes are the section (horizontal-like, trivial normal
-    bundle) and the fiber; both have vanishing c1 pairing.
+    bundle) and the fiber, with cfg's areas; both have vanishing c1 pairing.
+    Sections and fibers are tori, so cfg needs g1 = g2 = 1.
     """
-    a = tuple(_as_fraction(x) for x in areas)
-    if len(a) != 2 or any(x <= 0 for x in a):
-        raise DomainError("areas must be two positive rationals")
+    if cfg.g1 != 1 or cfg.g2 != 1:
+        raise DomainError("torus-bundle base needs g1 = g2 = 1")
     return ManifoldModel(
-        kind="kodaira-thurston",
         euler_characteristic=0,
         h1_generators=4,
         h1_relators=MONODROMY_RELATORS,
-        omega_class=RationalVector(a),
+        omega_class=RationalVector(cfg.omega_areas),
         c1_class=RationalVector((0, 0)),
         spherical_generators=(),
         pi2_trivial=True,

@@ -132,9 +132,6 @@ class RationalVector:
     def __len__(self) -> int:
         return len(self.coords)
 
-    def __iter__(self):
-        return iter(self.coords)
-
     def dot(self, other: Sequence[int]) -> Fraction:
         if len(other) != len(self.coords):
             raise DimensionError(f"dot of length {len(self.coords)} with length {len(other)}")

@@ -178,6 +178,41 @@ def pairing_square(class_vector, pairing_rows):
     return gram_pairing(class_vector, class_vector, pairing_rows)
 
 
+def grid_components(g1, g2, m1, m2, d):
+    """The grid listed surface by surface.
+
+    m1*d verticals (genus g2, class (0, 1)), then m2*d horizontals (genus g1, class (1, 0)).
+    """
+    return [(g2, (0, 1))] * (m1 * d) + [(g1, (1, 0))] * (m2 * d)
+
+
+def listed_smoothing(components):
+    """(chi, class, connected, double points) of smoothing embedded surfaces that meet transversally and positively.
+
+    components lists (genus, class_vector), one entry per surface. Two
+    surfaces meet in as many points as their classes pair, so smoothing all
+    k of those points gives chi = sum (2 - 2g) - 2k and the summed class.
+    The result is connected when the graph joining surfaces whose classes
+    pair is, which a depth-first search from the first surface decides.
+    """
+    n = len(components)
+
+    def meet(i, j):
+        return gram_pairing(components[i][1], components[j][1], HYPERBOLIC_ROWS)
+
+    k = sum(meet(i, j) for i, j in combinations(range(n), 2))
+    chi = sum(2 - 2 * g for g, _ in components) - 2 * k
+    total = tuple(sum(c[i] for _, c in components) for i in range(2))
+    seen, stack = {0}, [0]
+    while stack:
+        i = stack.pop()
+        for j in range(n):
+            if j not in seen and meet(i, j):
+                seen.add(j)
+                stack.append(j)
+    return chi, total, len(seen) == n, k
+
+
 def is_symmetric_rows(rows):
     """Whether a list-of-lists matrix is square and equal to its transpose."""
     return all(len(r) == len(rows) for r in rows) and all(

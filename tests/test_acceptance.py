@@ -166,7 +166,7 @@ def test_criterion_7_riemann_hurwitz(grid_reports):
             failures.append(("example2", m1, m2, d))
     for m1, m2, d in GRID:
         cfg = SurfaceConfig(g1=1, g2=1, m1=m1, m2=m2, d=d)
-        spec, cover = build_cyclic_cover(product_base_model(cfg), cfg)
+        spec, cover = build_cyclic_cover(cfg, product_base_model)
         chi_b = spec.branch.euler_characteristic
         if riemann_hurwitz_euler(spec) != euler_by_complement(d, 0, chi_b, [chi_b]):
             failures.append(("direct", m1, m2, d))

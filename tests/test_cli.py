@@ -5,7 +5,6 @@ import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import replace
 
 import pytest
 
@@ -185,6 +184,16 @@ class TestExample2Json:
         doc = json.loads(path.read_text())
         assert doc["family"] == "example2"
 
+    def test_empty_out_path_refused(self, capsys, tmp_path):
+        # An empty path names no file, so nothing is written to stdout either.
+        argv = ["kollar", "--omega-pullback", "--target-pi2-trivial"]
+        code, out, err = run_main(capsys, *argv, "--out", "")
+        assert (code, out) == (2, "")
+        assert err.endswith("\ncoverhom kollar: error: argument --out: must be a file path, got ''\n")
+        entry = {"command": "kollar", "omega_pullback": True, "target_pi2_trivial": True, "out": ""}
+        message = "error: batch entry 0 rejected: kollar: argument --out: must be a file path, got ''\n"
+        assert run_batch(capsys, tmp_path, [entry]) == (2, "", message)
+
     def test_kaehler_flag_recorded(self, capsys):
         _, out, _ = run_main(capsys, "example2", "--kaehler", "--format", "json")
         doc = json.loads(out)
@@ -208,13 +217,7 @@ class TestKodairaThurston:
         assert json.loads(out)["invariants"]["b1"] == 3
 
     def test_mutated_relator_hook_fails(self, capsys, monkeypatch):
-        build = coverhom.cover.build_cyclic_cover
-
-        def wrong_relators(base, cfg, kaehler=False):
-            spec, cover = build(base, cfg, kaehler)
-            return spec, replace(cover, h1_relators=((0, 0, 1, 0),))
-
-        monkeypatch.setattr(coverhom.cover, "build_cyclic_cover", wrong_relators)
+        monkeypatch.setattr(coverhom.cover, "MONODROMY_RELATORS", ((0, 0, 1, 0),))
         code, out, _ = run_main(capsys, "kodaira-thurston", "--format", "json")
         assert code == 1
         failed = [v["name"] for v in json.loads(out)["verdicts"] if not v["pass"]]
@@ -736,6 +739,14 @@ class TestErrorBoundary:
         d = 10**4000
         code, out, err = run_main(capsys, command, "-d", str(d))
         assert (code, err) == (0, "") and str(d) in out
+        # At the limit: 8*d has exactly as many digits as may be printed, and one more refuses the run.
+        limit = sys.get_int_max_str_digits()
+        d = (10**limit - 1) // 8
+        code, out, err = run_main(capsys, command, "-d", str(d))
+        assert (code, err) == (0, "") and str(d) in out
+        result = run_main(capsys, command, "-d", str(d + 1))
+        self.assert_one_line_usage_error(result)
+        assert f"report integers of up to {limit + 1} digits, above the limit of {limit} digits" in result[2]
 
     @pytest.mark.parametrize(
         "argv, message",

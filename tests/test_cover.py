@@ -28,9 +28,8 @@ from coverhom.cover import (
     product_family_report,
     pullback_criterion,
     riemann_hurwitz_euler,
-    _require_divisible,
 )
-from coverhom.errors import DimensionError, DomainError, NoSuchCoverError
+from coverhom.errors import DimensionError, DomainError
 from coverhom.homology import (
     MONODROMY_RELATORS,
     SmoothedSurface,
@@ -38,7 +37,7 @@ from coverhom.homology import (
     SurfaceConfig,
     kodaira_thurston_model,
     product_base_model,
-    smooth_double_points,
+    smoothed_grid,
 )
 from coverhom.intlinalg import IntMatrix, rank
 from coverhom.plumbing import LinearChain, PlumbingVertex, chain_rank, milnor_fiber_2_2_d
@@ -56,14 +55,8 @@ def identity_cover(base):
 
 
 def store_relators(monkeypatch, relators):
-    """Make the cover models built from now on store the given H1 relators."""
-    build = build_cyclic_cover
-
-    def wrong_relators(base, cfg, kaehler=False):
-        spec, cover = build(base, cfg, kaehler)
-        return spec, replace(cover, h1_relators=relators)
-
-    monkeypatch.setattr(coverhom.cover, "build_cyclic_cover", wrong_relators)
+    """Make the Kodaira-Thurston covers built from now on store the given H1 relators."""
+    monkeypatch.setattr(coverhom.cover, "MONODROMY_RELATORS", relators)
 
 
 def kt_report_with_relators(monkeypatch, relators):
@@ -102,7 +95,7 @@ class TestLiftPairings:
 
     def test_milnor_generator_zero(self):
         cfg = make_cfg()
-        spec, cover = build_cyclic_cover(product_base_model(cfg), cfg)
+        spec, cover = build_cyclic_cover(cfg, product_base_model)
         g = cover.chain_block.template
         assert lift_omega_pairing(spec, g.pushforward) == 0
         assert lift_chern_pairing(spec, g.pushforward, g.branch_intersections) == 0
@@ -130,7 +123,7 @@ class TestLiftPairings:
 
     def test_missing_branch_intersections_rejected(self):
         cfg = make_cfg()
-        spec, _ = build_cyclic_cover(product_base_model(cfg), cfg)
+        spec, _ = build_cyclic_cover(cfg, product_base_model)
         for intersections in ((), (0, 0)):
             with pytest.raises(DimensionError, match=f"{len(intersections)} branch intersections for 1 branch"):
                 lift_chern_pairing(spec, (0, 0), intersections)
@@ -140,7 +133,7 @@ class TestLiftPairings:
     @pytest.mark.parametrize("pushforward", [(), (0,), (0, 0, 0)])
     def test_wrong_pushforward_length_rejected(self, pushforward):
         cfg = make_cfg()
-        spec, _ = build_cyclic_cover(product_base_model(cfg), cfg)
+        spec, _ = build_cyclic_cover(cfg, product_base_model)
         with pytest.raises(DimensionError):
             lift_omega_pairing(spec, pushforward)
         with pytest.raises(DimensionError):
@@ -152,7 +145,7 @@ class TestLiftPairings:
     def test_non_integer_pushforward_rejected(self, bad):
         # The lift formulas read the pushforward before the generator checks it.
         cfg = make_cfg()
-        spec, _ = build_cyclic_cover(product_base_model(cfg), cfg)
+        spec, _ = build_cyclic_cover(cfg, product_base_model)
         with pytest.raises(DomainError):
             coverhom.cover._installed_generator(spec, "bad", (bad, 0), (0,))
 
@@ -184,7 +177,7 @@ class TestRiemannHurwitz:
 
     def test_minimal_grid_cover(self):
         cfg = make_cfg()
-        spec, cover = build_cyclic_cover(product_base_model(cfg), cfg)
+        spec, cover = build_cyclic_cover(cfg, product_base_model)
         assert riemann_hurwitz_euler(spec) == 8
         # Independent route: d*(chi(X) - chi(B)) + sum chi(B_i).
         assert euler_by_complement(2, 0, -8, [-8]) == 8
@@ -199,7 +192,7 @@ class TestRiemannHurwitz:
     @given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3), st.integers(1, 3), st.integers(2, 5))
     def test_both_routes_agree_on_family(self, g1, g2, m1, m2, d):
         cfg = make_cfg(g1, g2, m1, m2, d)
-        spec, cover = build_cyclic_cover(product_base_model(cfg), cfg)
+        spec, cover = build_cyclic_cover(cfg, product_base_model)
         chi_b = spec.branch.euler_characteristic
         assert cover.euler_characteristic == euler_by_complement(
             d, cfg_chi(g1, g2), chi_b, [chi_b]
@@ -212,7 +205,7 @@ class TestRiemannHurwitz:
 
     def test_adjunction_on_torus_bundle_base(self):
         cfg = make_cfg(m1=3, m2=2, d=4)
-        spec, _ = build_cyclic_cover(kodaira_thurston_model(cfg.omega_areas), cfg)
+        spec, _ = build_cyclic_cover(cfg, kodaira_thurston_model)
         # Both named classes have c1 pairing 0, so chi(B) = -B.B = -2*m1*m2*d^2.
         assert adjunction_euler(spec.base, spec.branch.class_vector) == spec.branch.euler_characteristic == -192
 
@@ -264,7 +257,7 @@ class TestPiDimensionBound:
 class TestBuildCyclicCover:
     def test_minimal(self):
         cfg = make_cfg()
-        spec, cover = build_cyclic_cover(product_base_model(cfg), cfg)
+        spec, cover = build_cyclic_cover(cfg, product_base_model)
         block = cover.chain_block
         assert (block.copies, block.chain.length, block.spheres) == (4, 1, 4)
         assert cover.spherical_generators == ()
@@ -278,43 +271,36 @@ class TestBuildCyclicCover:
 
     def test_degree_three(self):
         cfg = make_cfg(d=3)
-        _, cover = build_cyclic_cover(product_base_model(cfg), cfg)
+        _, cover = build_cyclic_cover(cfg, product_base_model)
         assert cover.chain_block.copies == 9
         assert cover.chain_block.chain == LinearChain(2, PlumbingVertex(-2, 0))
         assert cover.chain_block.spheres == 18
 
     def test_kodaira_thurston_base(self):
-        cfg = make_cfg()
-        base = kodaira_thurston_model(cfg.omega_areas)
-        spec, cover = build_cyclic_cover(base, cfg)
+        cfg = make_cfg(areas=(2, 3))
+        spec, cover = build_cyclic_cover(cfg, kodaira_thurston_model)
         assert cover.chain_block.spheres == 4
-        assert cover.b1 == 3
-
-    def test_area_mismatch_rejected(self):
-        cfg = make_cfg(areas=(2, 2))
-        base = product_base_model(make_cfg(areas=(1, 1)))
-        with pytest.raises(DomainError):
-            build_cyclic_cover(base, cfg)
+        assert spec.base.b1 == 3 and spec.base.omega_class.coords == (2, 3)
+        # The construction leaves H1 open; the family report supplies the presentation.
+        assert cover.b1 is None
+        assert kodaira_thurston_family_report(cfg).cover.b1 == 3
 
     def test_wrong_genus_base_rejected(self):
-        base = product_base_model(make_cfg(g1=2, g2=2))
-        with pytest.raises(DomainError):
-            build_cyclic_cover(base, make_cfg(g1=1, g2=1))
-
-    def test_divisibility_guard(self):
-        with pytest.raises(NoSuchCoverError):
-            _require_divisible((3, 2), 2)
-        _require_divisible((4, 2), 2)
+        with pytest.raises(DomainError, match="torus-bundle base needs g1 = g2 = 1"):
+            build_cyclic_cover(make_cfg(g1=2, g2=2), kodaira_thurston_model)
+        with pytest.raises(DomainError, match="product base needs both genera at least 1"):
+            build_cyclic_cover(make_cfg(g1=0), product_base_model)
 
 
 class TestKodairaThurstonCoverB1:
     def test_always_three(self):
+        assert kodaira_thurston_cover_b1() == 3
         for m1, m2, d in ((1, 1, 2), (2, 3, 4), (4, 4, 5)):
-            assert kodaira_thurston_cover_b1(make_cfg(m1=m1, m2=m2, d=d)) == 3
+            assert kodaira_thurston_family_report(make_cfg(m1=m1, m2=m2, d=d)).cover.b1 == 3
 
     def test_needs_torus_factors(self):
-        with pytest.raises(DomainError):
-            kodaira_thurston_cover_b1(make_cfg(g1=2))
+        with pytest.raises(DomainError, match="g1 = g2 = 1"):
+            kodaira_thurston_family_report(make_cfg(g1=2))
 
     @pytest.mark.parametrize(
         "rows, b1",
@@ -326,7 +312,7 @@ class TestKodairaThurstonCoverB1:
     )
     def test_betti_number_follows_monodromy(self, monkeypatch, rows, b1):
         monkeypatch.setattr(coverhom.cover, "MONODROMY_MATRIX", IntMatrix.from_rows(rows))
-        assert kodaira_thurston_cover_b1(make_cfg()) == b1
+        assert kodaira_thurston_cover_b1() == b1
 
     @pytest.mark.parametrize(
         "rows, relators",
@@ -347,7 +333,7 @@ class TestKodairaThurstonCoverB1:
         from coverhom.intlinalg import abelianized_b1
 
         assert abelianized_b1(4, []) == 4
-        assert kodaira_thurston_cover_b1(make_cfg()) == 3
+        assert kodaira_thurston_cover_b1() == 3
 
 
 class TestFamilyReports:
@@ -547,7 +533,7 @@ class TestChainBlock:
 class TestCrossChecksAreLive:
     def test_tampered_generator_fails_cross_check(self):
         cfg = make_cfg()
-        _, cover = build_cyclic_cover(product_base_model(cfg), cfg)
+        _, cover = build_cyclic_cover(cfg, product_base_model)
         block = cover.chain_block
         tampered = replace(block, template=replace(block.template, c1_pairing=1))
         from coverhom.cover import _chain_c1_verdict
@@ -588,8 +574,8 @@ def patched(name, replacement):
     return lambda monkeypatch: monkeypatch.setattr(coverhom.cover, name, replacement)
 
 
-def miscounted(immersed):
-    branch = smooth_double_points(immersed)
+def miscounted(cfg):
+    branch = smoothed_grid(cfg)
     return replace(branch, euler_characteristic=branch.euler_characteristic + 2)
 
 
@@ -637,12 +623,12 @@ MUTATIONS = [
         "c1 on chain spheres: lift formula matches adjunction",
     ),
     (
-        patched("smooth_double_points", miscounted),
+        patched("smoothed_grid", miscounted),
         example2,
         "euler characteristic: branch surface by adjunction matches smoothing count",
     ),
     (
-        patched("kodaira_thurston_cover_b1", lambda cfg: 4),
+        patched("kodaira_thurston_cover_b1", lambda: 4),
         kodaira_thurston,
         "cover first Betti number equals 3; odd b1 rules out Kaehler homotopy type",
     ),

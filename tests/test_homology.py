@@ -1,34 +1,28 @@
+import time
 from fractions import Fraction
 
 import pytest
 
-import coverhom.homology
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coverhom.cover import BranchComponent, CoverSpec, pi_dimension_bound
+from coverhom.cover import BranchComponent, CoverSpec, adjunction_euler, pi_dimension_bound
 from coverhom.errors import DimensionError, DomainError
 from coverhom.homology import (
-    ImmersedComponent,
-    ImmersedConfig,
+    ChainBlock,
     ManifoldModel,
     SmoothedSurface,
     SphericalGenerator,
     SurfaceConfig,
-    grid_immersion,
     hyperbolic_pairing,
     kodaira_thurston_model,
     product_base_model,
-    smooth_double_points,
+    smoothed_grid,
 )
 from coverhom.intlinalg import RationalVector, abelianized_b1
-from coverhom.plumbing import PlumbingVertex
+from coverhom.plumbing import PlumbingVertex, milnor_fiber_2_2_d
 
-from oracles import HYPERBOLIC_ROWS, gram_pairing, pairing_square
-
-cfg_params = st.tuples(
-    st.integers(1, 3), st.integers(1, 3), st.integers(1, 4), st.integers(1, 4), st.integers(2, 5)
-)
+from oracles import HYPERBOLIC_ROWS, gram_pairing, grid_components, listed_smoothing, pairing_square
 
 
 def make_cfg(g1=1, g2=1, m1=1, m2=1, d=2, areas=(1, 1)):
@@ -61,33 +55,21 @@ class TestSurfaceConfig:
 
 class TestGridImmersion:
     def test_minimal_torus_grid(self):
-        b = grid_immersion(make_cfg())
-        assert sum(n for _, n in b.components) == 4
-        assert b.double_points == 4
-        assert [(c.genus, n) for c, n in b.components] == [(1, 2), (1, 2)]
+        cfg = make_cfg()
+        # Two vertical and two horizontal tori, each vertical meeting each horizontal once.
+        assert cfg.double_points == 4
+        assert smoothed_grid(cfg).class_vector == (2, 2)
 
     def test_higher_genus_components(self):
-        b = grid_immersion(make_cfg(g1=2, g2=3))
-        # m1*d copies of the vertical factor (genus g2), then m2*d of genus g1.
-        assert [(c.genus, n) for c, n in b.components] == [(3, 2), (2, 2)]
-        assert b.double_points == 4
+        # 2 verticals of genus g2 = 3 and 2 horizontals of genus g1 = 2, meeting in 4 points.
+        s = smoothed_grid(make_cfg(g1=2, g2=3))
+        assert s.euler_characteristic == 2 * (2 - 6) + 2 * (2 - 4) - 2 * 4
 
     def test_counts(self):
-        b = grid_immersion(make_cfg(m1=2, m2=3, d=3))
-        assert [(c.class_vector, n) for c, n in b.components] == [((0, 1), 6), ((1, 0), 9)]
-        assert b.double_points == 54
-
-    @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(cfg_params)
-    def test_double_point_formula(self, params):
-        g1, g2, m1, m2, d = params
-        b = grid_immersion(make_cfg(g1, g2, m1, m2, d))
-        assert b.double_points == m1 * m2 * d * d
-        assert sum(n for _, n in b.components) == m1 * d + m2 * d
-
-
-# Two spheres, one in each named class: they meet once.
-_SPHERES = ((ImmersedComponent(0, (1, 0)), 1), (ImmersedComponent(0, (0, 1)), 1))
+        cfg = make_cfg(m1=2, m2=3, d=3)
+        # 9 horizontals and 6 verticals.
+        assert smoothed_grid(cfg).class_vector == (9, 6)
+        assert cfg.double_points == 54
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -96,15 +78,27 @@ def test_hyperbolic_pairing_matches_the_gram_matrix(a, b):
     assert hyperbolic_pairing(a, b) == gram_pairing(a, b, HYPERBOLIC_ROWS) == hyperbolic_pairing(b, a)
 
 
+# Two spheres, one in each named class: they meet once.
+_SPHERES = [(0, (1, 0)), (0, (0, 1))]
+
+
 class TestSmoothDoublePoints:
+    # The general smoothing lives in the listed oracle; these hand-worked cases check it.
     def test_two_lines_in_plane(self):
         # Two spheres meeting once smooth to a sphere: chi = 4 - 2 = 2.
-        s = smooth_double_points(ImmersedConfig(components=_SPHERES, double_points=1))
-        assert s == SmoothedSurface(euler_characteristic=2, class_vector=(1, 1), connected=True)
-        assert 1 - s.euler_characteristic // 2 == 0
+        assert listed_smoothing(_SPHERES) == (2, (1, 1), True, 1)
+
+    def test_nothing_to_smooth(self):
+        assert listed_smoothing([(3, (1, 0))]) == (2 - 2 * 3, (1, 0), True, 0)
+
+    def test_disconnected_parallel_copies(self):
+        assert listed_smoothing([(1, (0, 1))] * 2) == (0, (0, 2), False, 0)
+
+    def test_distinct_classes_that_do_not_pair(self):
+        assert not listed_smoothing([(1, (1, 0)), (1, (2, 0))])[2]
 
     def test_minimal_grid(self):
-        s = smooth_double_points(grid_immersion(make_cfg()))
+        s = smoothed_grid(make_cfg())
         # Oracle route: class (2, 2) against the hyperbolic pairing.
         assert s.class_vector == (2, 2)
         assert pairing_square(s.class_vector, HYPERBOLIC_ROWS) == 8
@@ -112,83 +106,39 @@ class TestSmoothDoublePoints:
         assert 1 - s.euler_characteristic // 2 == 5
         assert s.connected
 
-    def test_nothing_to_smooth(self):
-        b = ImmersedConfig(components=((ImmersedComponent(3, (1, 0)), 1),), double_points=0)
-        s = smooth_double_points(b)
-        assert s.euler_characteristic == 2 - 2 * 3
-        assert s.class_vector == (1, 0)
-        assert s.connected
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(st.integers(0, 3), st.integers(0, 3), st.integers(1, 4), st.integers(1, 4), st.integers(2, 5))
+    def test_counted_equals_listed(self, g1, g2, m1, m2, d):
+        cfg = make_cfg(g1, g2, m1, m2, d)
+        s = smoothed_grid(cfg)
+        listed = listed_smoothing(grid_components(g1, g2, m1, m2, d))
+        assert (s.euler_characteristic, s.class_vector, s.connected, cfg.double_points) == listed
 
-    def test_disconnected_parallel_copies(self):
-        b = ImmersedConfig(components=((ImmersedComponent(1, (0, 1)), 2),), double_points=0)
-        s = smooth_double_points(b)
-        assert not s.connected
-        assert s.class_vector == (0, 2)
-
-    def test_distinct_classes_that_do_not_pair(self):
-        b = ImmersedConfig(
-            components=((ImmersedComponent(1, (1, 0)), 1), (ImmersedComponent(1, (2, 0)), 1)),
-            double_points=0,
-        )
-        assert not smooth_double_points(b).connected
-
-    @pytest.mark.parametrize("vector", [(1,), (1, 0, 0), ()])
-    def test_component_class_has_two_coordinates(self, vector):
-        with pytest.raises(DimensionError):
-            ImmersedComponent(1, vector)
-
-    def test_large_grid_pairs_distinct_classes_only(self, monkeypatch):
-        calls = []
-        pairing = coverhom.homology.hyperbolic_pairing
-
-        def counted(a, b):
-            calls.append((a, b))
-            return pairing(a, b)
-
-        monkeypatch.setattr(coverhom.homology, "hyperbolic_pairing", counted)
-
-        def smoothed(m1):
-            calls.clear()
-            b = grid_immersion(make_cfg(g1=2, g2=3, m1=m1, m2=1, d=2))
-            return b, smooth_double_points(b), len(calls)
-
-        _, _, few = smoothed(1)
-        b, s, many = smoothed(10**12)
-        assert b.components == ((ImmersedComponent(3, (0, 1)), 2 * 10**12), (ImmersedComponent(2, (1, 0)), 2))
-        assert 0 < many == few
+    def test_large_grid_pairs_distinct_classes_only(self):
+        # Nothing is paired per surface: 2*10^12 verticals cost what 2 do.
+        start = time.perf_counter()
+        s = smoothed_grid(make_cfg(g1=2, g2=3, m1=10**12, m2=1, d=2))
+        assert time.perf_counter() - start < 0.1
         # 2*10^12 genus-3 verticals and 2 genus-2 horizontals meeting in 4*10^12 points.
         chi = 2 * 10**12 * (2 - 6) + 2 * (2 - 4) - 2 * 4 * 10**12
         assert s == SmoothedSurface(chi, (2, 2 * 10**12), True)
 
-    def test_counted_equals_listed(self):
-        torus = ImmersedComponent(1, (0, 1))
-        line = ImmersedComponent(1, (1, 0))
-        counted = ImmersedConfig(((torus, 3), (line, 2)), 6)
-        listed = ImmersedConfig(((torus, 1),) * 3 + ((line, 1),) * 2, 6)
-        assert smooth_double_points(counted) == smooth_double_points(listed)
-
     @pytest.mark.parametrize("count", [0, -1, True])
     def test_bad_component_count_rejected(self, count):
+        # A family has m*d surfaces; a multiplicity that is not a positive int is refused.
         with pytest.raises(DomainError):
-            ImmersedConfig(((ImmersedComponent(1, (0, 1)), count),), 0)
+            make_cfg(m1=count)
+
+    @pytest.mark.parametrize("vector", [(1,), (1, 0, 0), ()])
+    def test_component_class_has_two_coordinates(self, vector):
+        with pytest.raises(DimensionError):
+            adjunction_euler(product_base_model(make_cfg()), vector)
 
     def test_inconsistent_configuration_rejected(self):
-        # Two spheres whose classes pair, but no double point recorded:
+        # Two spheres whose classes pair, but no double point smoothed:
         # chi would exceed 2 for a connected surface.
-        b = ImmersedConfig(components=_SPHERES, double_points=0)
         with pytest.raises(DomainError, match="at most 2, got 4"):
-            smooth_double_points(b)
-
-    @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(cfg_params)
-    def test_chi_drop_and_genus(self, params):
-        g1, g2, m1, m2, d = params
-        b = grid_immersion(make_cfg(g1, g2, m1, m2, d))
-        s = smooth_double_points(b)
-        chi_disjoint = m1 * d * (2 - 2 * g2) + m2 * d * (2 - 2 * g1)
-        assert s.euler_characteristic == chi_disjoint - 2 * b.double_points
-        assert s.connected
-        assert s.euler_characteristic % 2 == 0 and 1 - s.euler_characteristic // 2 >= 0
+            SmoothedSurface(euler_characteristic=4, class_vector=(1, 1), connected=True)
 
 
 class TestProductBaseModel:
@@ -196,7 +146,7 @@ class TestProductBaseModel:
         m = product_base_model(make_cfg())
         assert m.euler_characteristic == 0
         assert m.b1 == 4
-        assert tuple(m.c1_class) == (0, 0)
+        assert m.c1_class.coords == (0, 0)
         assert m.pi2_trivial and m.symplectically_aspherical
         # A product of area forms is Kaehler.
         assert m.kaehler
@@ -205,7 +155,7 @@ class TestProductBaseModel:
         m = product_base_model(make_cfg(g1=2, g2=1))
         # chi(F1) = -2 pairs the horizontal class; product chi stays 0.
         assert m.euler_characteristic == 0
-        assert tuple(m.c1_class) == (-2, 0)
+        assert m.c1_class.coords == (-2, 0)
 
     def test_genus_two_squared(self):
         m = product_base_model(make_cfg(g1=2, g2=2))
@@ -229,23 +179,24 @@ class TestProductBaseModel:
 
 class TestKodairaThurstonModel:
     def test_betti_number(self):
-        m = kodaira_thurston_model()
+        m = kodaira_thurston_model(make_cfg())
         assert m.b1 == 3
         assert m.euler_characteristic == 0
         assert abelianized_b1(m.h1_generators, m.h1_relators) == 3
         assert not m.kaehler
-        assert tuple(m.c1_class) == (0, 0)
+        assert m.c1_class.coords == (0, 0)
 
     def test_areas_validated(self):
-        with pytest.raises(DomainError):
-            kodaira_thurston_model((Fraction(0), Fraction(1)))
+        # The model reads its areas from a configuration, which has validated them.
+        with pytest.raises(DomainError, match="omega_areas must be two positive rationals"):
+            kodaira_thurston_model(make_cfg(areas=(0, 1)))
+        assert kodaira_thurston_model(make_cfg(areas=("1/2", 3))).omega_class.coords == (Fraction(1, 2), Fraction(3))
 
 
 class TestModelValidation:
     def test_class_length_mismatch(self):
         with pytest.raises(DimensionError):
             ManifoldModel(
-                kind="product",
                 euler_characteristic=0,
                 h1_generators=0,
                 h1_relators=(),
@@ -260,7 +211,6 @@ class TestModelValidation:
     def test_pi2_trivial_forces_aspherical(self):
         with pytest.raises(DomainError):
             ManifoldModel(
-                kind="product",
                 euler_characteristic=0,
                 h1_generators=0,
                 h1_relators=(),
@@ -291,15 +241,12 @@ class TestModelValidation:
             assert not SmoothedSurface(euler_characteristic=chi, class_vector=None, connected=False).connected
 
 
-_TORUS = ImmersedComponent(1, (0, 1))
-
-
 @pytest.mark.parametrize(
     "build",
     [
-        lambda: ImmersedComponent(0.5, (1, 0)),
-        lambda: ImmersedConfig(((_TORUS, 1),), 1.5),
-        lambda: ImmersedConfig(((_TORUS, 2.0),), 0),
+        lambda: make_cfg(g1=0.5),
+        lambda: ChainBlock(milnor_fiber_2_2_d(2), 1.5, SphericalGenerator("s", 0, 0, (0,), (0, 0))),
+        lambda: make_cfg(m1=2.0),
         lambda: PlumbingVertex(-2.0, 0),
         lambda: PlumbingVertex(-2, 0.5),
         lambda: BranchComponent(2.5, 0),
