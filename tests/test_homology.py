@@ -24,6 +24,10 @@ from coverhom.plumbing import PlumbingVertex, milnor_fiber_2_2_d
 
 from oracles import HYPERBOLIC_ROWS, gram_pairing, grid_components, listed_smoothing, pairing_square
 
+cfg_params = st.tuples(
+    st.integers(1, 3), st.integers(1, 3), st.integers(1, 4), st.integers(1, 4), st.integers(2, 5)
+)
+
 
 def make_cfg(g1=1, g2=1, m1=1, m2=1, d=2, areas=(1, 1)):
     return SurfaceConfig(g1=g1, g2=g2, m1=m1, m2=m2, d=d, omega_areas=areas)
@@ -70,6 +74,15 @@ class TestGridImmersion:
         # 9 horizontals and 6 verticals.
         assert smoothed_grid(cfg).class_vector == (9, 6)
         assert cfg.double_points == 54
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(cfg_params)
+    def test_double_point_formula(self, params):
+        g1, g2, m1, m2, d = params
+        cfg = make_cfg(g1, g2, m1, m2, d)
+        assert cfg.double_points == m1 * m2 * d * d
+        # One unit of class per surface: m2*d horizontals and m1*d verticals.
+        assert smoothed_grid(cfg).class_vector == (m2 * d, m1 * d)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -139,6 +152,17 @@ class TestSmoothDoublePoints:
         # chi would exceed 2 for a connected surface.
         with pytest.raises(DomainError, match="at most 2, got 4"):
             SmoothedSurface(euler_characteristic=4, class_vector=(1, 1), connected=True)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(cfg_params)
+    def test_chi_drop_and_genus(self, params):
+        g1, g2, m1, m2, d = params
+        cfg = make_cfg(g1, g2, m1, m2, d)
+        s = smoothed_grid(cfg)
+        chi_disjoint = m1 * d * (2 - 2 * g2) + m2 * d * (2 - 2 * g1)
+        assert s.euler_characteristic == chi_disjoint - 2 * cfg.double_points
+        assert s.connected
+        assert s.euler_characteristic % 2 == 0 and 1 - s.euler_characteristic // 2 >= 0
 
 
 class TestProductBaseModel:
