@@ -195,7 +195,8 @@ def cmd_snf(args: argparse.Namespace) -> dict:
         cover.Verdict(
             "restates the checks snf ran: u*a*v equals d, u and v unimodular, divisor chain",
             True,
-            f"{a.rows}x{a.cols} input; det u = {res.det_u}, det v = {res.det_v}; divisors {list(diag)}",
+            f"{a.rows}x{a.cols} input; det u = {res.det_u}, det v = {res.det_v}; "
+            f"divisors [{', '.join(map(reportio.decimal, diag))}]",
         ),
     )
     return {

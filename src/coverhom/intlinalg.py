@@ -196,81 +196,31 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 def snf(a: IntMatrix) -> SnfResult:
-    """Smith normal form via gcd row/column reduction.
+    """Smith normal form by elementary row and column steps.
 
     Returns SnfResult(u, d, v) with u @ a @ v == d, |det u| = |det v| = 1,
     and the diagonal of d equal to the divisor sequence of a. Each of these
     is checked once, here or in SnfResult; a failure raises VerificationError.
+
+    Its one step subtracts the rounded multiple of the pivot from a row or
+    column, which leaves a remainder of at most half the pivot, and the least
+    remainder left becomes the next pivot (size-reducing elimination, as in
+    Havas, Majewski and Matthews 1998). No row or column is multiplied by a
+    Bezout cofactor, which would grow the working entries and the
+    transforms at every pivot.
     """
     m, n = a.rows, a.cols
-    d = a.to_rows()
-    u = [[int(i == j) for j in range(m)] for i in range(m)]
+    # w[i] is row i of d followed by row i of u, so a row step is one list pass.
+    w = [list(a.row(i)) + [int(i == j) for j in range(m)] for i in range(m)]
     # vt[j] is column j of v, so column operations on v are row operations on vt.
     vt = [[int(i == j) for j in range(n)] for i in range(n)]
 
-    def swap_rows(i, j):
-        d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for r in d:
-            r[i], r[j] = r[j], r[i]
-        vt[i], vt[j] = vt[j], vt[i]
-
-    def add_row(dst, src, f):
-        # row_dst += f * row_src
-        d[dst] = [x + f * y for x, y in zip(d[dst], d[src])]
-        u[dst] = [x + f * y for x, y in zip(u[dst], u[src])]
-
-    def combine_rows(i, j, x, y, z, w):
-        # (row_i, row_j) <- (x*row_i + y*row_j, z*row_i + w*row_j), det = 1
-        di, dj = d[i], d[j]
-        d[i] = [x * p + y * q for p, q in zip(di, dj)]
-        d[j] = [z * p + w * q for p, q in zip(di, dj)]
-        ui, uj = u[i], u[j]
-        u[i] = [x * p + y * q for p, q in zip(ui, uj)]
-        u[j] = [z * p + w * q for p, q in zip(ui, uj)]
-
-    # A column operation on d changes only the rows that are nonzero in the
-    # columns it reads.
-    def add_col(dst, src, f):
-        # col_dst += f * col_src
-        for r in d:
-            if r[src]:
-                r[dst] += f * r[src]
-        vt[dst] = [x + f * y for x, y in zip(vt[dst], vt[src])]
-
-    def combine_cols(i, j, x, y, z, w):
-        # (col_i, col_j) <- (x*col_i + y*col_j, z*col_i + w*col_j), det = 1
-        for r in d:
-            p, q = r[i], r[j]
-            if p or q:
-                r[i], r[j] = x * p + y * q, z * p + w * q
-        vi, vj = vt[i], vt[j]
-        vt[i] = [x * p + y * q for p, q in zip(vi, vj)]
-        vt[j] = [z * p + w * q for p, q in zip(vi, vj)]
-
-    def clear_column(t):
-        for i in range(t + 1, m):
-            if d[i][t] == 0:
-                continue
-            p, q = d[t][t], d[i][t]
-            if q % p == 0:
-                add_row(i, t, -(q // p))
-            else:
-                g, x, y = _xgcd(p, q)
-                combine_rows(t, i, x, y, -(q // g), p // g)
-
-    def clear_row(t):
-        for j in range(t + 1, n):
-            if d[t][j] == 0:
-                continue
-            p, q = d[t][t], d[t][j]
-            if q % p == 0:
-                add_col(j, t, -(q // p))
-            else:
-                g, x, y = _xgcd(p, q)
-                combine_cols(t, j, x, y, -(q // g), p // g)
+    # Rows above the pivot t are zero in the columns from t on, so a column
+    # step or swap on d touches only the rows from t on.
+    def swap_cols(t, j):
+        for row in w[t:]:
+            row[t], row[j] = row[j], row[t]
+        vt[t], vt[j] = vt[j], vt[t]
 
     size = min(m, n)
     t = 0
@@ -279,7 +229,7 @@ def snf(a: IntMatrix) -> SnfResult:
         # beats |e| == 1, so the scan stops there.
         piv, least = None, 0
         for i in range(t, m):
-            row = d[i]
+            row = w[i]
             for j in range(t, n):
                 e = row[j]
                 if e and (piv is None or abs(e) < least):
@@ -290,38 +240,54 @@ def snf(a: IntMatrix) -> SnfResult:
                 break
         if piv is None:
             break
-        if piv[0] != t:
-            swap_rows(t, piv[0])
+        w[t], w[piv[0]] = w[piv[0]], w[t]
         if piv[1] != t:
             swap_cols(t, piv[1])
         while True:
-            # Alternate clears; |pivot| shrinks whenever a Bezout step fires,
-            # so the loop terminates.
-            while True:
-                clear_column(t)
-                clear_row(t)
-                if all(d[i][t] == 0 for i in range(t + 1, m)):
-                    break
+            # Subtract the rounded multiple q = floor(x/p + 1/2) of the pivot
+            # from each entry x below it, then right of it: |x - q*p| <= |p|/2.
+            # While a remainder is left, the least one (the first if tied)
+            # becomes the pivot, so |p| shrinks and the loop terminates.
+            lead = w[t]
+            p = lead[t]
+            for i in range(t + 1, m):
+                q = (2 * w[i][t] + p) // (2 * p)
+                if q:
+                    w[i] = [x - q * y for x, y in zip(w[i], lead)]
+            rest = [(abs(w[i][t]), i) for i in range(t + 1, m) if w[i][t]]
+            if rest:
+                i = min(rest)[1]
+                w[t], w[i] = w[i], w[t]
+                continue
+            for j in range(t + 1, n):
+                q = (2 * lead[j] + p) // (2 * p)
+                if q:
+                    for row in w[t:]:
+                        if row[t]:
+                            row[j] -= q * row[t]
+                    vt[j] = [x - q * y for x, y in zip(vt[j], vt[t])]
+            rest = [(abs(lead[j]), j) for j in range(t + 1, n) if lead[j]]
+            if rest:
+                swap_cols(t, min(rest)[1])
+                continue
             # Pivot must divide the whole trailing block for the divisor chain;
             # a unit pivot divides everything.
-            p = d[t][t]
             offender = None
             if abs(p) != 1:
-                offender = next((i for i in range(t + 1, m) if any(x % p for x in d[i][t + 1 :])), None)
+                offender = next((i for i in range(t + 1, m) if any(x % p for x in w[i][t + 1 : n])), None)
             if offender is None:
                 break
-            add_row(t, offender, 1)
+            w[t] = [x + y for x, y in zip(lead, w[offender])]
         t += 1
 
     for i in range(size):
-        if d[i][i] < 0:
-            d[i] = [-x for x in d[i]]
-            u[i] = [-x for x in u[i]]
+        if w[i][i] < 0:
+            w[i] = [-x for x in w[i]]
 
     try:
         res = SnfResult(
-            IntMatrix.from_rows(u, cols=m),
-            IntMatrix.from_rows(d, cols=n),
+            IntMatrix(m, m, tuple(chain.from_iterable(row[n:] for row in w))),
+            IntMatrix(m, n, tuple(chain.from_iterable(row[:n] for row in w))),
             IntMatrix.from_rows(list(zip(*vt)), cols=n),
         )
     except DomainError as exc:

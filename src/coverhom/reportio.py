@@ -2,7 +2,8 @@
 
 Rationals serialize as "p/q" strings. Integers serialize as JSON numbers
 while they fit in 53 bits and as decimal strings beyond that, so exactness
-survives any reader. Key order is fixed, so identical runs produce
+survives any reader; a string holds every digit, also past the interpreter's
+limit on int-to-str conversion. Key order is fixed, so identical runs produce
 byte-identical JSON. Tables are rendered from the same dict and nothing else.
 A grid cover's chain block is written once: one pairing row for all its
 spheres, and the chain once with its copy count.
@@ -15,12 +16,14 @@ import json
 from fractions import Fraction
 
 from .cover import CoverReport
-from .errors import ECHOED, DimensionError, DomainError, digit_limit
+from .errors import ECHOED, DimensionError, DomainError, digit_limit, digits, echoed_int
 from .homology import ChainBlock
 from .intlinalg import IntMatrix
 from .plumbing import LinearChain
 
 __all__ = [
+    "MAX_MATRIX_SIDE",
+    "decimal",
     "encode_int",
     "encode_fraction",
     "encode_value",
@@ -35,9 +38,25 @@ __all__ = [
 
 _SAFE = 2**53
 
+# The most rows, and the most columns, of a matrix file. Smith decomposition
+# builds transforms of rows^2 and cols^2 entries, so the shape is refused
+# before any of them is allocated.
+MAX_MATRIX_SIDE = 64
+
+
+def decimal(n: int) -> str:
+    """str(n), in full also past the interpreter's digit limit: a longer n is split on a power of ten."""
+    try:
+        return str(n)
+    except ValueError:
+        pass
+    k = digits(n) // 2
+    high, low = divmod(abs(n), 10**k)
+    return ("-" if n < 0 else "") + decimal(high) + decimal(low).zfill(k)
+
 
 def encode_int(n: int) -> int | str:
-    return n if -_SAFE < n < _SAFE else str(n)
+    return n if -_SAFE < n < _SAFE else decimal(n)
 
 
 def _shown_entry(value) -> str:
@@ -101,6 +120,11 @@ def matrix_from_json(obj) -> IntMatrix:
         raise DomainError(f"matrix JSON lacks key {missing}") from None
     if not isinstance(rows, int) or not isinstance(cols, int) or isinstance(rows, bool) or isinstance(cols, bool):
         raise DomainError("rows and cols must be integers")
+    if rows > MAX_MATRIX_SIDE or cols > MAX_MATRIX_SIDE:
+        raise DomainError(
+            f"matrix is {echoed_int(rows)} by {echoed_int(cols)}, "
+            f"above the limit of {MAX_MATRIX_SIDE} rows and {MAX_MATRIX_SIDE} columns"
+        )
     if not isinstance(entries, list):
         raise DomainError("entries must be an array")
     if set(map(type, entries)) <= {int}:
@@ -290,7 +314,7 @@ def _snf_lines(doc: dict) -> list[str]:
     lines = [f"snf: {doc['parameters']['matrix']}"]
     for key in ("input", "u", "d", "v"):
         lines += [f"{key}:", *_matrix_lines(doc[key])]
-    return lines + [f"divisors: {doc['divisors']}"] + _verdict_lines(doc)
+    return lines + [f"divisors: [{', '.join(map(str, doc['divisors']))}]"] + _verdict_lines(doc)
 
 
 _TABLES = {"tower7": _tower_lines, "catalog": _catalog_lines, "kollar": _kollar_lines, "snf": _snf_lines}

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -14,7 +15,9 @@ import coverhom.intlinalg
 from coverhom.cli import build_parser, main
 from coverhom.errors import DomainError, echoed_int
 from coverhom.intlinalg import IntMatrix
-from coverhom.reportio import all_pass, matrix_from_json, matrix_to_json
+from coverhom.reportio import MAX_MATRIX_SIDE, all_pass, matrix_from_json, matrix_to_json
+
+from oracles import matmul_rows
 
 
 def run_main(capsys, *argv):
@@ -430,6 +433,70 @@ class TestSnfCli:
         path = tmp_path / "f.json"
         path.write_text("{\"rows\": 1, \"cols\": 1, \"entries\": [1.5]}")
         assert run_main(capsys, "snf", str(path))[0] == 2
+
+    @staticmethod
+    def decomposed(capsys, tmp_path, rows, cols):
+        """(d, divisors) as ints from `snf --format json`, after checking u*a*v == d by the triple loop."""
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"rows": len(rows), "cols": cols, "entries": [x for r in rows for x in r]}))
+        code, out, err = run_main(capsys, "snf", str(path), "--format", "json")
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+
+        def listed(m):
+            return [[int(x) for x in m["entries"][i * m["cols"] : (i + 1) * m["cols"]]] for i in range(m["rows"])]
+
+        u, d, v = listed(doc["u"]), listed(doc["d"]), listed(doc["v"])
+        assert matmul_rows(matmul_rows(u, rows, cols), v, cols) == d
+        return d, [int(x) for x in doc["divisors"]]
+
+    @pytest.mark.parametrize("n", [24, 28, 40])
+    def test_dense_random_matrix_decomposes(self, capsys, tmp_path, n):
+        # Entries in [-9, 9] drawn row-major from random.Random(0). Elimination
+        # by Bezout combinations grows the transforms of the 24x24 and 28x28
+        # past the interpreter's 4,300-digit string limit.
+        rng = random.Random(0)
+        rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        d, divisors = self.decomposed(capsys, tmp_path, rows, n)
+        assert [d[i][i] for i in range(n)] == divisors and all(divisors)
+
+    @pytest.mark.parametrize("shape", [(1, MAX_MATRIX_SIDE), (MAX_MATRIX_SIDE, 1), (MAX_MATRIX_SIDE, MAX_MATRIX_SIDE)])
+    def test_largest_shape_runs(self, capsys, tmp_path, shape):
+        rng = random.Random(1)
+        rows = [[rng.randint(-9, 9) for _ in range(shape[1])] for _ in range(shape[0])]
+        self.decomposed(capsys, tmp_path, rows, shape[1])
+
+    @pytest.mark.parametrize(
+        "rows, cols",
+        [(1, MAX_MATRIX_SIDE + 1), (MAX_MATRIX_SIDE + 1, 1), (0, 10**6), (2**70, 0)],
+        ids=["wide", "tall", "empty-wide", "huge-rows"],
+    )
+    def test_shape_past_the_limit_is_refused_before_any_work(self, capsys, tmp_path, rows, cols):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"rows": rows, "cols": cols, "entries": [1] * min(rows * cols, 100)}))
+        code, out, err = run_main(capsys, "snf", str(path))
+        assert (code, out) == (2, "")
+        limit = MAX_MATRIX_SIDE
+        assert err == f"error: matrix is {rows} by {cols}, above the limit of {limit} rows and {limit} columns\n"
+
+    @pytest.mark.parametrize("fmt", ["json", "table"])
+    def test_divisor_past_the_digit_limit_is_written_in_full(self, capsys, tmp_path, fmt):
+        # diag(10^3000 + 1, 10^3000 + 3): coprime, so the divisors are 1 and the
+        # product 10^6000 + 4*10^3000 + 3, whose 6,001 digits pass the limit.
+        big = 10**3000
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"rows": 2, "cols": 2, "entries": [big + 1, 0, 0, big + 3]}))
+        code, out, err = run_main(capsys, "snf", str(path), "--format", fmt)
+        assert (code, err) == (0, "")
+        product = "1" + "0" * 2999 + "4" + "0" * 2999 + "3"
+        if fmt == "json":
+            doc = json.loads(out)
+            assert doc["divisors"] == [1, product]
+            assert doc["d"]["entries"] == [1, 0, 0, product]
+            assert doc["verdicts"][0]["evidence"].endswith(f"divisors [1, {product}]")
+        else:
+            assert f"divisors: [1, {product}]\n" in out
+            assert f"divisors [1, {product}]\nresult: PASS\n" in out
 
 
 VALID_RUNS = [

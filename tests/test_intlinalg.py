@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -106,6 +107,12 @@ def _structured(n):
             lambda lu: matmul_rows(lu[0], lu[1], n)
         ),
     )
+
+
+def dense_random_rows(n):
+    """An n x n matrix of entries in [-9, 9], drawn row-major from random.Random(0)."""
+    rng = random.Random(0)
+    return [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
 
 
 def _snf_invariants(m: IntMatrix):
@@ -253,10 +260,20 @@ class TestSnf:
             cases.append(matmul_rows(random_rows(n, r), random_rows(r, n), n))  # rank at most r
         for n in range(1, 30):
             cases.append([[-2 if i == j else int(abs(i - j) == 1) for j in range(n)] for i in range(n)])
+        for n in (24, 28, 40):
+            cases.append(dense_random_rows(n))
         for rows in cases:
             ours = [x for x in snf(IntMatrix.from_rows(rows)).divisors if x]
             theirs = [int(x) for x in invariant_factors(sympy.Matrix(rows), domain=sympy.ZZ) if x]
             assert ours == theirs, rows
+
+    def test_random_40_by_40_decomposes_and_verifies_within_two_seconds(self):
+        a = IntMatrix.from_rows(dense_random_rows(40))
+        start = time.perf_counter()
+        res = snf(a)  # checks u*a*v == d, |det u| = |det v| = 1 and the divisor chain
+        assert time.perf_counter() - start < 2
+        product = matmul_rows(matmul_rows(res.u.to_rows(), a.to_rows(), 40), res.v.to_rows(), 40)
+        assert product == res.d.to_rows()
 
     @settings(max_examples=120, deadline=None, derandomize=True)
     @given(

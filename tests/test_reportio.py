@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coverhom.cli import build_parser
-from coverhom.reportio import render_json
+from coverhom.reportio import decimal, render_json
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -77,3 +77,18 @@ def test_no_pure_python_encoder_on_a_dense_snf_report(tmp_path, monkeypatch):
         with pytest.raises(RuntimeError):
             json.dumps(doc, indent=2)
     assert render_json(doc) == expected
+
+
+@pytest.mark.parametrize(
+    "n",
+    [0, -7, 10**4299, 10**4300, 10**6000 + 4 * 10**3000 + 3, -(10**9000) - 1, 7 * 10**12000 - 1, 3**40000],
+    ids=["zero", "negative", "at-limit", "past-limit", "product", "negative-long", "nines", "power"],
+)
+def test_decimal_writes_every_digit_past_the_limit(n):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        expected = str(n)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert decimal(n) == expected
