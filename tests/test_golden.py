@@ -56,6 +56,7 @@ RUNS = {
     "snf_chain12": {"command": "snf", "matrix": "tests/golden/snf_chain12.json"},
     "snf_unimodular7": {"command": "snf", "matrix": "tests/golden/snf_unimodular7.json"},
     "snf_sparse5x8": {"command": "snf", "matrix": "tests/golden/snf_sparse5x8.json"},
+    "snf_dense12": {"command": "snf", "matrix": "tests/golden/snf_dense12.json"},
     **{f"{name}_blocks": entry for name, entry in GRID_RUNS.items()},
 }
 
