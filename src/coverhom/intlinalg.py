@@ -7,6 +7,7 @@ Floating point is rejected at every constructor.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
@@ -96,9 +97,15 @@ class IntMatrix:
             raise DimensionError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
+        k, n = self.cols, other.cols
+        if 2 * (k * n - other.entries.count(0)) >= k * n:
+            # At least half of other is nonzero: each entry is one dot product
+            # of a row of self and a column of other, summed in C.
+            rows = [self.entries[i * k : (i + 1) * k] for i in range(self.rows)]
+            cols = [other.entries[j::n] for j in range(n)]
+            return IntMatrix(self.rows, n, tuple([sum(map(operator.mul, r, c)) for r in rows for c in cols]))
         # Column j of the product is the sum of f * (column i of self) over
         # the nonzero entries f = other[i][j]; zero entries cost one test.
-        k, n = self.cols, other.cols
         factors = [self.entries[i::k] for i in range(k)]
         zero = (0,) * self.rows
         out = []
@@ -211,12 +218,16 @@ def snf(a: IntMatrix) -> SnfResult:
     """
     m, n = a.rows, a.cols
     # w[i] is row i of d followed by row i of u, so a row step is one list pass.
-    w = [list(a.row(i)) + [int(i == j) for j in range(m)] for i in range(m)]
+    w = [list(a.row(i)) + [0] * m for i in range(m)]
     # vt[j] is column j of v, so column operations on v are row operations on vt.
-    vt = [[int(i == j) for j in range(n)] for i in range(n)]
+    vt = [[0] * n for _ in range(n)]
+    for i in range(m):
+        w[i][n + i] = 1
+    for j in range(n):
+        vt[j][j] = 1
 
     # Rows above the pivot t are zero in the columns from t on, so a column
-    # step or swap on d touches only the rows from t on.
+    # swap on d touches only the rows from t on.
     def swap_cols(t, j):
         for row in w[t:]:
             row[t], row[j] = row[j], row[t]
@@ -259,12 +270,12 @@ def snf(a: IntMatrix) -> SnfResult:
                 i = min(rest)[1]
                 w[t], w[i] = w[i], w[t]
                 continue
+            # The row steps above left every row below t zero in column t, so
+            # a column step changes only the pivot row of d.
             for j in range(t + 1, n):
                 q = (2 * lead[j] + p) // (2 * p)
                 if q:
-                    for row in w[t:]:
-                        if row[t]:
-                            row[j] -= q * row[t]
+                    lead[j] -= q * p
                     vt[j] = [x - q * y for x, y in zip(vt[j], vt[t])]
             rest = [(abs(lead[j]), j) for j in range(t + 1, n) if lead[j]]
             if rest:

@@ -68,20 +68,22 @@ def _shown_entry(value) -> str:
 
 
 def decode_int(value, index: int) -> int:
-    """Matrix entry `index`: a JSON integer, or a string of decimal digits."""
+    """Matrix entry `index`: a JSON integer, or a decimal string as `decimal` writes it.
+
+    A decimal string is an optional "-" and ASCII digits, nothing else: no
+    sign "+", underscore, white space or other script's digits.
+    """
     if isinstance(value, int) and not isinstance(value, bool):
         return value
     if isinstance(value, str):
-        digits = value.strip().lstrip("+-").replace("_", "")
-        limit = digit_limit()
-        if len(digits) > limit and digits.isdigit():
-            raise DomainError(
-                f"matrix entry {index}: integer string of {len(digits)} digits, above the limit of {limit} digits"
-            )
-        try:
-            return int(value, 10)
-        except ValueError:
-            pass
+        unsigned = value[1:] if value.startswith("-") else value
+        if unsigned.isascii() and unsigned.isdigit():
+            limit = digit_limit()
+            if len(unsigned) > limit:
+                raise DomainError(
+                    f"matrix entry {index}: integer string of {len(unsigned)} digits, above the limit of {limit} digits"
+                )
+            return int(value)
     raise DomainError(f"matrix entry {index} must be an integer or a decimal string, got {_shown_entry(value)}")
 
 

@@ -715,11 +715,19 @@ class TestErrorBoundary:
             ({"n": 1}, "got an object of length 1"),
             ("x" * 100000, "got a string of length 100000"),
             ("12x", 'got "12x"'),
+            ("1_0", 'got "1_0"'),
+            ("  12  ", 'got "  12  "'),
+            ("+12", 'got "+12"'),
+            ("-", 'got "-"'),
+            ("", 'got ""'),
+            ("\u0661\u0662", 'got "\\u0661\\u0662"'),
+            ("\uff11\uff12", 'got "\\uff11\\uff12"'),
             (True, "got true"),
             (None, "got null"),
             (0.5, "got 0.5"),
         ],
-        ids=["long-array", "object", "long-string", "bad-digits", "bool", "null", "float"],
+        ids=["long-array", "object", "long-string", "bad-digits", "underscore", "white-space", "plus-sign",
+             "sign-only", "empty", "arabic-indic-digits", "fullwidth-digits", "bool", "null", "float"],
     )
     def test_bad_matrix_entry_is_named_by_index_and_type(self, capsys, tmp_path, entry, fragment):
         path = tmp_path / "m.json"

@@ -3,7 +3,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import coverhom.intlinalg
@@ -176,6 +176,17 @@ class TestIntMatrix:
             st.integers(0, 7).flatmap(lambda n: st.tuples(_structured(n), _structured(n), st.just((n, n, n)))),
         )
     )
+    # mul sums dot products when at least half of the right factor is nonzero
+    # and accumulates over its nonzero entries otherwise. These examples put
+    # right factors at ceil(k*n/2) nonzero entries and one fewer, with k*n odd
+    # and even, and give shapes with k = 0 and n = 0, so both loops run on
+    # every run of the test.
+    @example(([[1, -2, 3], [0, 4, 5]], [[1, 0, 2], [0, 3, 0], [-4, 0, 5]], (2, 3, 3)))
+    @example(([[1, -2, 3], [0, 4, 5]], [[1, 0, 2], [0, 3, 0], [-4, 0, 0]], (2, 3, 3)))
+    @example(([[2, -1], [3, 5], [0, 7]], [[0, 6, 0, -1], [9, 0, 0, 2]], (3, 2, 4)))
+    @example(([[2, -1], [3, 5], [0, 7]], [[0, 6, 0, -1], [9, 0, 0, 0]], (3, 2, 4)))
+    @example(([[], []], [], (2, 0, 3)))
+    @example(([[1, 2, 3], [4, 5, 6]], [[], [], []], (2, 3, 0)))
     def test_mul_of_sparse_and_structured_factors_matches_triple_loop(self, case):
         a, b, (m, k, n) = case
         product = IntMatrix.from_rows(a, cols=k).mul(IntMatrix.from_rows(b, cols=n))
