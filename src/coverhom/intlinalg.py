@@ -103,7 +103,8 @@ class IntMatrix:
             # of a row of self and a column of other, summed in C.
             rows = [self.entries[i * k : (i + 1) * k] for i in range(self.rows)]
             cols = [other.entries[j::n] for j in range(n)]
-            return IntMatrix(self.rows, n, tuple([sum(map(operator.mul, r, c)) for r in rows for c in cols]))
+            dots = [sum(map(operator.mul, r, c)) for r in rows for c in cols]
+            return IntMatrix(self.rows, n, tuple(dots))
         # Column j of the product is the sum of f * (column i of self) over
         # the nonzero entries f = other[i][j]; zero entries cost one test.
         factors = [self.entries[i::k] for i in range(k)]
