@@ -306,9 +306,47 @@ def snf(a: IntMatrix) -> SnfResult:
         # The input was valid, so a failed unimodularity or divisor-chain
         # check is a fault of the elimination, not of the caller.
         raise VerificationError(f"smith decomposition failed its own check: {exc}") from None
-    if res.u.mul(a).mul(res.v).entries != res.d.entries:
+    if not _recomposes(res.u, a, res.v, res.d):
         raise VerificationError("smith decomposition does not recompose: u*a*v differs from d")
     return res
+
+
+def _recomposes(u: IntMatrix, a: IntMatrix, v: IntMatrix, d: IntMatrix) -> bool:
+    """Whether u @ a @ v == d, exactly, by comparing rows packed into one integer each.
+
+    Column j of v and of d gets the width
+    w_j = max(bits(U) + bits(A) + bits(m*n) + 1 + bits(V_j), bits(D_j) + 1),
+    where U and A are the largest |entries| of u and a, V_j and D_j the
+    largest |entries| in column j of v and of d, a is m x n and
+    bits(x) = x.bit_length(). A row is packed as the sum of entry j shifted
+    left by o_j, the sum of the widths before column j. Packing is linear,
+    so AV_r = sum_k a[r][k] * V_k, with V_k row k of v packed, is row r of
+    a @ v packed, and sum_r u[i][r] * AV_r is row i of u @ a @ v packed.
+
+    It is exact: entry (i, j) of u @ a @ v is a sum of m*n products of
+    absolute value at most U*A*V_j, so it and d[i][j] both lie strictly
+    within +-2^(w_j - 1), and their difference z_j strictly within +-2^w_j.
+    So two such rows that pack to the same integer are equal: at the first
+    column j where they differ, the packed difference is z_j * 2^o_j plus a
+    multiple of 2^(o_j + w_j), which is 0 only if 2^w_j divides z_j: not
+    for 0 < |z_j| < 2^w_j.
+    This costs m*(m + n) products of packed integers instead of the
+    m*m*n + m*n*n entry products of forming u @ a @ v.
+    """
+    m, n, q = a.rows, a.cols, v.cols
+    bits = int.bit_length
+    spread = max(map(bits, u.entries), default=0) + max(map(bits, a.entries), default=0) + bits(m * n) + 1
+    offsets, o = [], 0
+    for j in range(q):
+        offsets.append(o)
+        o += max(spread + max(map(bits, v.entries[j::q]), default=0), max(map(bits, d.entries[j::q]), default=0) + 1)
+    lshift, mul = operator.lshift, operator.mul
+    packed_v = [sum(map(lshift, v.entries[k * q : (k + 1) * q], offsets)) for k in range(n)]
+    av = [sum(map(mul, a.entries[r * n : (r + 1) * n], packed_v)) for r in range(m)]
+    return all(
+        sum(map(mul, u.entries[i * m : (i + 1) * m], av)) == sum(map(lshift, d.entries[i * q : (i + 1) * q], offsets))
+        for i in range(u.rows)
+    )
 
 
 def _bareiss_step(m: list[list[int]], r: int, c: int, prev: int) -> int:

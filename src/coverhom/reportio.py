@@ -192,28 +192,40 @@ _SCALARS = {str, int, bool, float, type(None)}
 
 @functools.cache
 def _flat_encoder(separator: str):
-    """json's C encoder, writing items apart by `separator`."""
-    return json.JSONEncoder(separators=(separator, ": ")).encode
+    """json's C encoder, writing items apart by `separator`; called as encoder(value, 0).
+
+    Made once per separator, with the arguments JSONEncoder.iterencode
+    passes for json.dumps's defaults, except that it keeps no markers for
+    circular references: it only ever gets a scalar or a container of
+    scalars, which cannot hold itself, and a marker table kept across calls
+    would still hold a container whose encoding raised (an int past the
+    string limit), so encoding that container again would report a cycle.
+    """
+    # markers, default, encoder, indent, key and item separators, sort_keys, skipkeys, allow_nan
+    return json.encoder.c_make_encoder(
+        None, json.JSONEncoder().default, _key, None, ": ", separator, False, False, True
+    )
 
 
 def _dump(value, outer: str) -> str:
     """value in the layout of json.dumps with an indent of 2, nested at indent `outer`.
 
-    A list or dict whose items are all scalars, such as a matrix's entries,
-    is written by one call into json's C encoder with the indented item
-    separator. Before Python 3.13, json.dumps with an indent takes its
-    pure-Python encoder, one generator step per scalar.
+    A scalar, or a list or dict whose items are all scalars, such as a
+    matrix's entries, is written by one call into json's C encoder with the
+    indented item separator. Before Python 3.13, json.dumps with an indent
+    takes its pure-Python encoder, one generator step per scalar, and
+    JSONEncoder.encode builds a new C encoder on every call.
     """
+    inner = outer + "  "
+    separator = ",\n" + inner
     if not isinstance(value, (dict, list, tuple)):
-        return json.dumps(value)
+        return "".join(_flat_encoder(separator)(value, 0))
     is_dict = isinstance(value, dict)
     opening, closing = "{}" if is_dict else "[]"
     if not value:
         return opening + closing
-    inner = outer + "  "
-    separator = ",\n" + inner
     if set(map(type, value.values() if is_dict else value)) <= _SCALARS:
-        body = _flat_encoder(separator)(value)[1:-1]
+        body = "".join(_flat_encoder(separator)(value, 0))[1:-1]
     elif is_dict:
         body = separator.join(f"{_key(k)}: {_dump(v, inner)}" for k, v in value.items())
     else:

@@ -390,28 +390,28 @@ class TestSnfCli:
         assert "divisors: [2, 4]" in out
 
     def test_each_check_runs_once(self, monkeypatch, tmp_path):
-        # Recomposition costs 2 products inside snf and unimodularity 2
+        # Recomposition is one packed check inside snf and unimodularity 2
         # determinants inside SnfResult; the command reports them, not reruns them.
-        calls = {"det": 0, "mul": 0}
-        det, mul = coverhom.intlinalg.det, IntMatrix.mul
+        calls = {"det": 0, "recompose": 0}
+        det, recomposes = coverhom.intlinalg.det, coverhom.intlinalg._recomposes
 
         def counting_det(m):
             calls["det"] += 1
             return det(m)
 
-        def counting_mul(self, other):
-            calls["mul"] += 1
-            return mul(self, other)
+        def counting_recomposes(u, a, v, d):
+            calls["recompose"] += 1
+            return recomposes(u, a, v, d)
 
         monkeypatch.setattr(coverhom.intlinalg, "det", counting_det)
         monkeypatch.setattr(coverhom.cli, "det", counting_det, raising=False)
-        monkeypatch.setattr(IntMatrix, "mul", counting_mul)
+        monkeypatch.setattr(coverhom.intlinalg, "_recomposes", counting_recomposes)
         path = tmp_path / "m.json"
         matrix = IntMatrix.from_rows([(2, 4, 4), (-6, 6, 12), (10, -4, -16)])
         path.write_text(json.dumps(matrix_to_json(matrix)))
         doc = run_command("snf", str(path))
         assert all_pass(doc)
-        assert calls == {"det": 2, "mul": 2}
+        assert calls == {"det": 2, "recompose": 1}
 
     def test_failed_library_check_exits_one(self, capsys, monkeypatch, tmp_path):
         path = tmp_path / "m.json"
@@ -956,11 +956,8 @@ class TestErrorBoundary:
     def test_failed_internal_check_is_verification_failure(self, capsys, monkeypatch, tmp_path):
         path = tmp_path / "m.json"
         path.write_text(json.dumps(matrix_to_json(IntMatrix.from_rows([(2, 4), (6, 8)]))))
-        # snf recomposes u*a*v and compares it with d; a wrong product fails that check.
-        def zero_product(self, other):
-            return IntMatrix(self.rows, other.cols, (0,) * (self.rows * other.cols))
-
-        monkeypatch.setattr(IntMatrix, "mul", zero_product)
+        # snf checks that u*a*v equals d; a check that finds them apart fails the run.
+        monkeypatch.setattr(coverhom.intlinalg, "_recomposes", lambda u, a, v, d: False)
         code, out, err = run_main(capsys, "snf", str(path))
         assert code == 1
         assert out == ""

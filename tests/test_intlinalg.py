@@ -12,6 +12,7 @@ from coverhom.intlinalg import (
     IntMatrix,
     RationalVector,
     SnfResult,
+    _recomposes,
     abelianized_b1,
     det,
     hermite,
@@ -107,6 +108,75 @@ def _structured(n):
             lambda lu: matmul_rows(lu[0], lu[1], n)
         ),
     )
+
+
+def _huge_with_zero_lines(rows, cols):
+    """Strategy for rows x cols matrices of entries up to +-2^200, some rows and columns zeroed."""
+    def lines(k):
+        return st.sets(st.integers(0, k - 1)) if k else st.just(set())
+
+    return st.tuples(_matrix(rows, cols, 2**200), lines(rows), lines(cols)).map(
+        lambda t: [[0 if i in t[1] or j in t[2] else x for j, x in enumerate(r)] for i, r in enumerate(t[0])]
+    )
+
+
+def _uav(shape, u, a, v):
+    """u*a*v by the triple loop, for u p x m, a m x n and v n x q."""
+    _, _, n, q = shape
+    return matmul_rows(matmul_rows(u, a, n), v, q)
+
+
+def _recomposition_case():
+    """Strategy for ((p, m, n, q), u, a, v, d): u p x m, a m x n, v n x q, shapes 0 to 6.
+
+    d is u*a*v by the triple loop, or that product with one entry moved by a
+    nonzero amount or with its sign flipped.
+    """
+    def with_d(case):
+        shape, u, a, v, change = case
+        d = _uav(shape, u, a, v)
+        if change is not None:
+            (i, j), delta = change
+            d[i][j] = -d[i][j] if delta is None else d[i][j] + delta
+        return shape, u, a, v, d
+
+    def build(shape):
+        p, m, n, q = shape
+        cell = st.tuples(st.integers(0, p - 1), st.integers(0, q - 1)) if p * q else st.nothing()
+        change = st.tuples(cell, st.none() | st.integers(-(2**200), 2**200).filter(bool))
+        factors = (_huge_with_zero_lines(p, m), _huge_with_zero_lines(m, n), _huge_with_zero_lines(n, q))
+        return st.tuples(st.just(shape), *factors, st.none() | change)
+
+    return st.tuples(*[st.integers(0, 6)] * 4).flatmap(build).map(with_d)
+
+
+def _carried(shape, u, a, v, i, j):
+    """A case whose d is u*a*v with 2^w added at (i, j) and 1 taken from (i, j + 1).
+
+    w is the width the unperturbed product gives column j, so at the
+    product's widths d packs to the same integer as u*a*v.
+    """
+    _, m, n, _ = shape
+    d = _uav(shape, u, a, v)
+
+    def bits(rows):
+        return max((abs(x) for r in rows for x in r), default=0).bit_length()
+
+    column = slice(j, j + 1)
+    w = max(
+        bits(u) + bits(a) + (m * n).bit_length() + 1 + bits(r[column] for r in v),
+        bits(r[column] for r in d) + 1,
+    )
+    d[i][j] += 2**w
+    d[i][j + 1] -= 1
+    return shape, u, a, v, d
+
+
+def _sign_flipped(shape, u, a, v, i, j):
+    """A case whose d is u*a*v with the sign of entry (i, j) flipped."""
+    d = _uav(shape, u, a, v)
+    d[i][j] = -d[i][j]
+    return shape, u, a, v, d
 
 
 def dense_random_rows(n):
@@ -214,9 +284,25 @@ class TestSnf:
         assert res.v.to_rows() == [[1, 0], [0, 1]]
 
     def test_failed_recomposition_raises(self, monkeypatch):
-        monkeypatch.setattr(IntMatrix, "mul", lambda self, other: zero_matrix(self.rows, other.cols))
-        with pytest.raises(VerificationError):
+        monkeypatch.setattr(coverhom.intlinalg, "_recomposes", lambda u, a, v, d: False)
+        with pytest.raises(VerificationError, match=r"does not recompose: u\*a\*v differs from d$"):
             snf(IDENTITY_2)
+
+    # snf checks u*a*v == d on rows packed into one integer each, at widths
+    # taken from the largest entries of u, a and each column of v and d.
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_recomposition_case())
+    # A carry of 2^w into column j, paid back by -1 in column j + 1, packs to
+    # the same integer at the widths of u*a*v; d's own widths must tell them apart.
+    @example(_carried((1, 1, 1, 2), [[1]], [[1]], [[1, 1]], 0, 0))
+    @example(_carried((2, 2, 2, 3), [[1, -(2**200)], [3, 0]], [[-1, 2], [2**199, 5]], [[7, 0, -1], [1, 2**200, 0]], 1, 1))
+    # One sign flipped, the rest of d equal to u*a*v.
+    @example(_sign_flipped((2, 2, 3, 2), [[1, 0], [2, 1]], [[2**200, -3, 0], [5, 0, 7]], [[1, -1], [0, 2], [4, 0]], 1, 0))
+    def test_packed_check_agrees_with_the_triple_loop(self, case):
+        shape, u, a, v, d = case
+        _, m, n, q = shape
+        matrices = [IntMatrix.from_rows(x, cols=c) for x, c in ((u, m), (a, n), (v, q), (d, q))]
+        assert _recomposes(*matrices) == (d == _uav(shape, u, a, v))
 
     def test_failed_unimodularity_raises(self, monkeypatch):
         monkeypatch.setattr(coverhom.intlinalg, "det", lambda m: 2)

@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coverhom.cli import build_parser
@@ -44,6 +44,16 @@ def oracle(doc) -> str:
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(DOCS)
+# Top-level scalars, each written by the cached encoder alone.
+@example(None)
+@example(True)
+@example(2**60 + 1)
+@example("é\x00\n\x1f\ud800\U0001f600\"")
+@example((1, "a", (2, [3, ()])))
+@example({"a": [[], {}, [(), {"b": []}]], "c": {"d": {}}})
+# One separator, that of depth 1, for the flat lists and for the scalars
+# between them, so its cached encoder is reused across both call sites.
+@example([[1, 2], 3, {"k": "v"}, [4, "x"], None])
 def test_render_json_matches_the_indented_encoder(doc):
     assert render_json(doc) == oracle(doc)
 
