@@ -5,10 +5,17 @@ that `--format json` prints; `reportio` renders it as JSON or as a table.
 Exit codes: 0 when every verdict in the result passes, 1 on a verification
 failure, 2 on usage or parameter errors.
 
-Every run is parsed by its command's own parser, on the command line and in
-`--batch`. The top-level parser reads only a command line that does not
-start with a command name: `--batch`, `--help`, no command, an unknown or
-abbreviated one, or a leading `--`.
+Every run, on the command line and in `--batch`, is read against its
+command's own parser, by one of two routes. A plain command line (each
+option once and spelled in full, every value converting and in its choices,
+nothing left over) is read straight off the command's option table, built
+once from the parser's declared actions. Any other command line goes to
+argparse, which reads or refuses it. argparse thus stays the one declaration
+of every option, type, choice and default, and writes every refusal, usage
+block and `--help` text; the plain route refuses nothing itself. The
+top-level parser reads only a command line that does not start with a
+command name: `--batch`, `--help`, no command, an unknown or abbreviated
+one, or a leading `--`.
 
 Only this module and `errors` load at start, so `--help`, usage errors and a
 malformed `--batch` file exit before the exact-arithmetic layers are
@@ -186,6 +193,7 @@ def cmd_snf(args: argparse.Namespace) -> dict:
     from . import cover, intlinalg, reportio
 
     a = reportio.matrix_from_json(_read_json(args.matrix, "matrix file"))
+    reportio.check_snf_budget(a)
     # snf raises VerificationError unless u*a*v == d, u and v are unimodular
     # and d is a divisor chain (the last two checked by SnfResult), so the
     # verdict restates the checks already run instead of repeating them.
@@ -385,13 +393,93 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _integer_options(sp: argparse.ArgumentParser) -> set[str]:
-    return {action.dest for action in sp._actions if isinstance(action, _Integer)}
+class _Options:
+    """A command parser's declared options, read once from its actions (help left out).
+
+    `flags` maps an option that takes no value to its dest and the value its
+    action stores, and `valued` maps an option that takes one to its dest,
+    conversion and choices; `positional` holds the same for the positional,
+    or is None. `defaults` holds what argparse fills in for a run that gives
+    nothing, with string defaults converted as argparse converts them.
+    """
+
+    def __init__(self, sp: argparse.ArgumentParser):
+        actions = [action for action in sp._actions if action.default is not argparse.SUPPRESS]
+        self.flags, self.valued, self.positional, defaults = {}, {}, None, {}
+        for action in actions:
+            convert = int if isinstance(action, _Integer) else action.type or str
+            read = (action.dest, convert, action.choices)
+            if not action.option_strings:
+                self.positional = read
+            for option in action.option_strings:
+                if action.nargs == 0:
+                    stored = argparse.Namespace()
+                    action(sp, stored, None, option)
+                    self.flags[option] = (action.dest, getattr(stored, action.dest))
+                else:
+                    self.valued[option] = read
+            default = action.default
+            defaults[action.dest] = convert(default) if isinstance(default, str) else default
+        self.defaults = {**sp._defaults, **defaults}
+        self.dests = set(defaults)
+        self.required = {action.dest for action in actions if action.required}
+        self.integers = {action.dest for action in actions if isinstance(action, _Integer)}
+
+
+_options = functools.cache(_Options)
+
+
+def _plain_run(sp: argparse.ArgumentParser, command: str, argv: list[str]) -> argparse.Namespace | None:
+    """The run argparse would read from a plain argv, or None for any argv that is not plain.
+
+    Plain means: each option given once, spelled in full, its value in the
+    next token or after "=", no value starting with "-", every value
+    converting and in its choices, and every required option and the
+    positional given. Anything else, "-h" and "--" included, is left to
+    argparse, which reads or refuses it and words every refusal.
+    """
+    table = _options(sp)
+    given = {}
+    tokens = iter(argv)
+    for token in tokens:
+        if not token.startswith("-"):
+            if table.positional is None:
+                return None
+            dest, convert, choices = table.positional
+            text = token
+        else:
+            option, equals, text = token.partition("=")
+            if option in table.flags and not equals:
+                dest, value = table.flags[option]
+                if dest in given:
+                    return None
+                given[dest] = value
+                continue
+            if option not in table.valued:
+                return None
+            dest, convert, choices = table.valued[option]
+            if not equals:
+                text = next(tokens, "-")  # a missing value is refused as one starting with "-"
+            if text.startswith("-"):
+                return None
+        if dest in given:
+            return None
+        try:
+            value = convert(text)
+        except (TypeError, ValueError, argparse.ArgumentTypeError):
+            return None
+        if choices is not None and value not in choices:
+            return None
+        given[dest] = value
+    if not table.required <= given.keys():
+        return None
+    return argparse.Namespace(command=command, batch=None, **{**table.defaults, **given})
 
 
 def _entry_options(sp: argparse.ArgumentParser, index: int, entry: dict) -> list[str]:
     """The command line of one batch entry after its command; keys are the command's option names."""
-    unknown = set(entry) - {"command"} - {action.dest for action in sp._actions if action.dest != "help"}
+    table = _options(sp)
+    unknown = set(entry) - {"command"} - table.dests
     if unknown:
         keys = sorted(unknown)
         shown = ", ".join(_echoed(key) for key in keys[:3]) + (", ..." if len(keys) > 3 else "")
@@ -407,9 +495,9 @@ def _entry_options(sp: argparse.ArgumentParser, index: int, entry: dict) -> list
             argv.append(option)
         elif value is False:
             # A flag that is off by default has no --no- form.
-            if sp.get_default(key) is not False:
+            if table.defaults.get(key) is not False:
                 argv.append("--no-" + option.lstrip("-"))
-        elif isinstance(value, str) and key in _integer_options(sp):
+        elif isinstance(value, str) and key in table.integers:
             raise DomainError(f"batch entry {index}: {key!r} must be a JSON integer, got the string {_echoed(value)}")
         elif isinstance(value, (int, str)):
             argv.append(f"{option}={value}")
@@ -428,6 +516,9 @@ def _refuse(message: str):
 
 def _parse_run(sp: argparse.ArgumentParser, command: str, argv: list[str], error) -> argparse.Namespace:
     """One run of command, parsed by its own parser sp; arguments left over go to error, as argparse words it."""
+    args = _plain_run(sp, command, argv)
+    if args is not None:
+        return args
     args, extras = sp.parse_known_args(argv, argparse.Namespace(command=command, batch=None))
     if extras:
         error("unrecognized arguments: " + " ".join(extras))

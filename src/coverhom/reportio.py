@@ -23,12 +23,14 @@ from .plumbing import LinearChain
 
 __all__ = [
     "MAX_MATRIX_SIDE",
+    "SNF_BUDGET",
     "decimal",
     "encode_int",
     "encode_fraction",
     "encode_value",
     "matrix_to_json",
     "matrix_from_json",
+    "check_snf_budget",
     "report_to_dict",
     "render_json",
     "render_table",
@@ -42,6 +44,15 @@ _SAFE = 2**53
 # builds transforms of rows^2 and cols^2 entries, so the shape is refused
 # before any of them is allocated.
 MAX_MATRIX_SIDE = 64
+
+# The most n^2 * bits(H) a matrix file may give, where n = max(rows, cols) and
+# H is the product of the norms of its nonzero rows, or of its nonzero columns
+# when it has fewer columns than rows. H bounds every minor of the matrix, and
+# so every divisor (Hadamard's inequality). snf's time grows with the bound:
+# in-process, a random 64x64 with entries in [-99, 99] (2.3 million) takes
+# 1.8 s and an 8x8 with 1,450-digit entries (2.5 million) 2.5 s. Large
+# entries at small n take longest for their bound (README, "Command line").
+SNF_BUDGET = 2_500_000
 
 
 def decimal(n: int) -> str:
@@ -136,6 +147,28 @@ def matrix_from_json(obj) -> IntMatrix:
     if len(decoded) != rows * cols:
         raise DimensionError(f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(decoded)}")
     return IntMatrix(rows, cols, decoded)
+
+
+def check_snf_budget(a: IntMatrix) -> None:
+    """Refuse a matrix whose bound n^2 * bits(H) passes SNF_BUDGET, before any elimination.
+
+    H grows line by line, so a matrix far past the budget is refused after its first lines.
+    """
+    n = max(a.rows, a.cols)
+    if a.rows <= a.cols:
+        lines = (a.entries[i * a.cols : (i + 1) * a.cols] for i in range(a.rows))
+    else:
+        lines = (a.entries[j :: a.cols] for j in range(a.cols))
+    squares = 1
+    for line in lines:
+        squares *= sum(x * x for x in line) or 1
+        # H = sqrt(squares), and bits(isqrt(s)) == (bits(s) + 1) // 2 for every s >= 1.
+        bound = n * n * ((squares.bit_length() + 1) // 2)
+        if bound > SNF_BUDGET:
+            raise DomainError(
+                f"snf: a {a.rows}x{a.cols} matrix gives n^2*bits(H) of at least {bound}, above the budget of "
+                f"{SNF_BUDGET} (n = max(rows, cols), H = the product of its row or column norms)"
+            )
 
 
 def _chain_to_json(chain: LinearChain) -> dict:

@@ -1,0 +1,127 @@
+"""Command lines on which the plain-command-line walk must agree with argparse.
+
+`cli._plain_run` reads a plain command line without argparse and returns
+None for any other. Wherever it returns a run, argparse's own reading of the
+same command line must be that run: the same attributes, values and types,
+and nothing left over. Wherever argparse refuses a command line, the walk
+must have returned None.
+
+The corpus and the check need only the standard library, so that they also
+run on an interpreter without pytest or hypothesis:
+
+    PYTHONPATH=src python tests/argv_corpus.py
+"""
+
+import argparse
+import io
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+
+from coverhom import cli
+from coverhom.errors import DomainError
+
+# Command lines the walk reads itself, command name first.
+PLAIN = [
+    ["example2"],
+    ["example2", "--g1", "2", "--g2", "3", "--m1", "2", "--m2", "1", "-d", "3", "--area1", "3/2", "--area2", "5",
+     "--kaehler", "--format", "table"],
+    ["example2", "--m1=4", "-d=7", "--area1=9/5", "--format=json", "--out=o.txt"],
+    ["example2", "--kaehler", "-d", "+3", "--g1", " 4", "--m2", "1_0"],
+    ["example2", "--area2", "0.5", "--out", "a=b"],
+    ["kodaira-thurston", "--m1", "1", "--m2", "2", "-d", "3", "--area1", "7/3", "--area2", "2", "--format", "table"],
+    ["tower7", "-d", "5", "--format", "json"],
+    ["catalog", "-d=3"],
+    ["kollar", "--omega-pullback", "--no-target-pi2-trivial"],
+    ["kollar", "--format=json", "--no-omega-pullback", "--target-pi2-trivial"],
+    ["snf", "m.json", "--format", "json"],
+    ["snf", "--out", "o.txt", "m.json"],
+    ["snf", "--format=table", "d=1.json"],
+    ["snf", ""],
+]
+
+# One command line of each shape the walk leaves to argparse.
+NOT_PLAIN = {
+    "repeated option": ["example2", "-d", "3", "-d", "4"],
+    "repeated flag": ["example2", "--kaehler", "--kaehler"],
+    "flag and its --no- form": ["kollar", "--omega-pullback", "--no-omega-pullback", "--target-pi2-trivial"],
+    "abbreviated option": ["example2", "--kaeh"],
+    "abbreviated option with a value": ["tower7", "--form", "json"],
+    "unknown option": ["example2", "--expand"],
+    "option of another command": ["tower7", "--m1", "3"],
+    "short help": ["tower7", "-h"],
+    "long help": ["snf", "--help"],
+    "double dash": ["example2", "--", "-d"],
+    "double dash before a positional": ["snf", "--", "m.json"],
+    "negative value": ["example2", "-d", "-3"],
+    "negative value after =": ["example2", "--m1=-3"],
+    "value that is an option": ["example2", "--out", "--kaehler"],
+    "missing value": ["example2", "-d"],
+    "lone dash": ["snf", "-"],
+    "attached short value": ["tower7", "-d5"],
+    "flag given =value": ["example2", "--kaehler=yes"],
+    "failed integer": ["example2", "--m1", "12x"],
+    "integer past the digit limit": ["example2", "--m1", "1" * 5001],
+    "failed rational": ["example2", "--area1", "abc"],
+    "zero denominator": ["example2", "--area1", "1/0"],
+    "empty --out": ["example2", "--out="],
+    "failed choice": ["catalog", "--format", "xml"],
+    "long failed choice": ["catalog", "--format", "x" * 101],
+    "missing required option": ["kollar", "--omega-pullback"],
+    "missing positional": ["snf", "--format", "json"],
+    "second positional": ["snf", "m.json", "n.json"],
+    "stray token": ["tower7", "stray"],
+}
+
+
+def fields(args):
+    """A run's attributes with the type of each value."""
+    return {key: (type(value), value) for key, value in vars(args).items()}
+
+
+def argparse_reading(argv):
+    """argparse's reading of a command line, command name first: the run, or None where it refuses it."""
+    command, *rest = argv
+    sp = cli._parser().commands[command]
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            args, extras = sp.parse_known_args(rest, argparse.Namespace(command=command, batch=None))
+        except (SystemExit, DomainError):
+            return None
+    return None if extras else args
+
+
+def walk(argv):
+    """The plain-command-line walk's reading of a command line, command name first."""
+    command, *rest = argv
+    return cli._plain_run(cli._parser().commands[command], command, rest)
+
+
+def disagreement(argv):
+    """Why the walk and argparse disagree on argv, or None where they agree."""
+    walked = walk(argv)
+    if walked is None:
+        return None
+    expected = argparse_reading(argv)
+    if expected is None:
+        return "the walk read a command line that argparse refuses"
+    if fields(walked) != fields(expected):
+        return f"the walk read {fields(walked)}, argparse {fields(expected)}"
+    return None
+
+
+def failures():
+    """Every way the corpus fails: a plain line not read by the walk, any line on which the two disagree."""
+    found = [f"{argv}: not read by the walk" for argv in PLAIN if walk(argv) is None]
+    found += [f"{name}: read by the walk" for name, argv in NOT_PLAIN.items() if walk(argv) is not None]
+    found += [f"{argv}: {why}" for argv in PLAIN + list(NOT_PLAIN.values()) if (why := disagreement(argv))]
+    return found
+
+
+if __name__ == "__main__":
+    problems = failures()
+    for problem in problems:
+        print(problem)
+    version = ".".join(map(str, sys.version_info[:3]))
+    count = len(PLAIN) + len(NOT_PLAIN)
+    print(f"Python {version}: {count} command lines, {'FAILED' if problems else 'ok'}")
+    sys.exit(1 if problems else 0)

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 import random
 import subprocess
@@ -8,14 +9,24 @@ import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import argv_corpus
 import coverhom.cli
 import coverhom.cover
 import coverhom.intlinalg
 from coverhom.cli import build_parser, main
 from coverhom.errors import DomainError, echoed_int
 from coverhom.intlinalg import IntMatrix
-from coverhom.reportio import MAX_MATRIX_SIDE, all_pass, matrix_from_json, matrix_to_json
+from coverhom.reportio import (
+    MAX_MATRIX_SIDE,
+    SNF_BUDGET,
+    all_pass,
+    check_snf_budget,
+    matrix_from_json,
+    matrix_to_json,
+)
 
 from oracles import matmul_rows
 
@@ -479,6 +490,54 @@ class TestSnfCli:
         limit = MAX_MATRIX_SIDE
         assert err == f"error: matrix is {rows} by {cols}, above the limit of {limit} rows and {limit} columns\n"
 
+    @pytest.mark.parametrize(
+        "rows, cols, below, inside",
+        [
+            (8, 8, 10**1450, True),
+            (64, 64, 100, True),
+            (64, 1, 2**600, True),
+            (8, 8, 10**1480, False),
+            (64, 64, 200, False),
+            (16, 16, 10**300, False),
+            (2, 64, 10**4200, False),
+        ],
+        ids=["8x8-1450-digits", "64x64-2-digits", "64x1-600-bits", "8x8-1480-digits", "64x64-3-digits",
+             "16x16-300-digits", "2x64-4200-digits"],
+    )
+    def test_answer_size_budget(self, capsys, tmp_path, rows, cols, below, inside):
+        # Entries uniform in (-below, below). n^2 * bits(H) is recomputed here
+        # from the whole product of the squared norms of the rows, or of the
+        # columns of a tall matrix. The first five inputs lie within 8% of the
+        # budget. The 16x16 took 4 s and the 2x64 over a minute before the budget.
+        rng = random.Random(1)
+        entries = [rng.randrange(1 - below, below) for _ in range(rows * cols)]
+        if rows <= cols:
+            lines = [entries[i * cols : (i + 1) * cols] for i in range(rows)]
+        else:
+            lines = [entries[j::cols] for j in range(cols)]
+        squares = math.prod(sum(x * x for x in line) for line in lines)
+        size = max(rows, cols) ** 2 * math.isqrt(squares).bit_length()
+        assert (size <= SNF_BUDGET) == inside
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"rows": rows, "cols": cols, "entries": entries}))
+        start = time.perf_counter()
+        code, out, err = run_main(capsys, "snf", str(path), "--format", "json")
+        elapsed = time.perf_counter() - start
+        if inside:
+            assert (code, err) == (0, "") and elapsed < 20
+        else:
+            assert (code, out) == (2, "") and elapsed < 2
+            assert err.startswith(f"error: snf: a {rows}x{cols} matrix gives n^2*bits(H) of at least ")
+            assert err.endswith(
+                f"above the budget of {SNF_BUDGET} (n = max(rows, cols), H = the product of its row or column norms)\n"
+            )
+
+    def test_budget_holds_to_the_bit(self):
+        # A 1x1 matrix [x] has n = 1 and H = |x|, so its bound is the bit length of x.
+        check_snf_budget(IntMatrix(1, 1, (2 ** (SNF_BUDGET - 1),)))
+        with pytest.raises(DomainError, match=f"of at least {SNF_BUDGET + 1}, above the budget of {SNF_BUDGET} "):
+            check_snf_budget(IntMatrix(1, 1, (-(2**SNF_BUDGET),)))
+
     @pytest.mark.parametrize("fmt", ["json", "table"])
     def test_divisor_past_the_digit_limit_is_written_in_full(self, capsys, tmp_path, fmt):
         # diag(10^3000 + 1, 10^3000 + 3): coprime, so the divisors are 1 and the
@@ -579,6 +638,74 @@ class TestCommandParser:
         for name in ("parse_args", "parse_known_args"):
             monkeypatch.setattr(coverhom.cli._parser(), name, refused)
         assert run_main(capsys, *argv)[0] == 0
+
+
+# An odd token for any place on a command line: an option that is not plain,
+# or a value that converts to nothing, starts with "-" or is out of range.
+ODD_TOKENS = [
+    "-h", "--help", "--", "-", "--kaeh", "--m", "-d5", "--no-kaehler", "--expand", "-x", "--format=",
+    "-3", "+3", " 4", "1_0", "12x", "", "-1/2", "1/0", "0.5", "xml", "a=b", "x" * 101, "1" * 5001,
+]
+
+# A value each option converts and accepts.
+GOOD_VALUES = {"area1": "3/2", "area2": "5", "format": "json", "out": "o.txt", "matrix": "m.json"}
+
+
+@st.composite
+def command_lines(draw):
+    """A command line of one command, from its own option strings: plain and odd values, = forms, repeats, strays."""
+    command = draw(st.sampled_from(sorted(coverhom.cli._parser().commands)))
+    table = coverhom.cli._options(coverhom.cli._parser().commands[command])
+
+    def good(option):
+        return st.just(GOOD_VALUES.get(table.valued[option][0], "3"))
+
+    def any_value(option):
+        return st.one_of(good(option), st.sampled_from(ODD_TOKENS))
+
+    option = st.sampled_from(sorted(table.valued))
+    items = [st.sampled_from(ODD_TOKENS + ["m.json"]).map(lambda token: [token])]
+    for value in (good, any_value):
+        items.append(option.flatmap(lambda o, value=value: value(o).map(lambda v: [o, v])))
+        items.append(option.flatmap(lambda o, value=value: value(o).map(lambda v: [f"{o}={v}"])))
+    if table.flags:
+        items.append(st.sampled_from(sorted(table.flags)).map(lambda flag: [flag]))
+    chosen = draw(st.lists(st.one_of(items), max_size=5))
+    return [command] + [token for item in chosen for token in item]
+
+
+# One command line of each shape the benchmark runs: a grid report of each
+# family, a matrix file, and a --batch entry, whose options take the --key=value form.
+BENCHMARK_RUNS = [
+    ["example2", "--g1", "2", "--g2", "1", "--m1", "3", "--m2", "2", "-d", "7",
+     "--area1", "3/2", "--area2", "5/4", "--kaehler", "--format", "table"],
+    ["kodaira-thurston", "--m1", "2", "--m2", "3", "-d", "6", "--area1", "1/5", "--area2", "9/2", "--format", "json"],
+    ["snf", "m.json", "--format", "json"],
+    ["example2", *coverhom.cli._entry_options(
+        coverhom.cli._parser().commands["example2"],
+        0,
+        {"command": "example2", "m1": 2, "m2": 1, "d": 5, "area1": "7/3", "area2": "4/5", "g1": 3, "g2": 2,
+         "kaehler": True, "format": "table", "out": "b0-e1.txt"},
+    )],
+]
+
+
+class TestPlainCommandLines:
+    """A plain command line is read by the walk as argparse reads it; every other is left to argparse."""
+
+    @pytest.mark.parametrize("argv", argv_corpus.PLAIN + BENCHMARK_RUNS, ids=lambda argv: " ".join(argv)[:40])
+    def test_plain_line_read_without_argparse(self, argv):
+        assert argv_corpus.walk(argv) is not None
+        assert argv_corpus.disagreement(argv) is None
+
+    @pytest.mark.parametrize("argv", argv_corpus.NOT_PLAIN.values(), ids=list(argv_corpus.NOT_PLAIN))
+    def test_other_line_left_to_argparse(self, argv):
+        assert argv_corpus.walk(argv) is None
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(command_lines())
+    def test_walk_reads_only_what_argparse_reads_the_same(self, argv):
+        assert argv_corpus.disagreement(argv) is None
 
 
 class TestBatch:

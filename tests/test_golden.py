@@ -21,6 +21,7 @@ from pathlib import Path
 
 import pytest
 
+from coverhom import cli
 from coverhom.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -127,6 +128,17 @@ def test_every_golden_file_is_named_by_a_case():
     named = {f"{name}.out" for name in ARGV} | {"batch.json", "codes.json"}
     named |= {Path(entry["matrix"]).name for entry in RUNS.values() if "matrix" in entry}
     assert sorted(path.name for path in GOLDEN.iterdir()) == sorted(named)
+
+
+def test_every_case_is_read_without_argparse():
+    # Every golden run is a plain command line, so the walk reads it, as a
+    # command line and as a batch entry, and argparse reads none of them.
+    parser = cli._parser()
+    for argv in map(case_argv, CASES.values()):
+        assert cli._plain_run(parser.commands[argv[0]], argv[0], argv[1:]) is not None, argv
+    for index, entry in enumerate(json.loads((GOLDEN / "batch.json").read_text())):
+        sp = parser.commands[entry["command"]]
+        assert cli._plain_run(sp, entry["command"], cli._entry_options(sp, index, entry)) is not None, entry
 
 
 def test_batch(workdir, capsys):
