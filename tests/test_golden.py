@@ -58,6 +58,14 @@ RUNS = {
     "snf_unimodular7": {"command": "snf", "matrix": "tests/golden/snf_unimodular7.json"},
     "snf_sparse5x8": {"command": "snf", "matrix": "tests/golden/snf_sparse5x8.json"},
     "snf_dense12": {"command": "snf", "matrix": "tests/golden/snf_dense12.json"},
+    # Entries drawn row-major from random.Random(k), in [-9, 9] unless stated:
+    # k = 1 for the 9x12 and k = 2 for the 12x9. The 10x10 is eight rows
+    # r0..r7 from k = 3, with r0 + r1 inserted after r3 and r2 + r3 appended,
+    # so its rank is 8. The 8x8 has entries in (-10^30, 10^30), from k = 4.
+    "snf_wide9x12": {"command": "snf", "matrix": "tests/golden/snf_wide9x12.json"},
+    "snf_tall12x9": {"command": "snf", "matrix": "tests/golden/snf_tall12x9.json"},
+    "snf_rankdef10": {"command": "snf", "matrix": "tests/golden/snf_rankdef10.json"},
+    "snf_digits30_8": {"command": "snf", "matrix": "tests/golden/snf_digits30_8.json"},
     **{f"{name}_blocks": entry for name, entry in GRID_RUNS.items()},
 }
 
