@@ -380,6 +380,16 @@ class TestSnf:
             max_size=5,
         ).filter(lambda rows: len({len(r) for r in rows}) == 1)
     )
+    # Steps update rows of the working matrix and of v's transpose in place,
+    # over the pivot line's nonzero entries: rows must not share a list, and
+    # the support must be retaken whenever the pivot line changes.
+    @example([[1] * 6 for _ in range(6)])
+    @example([[2, 3, 2, 5, 7], [4, 1, 4, 6, 8], [2, 3, 2, 5, 7], [9, 5, 9, 3, 4], [6, 7, 6, 2, 8]])
+    # The first pivot 4 leaves remainders -1 and 1 in its column, so the row
+    # with -1 becomes the pivot row, nonzero where the old one was zero. In
+    # the next the pivot row's remainders -1 and 1 swap in a new column of v.
+    @example([[4, 0, 6], [7, 5, 9], [9, 5, 14]])
+    @example([[4, 7, 9], [0, 5, 5], [8, 9, 14]])
     def test_snf_invariants_property(self, rows):
         _snf_invariants(IntMatrix.from_rows(rows))
 
