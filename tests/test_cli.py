@@ -777,6 +777,18 @@ class TestBatch:
         assert kollar["parameters"]["omega_pullback"] is False
 
     @pytest.mark.parametrize(
+        "entry, line",
+        [
+            ({"command": "example2", "d": False}, "'d' must be a JSON integer, got false"),
+            ({"command": "example2", "d": True}, "'d' must be a JSON integer, got true"),
+            ({"command": "snf", "matrix": True}, "'matrix' must be a string or an integer, got true"),
+        ],
+    )
+    def test_booleans_only_for_flags(self, capsys, tmp_path, entry, line):
+        # Only kaehler, omega_pullback and target_pi2_trivial take booleans.
+        assert run_batch(capsys, tmp_path, [entry]) == (2, "", f"error: batch entry 0: {line}\n")
+
+    @pytest.mark.parametrize(
         "entry",
         [
             {"command": "example2", "d": "3"},
