@@ -492,7 +492,8 @@ def _entry_options(sp: argparse.ArgumentParser, index: int, entry: dict) -> list
         if key == "matrix" and isinstance(value, str):
             argv.append(value)
         elif isinstance(value, bool) and key not in {dest for dest, _ in table.flags.values()}:
-            takes = "a JSON integer" if key in table.integers else "a string or an integer"
+            takes = ("a JSON integer" if key in table.integers
+                     else "a string" if key == "matrix" else "a string or an integer")
             raise DomainError(f"batch entry {index}: {key!r} must be {takes}, got {str(value).lower()}")
         elif value is True:
             argv.append(option)

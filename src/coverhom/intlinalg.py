@@ -222,9 +222,9 @@ def snf(a: IntMatrix) -> SnfResult:
     one pass along the pivot row. A step changes only the entries where its
     pivot line is nonzero, so it walks the (index, value) list of those,
     taken once per round: the pivot row of d and u for a row step, the
-    pivot column of v for a column step. On 8x8 to 12x12 matrices with
-    entries in [-9, 9] a row step touches about 60% of its row and a column
-    step 38% of its column of v.
+    pivot column of v for a column step. On the snf-dense benchmark's
+    matrices (8x8 to 12x12, mostly dense in [-9, 9]) a row step touches
+    about 60% of its row and a column step 38% of its column of v.
     """
     m, n = a.rows, a.cols
     # w[i] is row i of d followed by row i of u, so one step updates both.

@@ -781,8 +781,9 @@ class TestBatch:
         [
             ({"command": "example2", "d": False}, "'d' must be a JSON integer, got false"),
             ({"command": "example2", "d": True}, "'d' must be a JSON integer, got true"),
-            ({"command": "snf", "matrix": True}, "'matrix' must be a string or an integer, got true"),
+            ({"command": "snf", "matrix": True}, "'matrix' must be a string, got true"),
         ],
+        ids=["d-false", "d-true", "matrix-true"],
     )
     def test_booleans_only_for_flags(self, capsys, tmp_path, entry, line):
         # Only kaehler, omega_pullback and target_pi2_trivial take booleans.
