@@ -31,7 +31,7 @@ import functools
 import sys
 from collections.abc import Sequence
 
-from .errors import ECHOED, DomainError, VerificationError, digit_limit, digits
+from .errors import ECHOED, DomainError, VerificationError, digit_limit, digits, echoed_int
 
 __all__ = [
     "build_parser",
@@ -195,8 +195,8 @@ def cmd_snf(args: argparse.Namespace) -> dict:
     a = reportio.matrix_from_json(_read_json(args.matrix, "matrix file"))
     reportio.check_snf_budget(a)
     # snf raises VerificationError unless u*a*v == d, u and v are unimodular
-    # and d is a divisor chain (the last two checked by SnfResult), so the
-    # verdict restates the checks already run instead of repeating them.
+    # and d is a divisor chain, so the verdict restates the checks already
+    # run instead of repeating them.
     res = intlinalg.snf(a)
     diag = res.divisors
     checks = (
@@ -484,30 +484,39 @@ def _entry_options(sp: argparse.ArgumentParser, index: int, entry: dict) -> list
         keys = sorted(unknown)
         shown = ", ".join(_echoed(key) for key in keys[:3]) + (", ..." if len(keys) > 3 else "")
         raise DomainError(f"batch entry {index}: unknown keys [{shown}]")
+    flags = {dest for dest, _ in table.flags.values()}
     argv = []
     for key, value in entry.items():
         if key == "command":
             continue
         option = ("-" if len(key) == 1 else "--") + key.replace("_", "-")
-        if key == "matrix" and isinstance(value, str):
+        kinds, takes = ((bool, "a boolean") if key in flags else (int, "a JSON integer") if key in table.integers
+                        else (str, "a string") if key == "matrix" else ((int, str), "a string or an integer"))
+        if not isinstance(value, kinds) or isinstance(value, bool) != (key in flags):
+            raise DomainError(f"batch entry {index}: {key!r} must be {takes}, got {_json_echoed(value)}")
+        if key == "matrix":
             argv.append(value)
-        elif isinstance(value, bool) and key not in {dest for dest, _ in table.flags.values()}:
-            takes = ("a JSON integer" if key in table.integers
-                     else "a string" if key == "matrix" else "a string or an integer")
-            raise DomainError(f"batch entry {index}: {key!r} must be {takes}, got {str(value).lower()}")
         elif value is True:
             argv.append(option)
         elif value is False:
             # A flag that is off by default has no --no- form.
             if table.defaults.get(key) is not False:
                 argv.append("--no-" + option.lstrip("-"))
-        elif isinstance(value, str) and key in table.integers:
-            raise DomainError(f"batch entry {index}: {key!r} must be a JSON integer, got the string {_echoed(value)}")
-        elif isinstance(value, (int, str)):
-            argv.append(f"{option}={value}")
         else:
-            raise DomainError(f"batch entry {index}: {key!r} must be a string, an integer or a boolean")
+            argv.append(f"{option}={value}")
     return argv
+
+
+def _json_echoed(value) -> str:
+    """A batch value for an error line: its JSON text up to ECHOED characters, else its type and length."""
+    import json
+
+    if isinstance(value, str):
+        return f"the string {_echoed(value)}"
+    # json.dumps meets less nesting than json.load just read; echoed_int is short.
+    text = echoed_int(value) if type(value) is int else json.dumps(value)
+    kind = "array" if isinstance(value, list) else "object"
+    return text if len(text) <= ECHOED else f"an {kind} of length {len(value)}"
 
 
 class _Refused(Exception):

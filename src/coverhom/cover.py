@@ -156,7 +156,7 @@ def lift_omega_pairing(spec: CoverSpec, pushforward: Sequence[int]) -> Fraction:
     The lifted class is the pullback, so the value is the base pairing with
     the pushforward; it is exactly 0 whenever the pushforward dies.
     """
-    return spec.base.omega_class.dot(pushforward)
+    return spec.base.omega_class.dot([_as_int(x) for x in pushforward])
 
 
 def lift_chern_pairing(spec: CoverSpec, pushforward: Sequence[int], branch_intersections: Sequence[int]) -> int:
@@ -169,10 +169,10 @@ def lift_chern_pairing(spec: CoverSpec, pushforward: Sequence[int], branch_inter
         raise DimensionError(
             f"{len(branch_intersections)} branch intersections for {len(spec.components)} branch components"
         )
-    base_part = spec.base.c1_class.dot(pushforward)
+    base_part = spec.base.c1_class.dot([_as_int(x) for x in pushforward])
     if base_part.denominator != 1:
         raise DomainError("chern pairing against an integral class must be an integer")
-    branch_part = sum((1 - c.multiplicity) * x for c, x in zip(spec.components, branch_intersections))
+    branch_part = sum((1 - c.multiplicity) * _as_int(x) for c, x in zip(spec.components, branch_intersections))
     return int(base_part) + branch_part
 
 
@@ -294,7 +294,7 @@ def _installed_generator(
     """A generator whose stored pairings are evaluated through the lift formulas."""
     omega = lift_omega_pairing(spec, pushforward)
     c1 = lift_chern_pairing(spec, pushforward, branch_intersections)
-    return SphericalGenerator(label, omega, c1, branch_intersections, pushforward)
+    return SphericalGenerator(label, omega, c1)
 
 
 def _cover_model(spec: CoverSpec, **fields) -> ManifoldModel:

@@ -98,35 +98,26 @@ class SmoothedSurface:
 
 @dataclass(frozen=True)
 class SphericalGenerator:
-    """A sphere class in a cover, stored at the pairing level.
+    """A sphere class in a cover, stored as its lifted omega and c1 pairings.
 
-    pushforward holds the image class in the base's named basis (all zeros
-    for chain spheres, which live over balls around double points of the
-    branch configuration). branch_intersections pairs the class with each
-    branch component, in component order.
+    The lift formulas in `cover` evaluate both from its pushforward and branch intersections, which are not kept.
     """
 
     label: str
     omega_pairing: Fraction
     c1_pairing: int
-    branch_intersections: tuple[int, ...]
-    pushforward: tuple[int, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "omega_pairing", _as_fraction(self.omega_pairing))
         _as_int(self.c1_pairing)
-        object.__setattr__(
-            self, "branch_intersections", tuple(_as_int(x) for x in self.branch_intersections)
-        )
-        object.__setattr__(self, "pushforward", tuple(_as_int(x) for x in self.pushforward))
 
 
 @dataclass(frozen=True)
 class ChainBlock:
     """`copies` disjoint copies of one sphere chain, all described by one generator.
 
-    Every sphere of every copy has the template's pushforward, branch
-    intersections and pairings, so the template stands for all of them and
+    Every sphere of every copy has the same pushforward and branch
+    intersections, so the same pairings: the template stands for all of them and
     carries the label of the first ("double point 1, sphere 1"). No sphere
     has a label or lattice index of its own: reports write the chain once,
     with its copy count.

@@ -8,7 +8,7 @@ Floating point is rejected at every constructor.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from typing import Sequence
@@ -93,33 +93,16 @@ class IntMatrix:
         return self.entries[j :: self.cols]
 
     def mul(self, other: "IntMatrix") -> "IntMatrix":
+        """The product self @ other. No command calls it: the tests use it, and the benchmark's tracer wraps it."""
         if self.cols != other.rows:
             raise DimensionError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
         k, n = self.cols, other.cols
-        if 2 * (k * n - other.entries.count(0)) >= k * n:
-            # At least half of other is nonzero: each entry is one dot product
-            # of a row of self and a column of other, summed in C.
-            rows = [self.entries[i * k : (i + 1) * k] for i in range(self.rows)]
-            cols = [other.entries[j::n] for j in range(n)]
-            dots = [sum(map(operator.mul, r, c)) for r in rows for c in cols]
-            return IntMatrix(self.rows, n, tuple(dots))
-        # Column j of the product is the sum of f * (column i of self) over
-        # the nonzero entries f = other[i][j]; zero entries cost one test.
-        factors = [self.entries[i::k] for i in range(k)]
-        zero = (0,) * self.rows
-        out = []
-        for j in range(n):
-            acc = None
-            for i, f in enumerate(other.entries[j::n]):
-                if f:
-                    if acc is None:
-                        acc = [f * x for x in factors[i]]
-                    else:
-                        acc = [s + f * x for s, x in zip(acc, factors[i])]
-            out.append(zero if acc is None else acc)
-        return IntMatrix(self.rows, n, tuple(chain.from_iterable(zip(*out))))
+        # Each entry is one dot product of a row of self and a column of other, summed in C.
+        rows = [self.entries[i * k : (i + 1) * k] for i in range(self.rows)]
+        cols = [other.entries[j::n] for j in range(n)]
+        return IntMatrix(self.rows, n, tuple([sum(map(operator.mul, r, c)) for r in rows for c in cols]))
 
     __matmul__ = mul
 
@@ -149,40 +132,13 @@ class RationalVector:
 
 @dataclass(frozen=True)
 class SnfResult:
-    """Decomposition u @ a @ v = d with u, v unimodular and d the divisor diagonal.
-
-    Construction checks the shapes, the unimodularity of u and v and the
-    divisor chain of d, once; det_u and det_v keep the determinants it found.
-    """
+    """What `snf` found and checked: u @ a @ v = d, u and v unimodular (det_u, det_v), d the divisor diagonal."""
 
     u: IntMatrix
     d: IntMatrix
     v: IntMatrix
-    det_u: int = field(init=False)
-    det_v: int = field(init=False)
-
-    def __post_init__(self):
-        u, d, v = self.u, self.d, self.v
-        if u.rows != u.cols or v.rows != v.cols:
-            raise DimensionError("transforms must be square")
-        if d.rows != u.rows or d.cols != v.rows:
-            raise DimensionError("diagonal factor has wrong shape")
-        object.__setattr__(self, "det_u", det(u))
-        object.__setattr__(self, "det_v", det(v))
-        if abs(self.det_u) != 1 or abs(self.det_v) != 1:
-            raise DomainError("transforms must be unimodular")
-        diag = d.diagonal()
-        # d is diagonal iff it has no nonzero entry beyond those on its diagonal
-        if sum(map(bool, d.entries)) != sum(map(bool, diag)):
-            raise DomainError("middle factor is not diagonal")
-        for x in diag:
-            if x < 0:
-                raise DomainError("diagonal entries must be nonnegative")
-        for a, b in zip(diag, diag[1:]):
-            if a == 0 and b != 0:
-                raise DomainError("zero diagonal entry precedes a nonzero one")
-            if a != 0 and b % a != 0:
-                raise DomainError("diagonal divisor chain broken")
+    det_u: int
+    det_v: int
 
     @property
     def divisors(self) -> tuple[int, ...]:
@@ -206,9 +162,9 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 def snf(a: IntMatrix) -> SnfResult:
     """Smith normal form by elementary row and column steps.
 
-    Returns SnfResult(u, d, v) with u @ a @ v == d, |det u| = |det v| = 1,
-    and the diagonal of d equal to the divisor sequence of a. Each of these
-    is checked once, here or in SnfResult; a failure raises VerificationError.
+    Returns SnfResult(u, d, v, det u, det v) with u @ a @ v == d, |det u| =
+    |det v| = 1 and the diagonal of d the divisor sequence of a. Each is
+    checked once, here; a failure raises VerificationError.
 
     Its one step subtracts the rounded multiple of the pivot from a row or
     column, which leaves a remainder of at most half the pivot, and the least
@@ -330,19 +286,31 @@ def snf(a: IntMatrix) -> SnfResult:
         if w[i][i] < 0:
             w[i] = [-x for x in w[i]]
 
-    try:
-        res = SnfResult(
-            IntMatrix(m, m, tuple(chain.from_iterable(row[n:] for row in w))),
-            IntMatrix(m, n, tuple(chain.from_iterable(row[:n] for row in w))),
-            IntMatrix(n, n, tuple(chain.from_iterable(zip(*vt)))),
-        )
-    except DomainError as exc:
-        # The input was valid, so a failed unimodularity or divisor-chain
-        # check is a fault of the elimination, not of the caller.
-        raise VerificationError(f"smith decomposition failed its own check: {exc}") from None
-    if not _recomposes(res.u, a, res.v, res.d):
+    u = IntMatrix(m, m, tuple(chain.from_iterable(row[n:] for row in w)))
+    d = IntMatrix(m, n, tuple(chain.from_iterable(row[:n] for row in w)))
+    v = IntMatrix(n, n, tuple(chain.from_iterable(zip(*vt))))
+    if not _recomposes(u, a, v, d):
         raise VerificationError("smith decomposition does not recompose: u*a*v differs from d")
-    return res
+    return _checked_result(u, d, v)
+
+
+def _checked_result(u: IntMatrix, d: IntMatrix, v: IntMatrix) -> SnfResult:
+    """snf's record of u, d, v once its checks pass; the input was valid, so a failure is snf's fault."""
+    det_u, det_v = det(u), det(v)
+    diag = d.diagonal()
+    # The first neighbours (x, y) on the diagonal where x does not divide y; 0 divides only 0.
+    broken = next(((x, y) for x, y in zip(diag, diag[1:]) if (y % x if x else y)), None)
+    if abs(det_u) != 1 or abs(det_v) != 1:
+        reason = "transforms must be unimodular"
+    elif sum(map(bool, d.entries)) != sum(map(bool, diag)):  # a nonzero entry off the diagonal
+        reason = "middle factor is not diagonal"
+    elif any(x < 0 for x in diag):
+        reason = "diagonal entries must be nonnegative"
+    elif broken:
+        reason = "zero diagonal entry precedes a nonzero one" if broken[0] == 0 else "diagonal divisor chain broken"
+    else:
+        return SnfResult(u, d, v, det_u, det_v)
+    raise VerificationError(f"smith decomposition failed its own check: {reason}")
 
 
 def _recomposes(u: IntMatrix, a: IntMatrix, v: IntMatrix, d: IntMatrix) -> bool:

@@ -402,7 +402,7 @@ class TestSnfCli:
 
     def test_each_check_runs_once(self, monkeypatch, tmp_path):
         # Recomposition is one packed check inside snf and unimodularity 2
-        # determinants inside SnfResult; the command reports them, not reruns them.
+        # determinants, also inside snf; the command reports them, not reruns them.
         calls = {"det": 0, "recompose": 0}
         det, recomposes = coverhom.intlinalg.det, coverhom.intlinalg._recomposes
 
@@ -782,10 +782,30 @@ class TestBatch:
             ({"command": "example2", "d": False}, "'d' must be a JSON integer, got false"),
             ({"command": "example2", "d": True}, "'d' must be a JSON integer, got true"),
             ({"command": "snf", "matrix": True}, "'matrix' must be a string, got true"),
+            ({"command": "snf", "matrix": 5}, "'matrix' must be a string, got 5"),
+            ({"command": "snf", "matrix": None}, "'matrix' must be a string, got null"),
+            ({"command": "example2", "d": None}, "'d' must be a JSON integer, got null"),
+            ({"command": "example2", "d": 2.5}, "'d' must be a JSON integer, got 2.5"),
+            ({"command": "kollar", "omega_pullback": None}, "'omega_pullback' must be a boolean, got null"),
+            ({"command": "example2", "kaehler": 5}, "'kaehler' must be a boolean, got 5"),
+            ({"command": "example2", "kaehler": "yes"}, "'kaehler' must be a boolean, got the string 'yes'"),
+            ({"command": "example2", "area1": [1, 2]}, "'area1' must be a string or an integer, got [1, 2]"),
+            ({"command": "tower7", "out": {"p": None}}, """'out' must be a string or an integer, got {"p": null}"""),
+            # Past ECHOED characters a value is named by its type and length.
+            ({"command": "example2", "area2": [1] * 40},
+             "'area2' must be a string or an integer, got an array of length 40"),
+            ({"command": "catalog", "format": {str(k): k for k in range(20)}},
+             "'format' must be a string or an integer, got an object of length 20"),
+            ({"command": "kollar", "target_pi2_trivial": 10**100},
+             "'target_pi2_trivial' must be a boolean, got an integer of 101 digits"),
+            ({"command": "tower7", "d": "9" * 101}, "'d' must be a JSON integer, got the string <101 characters>"),
         ],
-        ids=["d-false", "d-true", "matrix-true"],
+        ids=["d-false", "d-true", "matrix-true", "matrix-int", "matrix-null", "d-null", "d-float", "flag-null",
+             "flag-int", "flag-string", "rational-array", "out-object", "long-array", "long-object", "long-int",
+             "long-string"],
     )
     def test_booleans_only_for_flags(self, capsys, tmp_path, entry, line):
+        # Each key takes one set of JSON types, and the one line for any other value names them.
         # Only kaehler, omega_pullback and target_pi2_trivial take booleans.
         assert run_batch(capsys, tmp_path, [entry]) == (2, "", f"error: batch entry 0: {line}\n")
 

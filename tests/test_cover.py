@@ -96,9 +96,10 @@ class TestLiftPairings:
     def test_milnor_generator_zero(self):
         cfg = make_cfg()
         spec, cover = build_cyclic_cover(cfg, product_base_model)
+        # A chain sphere has vanishing pushforward and meets the branch surface 0 times.
         g = cover.chain_block.template
-        assert lift_omega_pairing(spec, g.pushforward) == 0
-        assert lift_chern_pairing(spec, g.pushforward, g.branch_intersections) == 0
+        assert lift_omega_pairing(spec, (0, 0)) == g.omega_pairing == 0
+        assert lift_chern_pairing(spec, (0, 0), (0,)) == g.c1_pairing == 0
 
     def test_two_component_sphere_pairing(self):
         # Two branch components of multiplicity d, each met once, pushforward dead.
@@ -141,13 +142,27 @@ class TestLiftPairings:
         with pytest.raises(DimensionError):
             coverhom.cover._installed_generator(spec, "bad", pushforward, (0,))
 
-    @pytest.mark.parametrize("bad", [True, 0.5])
+    # RationalVector.dot takes a Fraction, so it alone would let 1/2 through.
+    @pytest.mark.parametrize("bad", [True, 0.5, Fraction(1, 2)])
     def test_non_integer_pushforward_rejected(self, bad):
-        # The lift formulas read the pushforward before the generator checks it.
+        # The lift formulas check the entries they read: the generator keeps neither list.
         cfg = make_cfg()
         spec, _ = build_cyclic_cover(cfg, product_base_model)
         with pytest.raises(DomainError):
             coverhom.cover._installed_generator(spec, "bad", (bad, 0), (0,))
+        with pytest.raises(DomainError):
+            lift_omega_pairing(spec, (0, bad))
+        with pytest.raises(DomainError):
+            lift_chern_pairing(spec, (0, bad), (0,))
+
+    @pytest.mark.parametrize("bad", [True, 0.5, Fraction(1, 2)])
+    def test_non_integer_branch_intersection_rejected(self, bad):
+        cfg = make_cfg()
+        spec, _ = build_cyclic_cover(cfg, product_base_model)
+        with pytest.raises(DomainError):
+            lift_chern_pairing(spec, (0, 0), (bad,))
+        with pytest.raises(DomainError):
+            coverhom.cover._installed_generator(spec, "bad", (0, 0), (bad,))
 
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(
@@ -264,7 +279,6 @@ class TestBuildCyclicCover:
         assert block.template.label == "double point 1, sphere 1"
         assert block.template.omega_pairing == 0
         assert block.template.c1_pairing == 0
-        assert block.template.pushforward == (0, 0)
         assert spec.preimage_connected
         assert not cover.pi2_trivial
         assert cover.b1 is None

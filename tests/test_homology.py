@@ -246,16 +246,12 @@ class TestModelValidation:
                 kaehler=False,
             )
 
-    def test_generator_pushforward_entries_validated(self):
-        for bad in ((1, 0.5), (True, 0)):
+    def test_generator_pairings_validated(self):
+        # The pushforward and branch intersections are checked by the lift formulas that read them.
+        assert SphericalGenerator("s", "1/2", -2) == SphericalGenerator("s", Fraction(1, 2), -2)
+        for omega, c1 in ((0.5, 0), (True, 0), (0, 0.5), (0, True), (0, Fraction(1))):
             with pytest.raises(DomainError):
-                SphericalGenerator(
-                    label="bad",
-                    omega_pairing=Fraction(0),
-                    c1_pairing=0,
-                    branch_intersections=(),
-                    pushforward=bad,
-                )
+                SphericalGenerator(label="bad", omega_pairing=omega, c1_pairing=c1)
 
     def test_smoothed_surface_invariant(self):
         # A connected closed orientable surface has chi = 2 - 2g: even, at most 2.
@@ -269,7 +265,7 @@ class TestModelValidation:
     "build",
     [
         lambda: make_cfg(g1=0.5),
-        lambda: ChainBlock(milnor_fiber_2_2_d(2), 1.5, SphericalGenerator("s", 0, 0, (0,), (0, 0))),
+        lambda: ChainBlock(milnor_fiber_2_2_d(2), 1.5, SphericalGenerator("s", 0, 0)),
         lambda: make_cfg(m1=2.0),
         lambda: PlumbingVertex(-2.0, 0),
         lambda: PlumbingVertex(-2, 0.5),

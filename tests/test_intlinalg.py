@@ -11,7 +11,7 @@ from coverhom.errors import DimensionError, DomainError, VerificationError
 from coverhom.intlinalg import (
     IntMatrix,
     RationalVector,
-    SnfResult,
+    _checked_result,
     _recomposes,
     abelianized_b1,
     det,
@@ -246,11 +246,10 @@ class TestIntMatrix:
             st.integers(0, 7).flatmap(lambda n: st.tuples(_structured(n), _structured(n), st.just((n, n, n)))),
         )
     )
-    # mul sums dot products when at least half of the right factor is nonzero
-    # and accumulates over its nonzero entries otherwise. These examples put
-    # right factors at ceil(k*n/2) nonzero entries and one fewer, with k*n odd
-    # and even, and give shapes with k = 0 and n = 0, so both loops run on
-    # every run of the test.
+    # mul has one loop, a dot product per entry, which must not depend on how
+    # sparse a factor is. These examples put right factors at ceil(k*n/2)
+    # nonzero entries and one fewer, with k*n odd and even, and give shapes
+    # with k = 0 and n = 0, where a row or a column is empty.
     @example(([[1, -2, 3], [0, 4, 5]], [[1, 0, 2], [0, 3, 0], [-4, 0, 5]], (2, 3, 3)))
     @example(([[1, -2, 3], [0, 4, 5]], [[1, 0, 2], [0, 3, 0], [-4, 0, 0]], (2, 3, 3)))
     @example(([[2, -1], [3, 5], [0, 7]], [[0, 6, 0, -1], [9, 0, 0, 2]], (3, 2, 4)))
@@ -393,30 +392,39 @@ class TestSnf:
     def test_snf_invariants_property(self, rows):
         _snf_invariants(IntMatrix.from_rows(rows))
 
+    # The helper that runs snf's own checks, on hand-made triples that each fail one check.
     def test_snf_result_rejects_non_unimodular_transform(self):
         doubled = IntMatrix.from_rows([(2, 0), (0, 1)])
         for u, v in ((doubled, IDENTITY_2), (IDENTITY_2, doubled)):
-            with pytest.raises(DomainError):
-                SnfResult(u, IDENTITY_2, v)
+            with pytest.raises(VerificationError, match="failed its own check: transforms must be unimodular$"):
+                _checked_result(u, IDENTITY_2, v)
 
     def test_snf_result_keeps_transform_determinants(self):
         res = snf(IntMatrix.from_rows([(2, 4, 4), (-6, 6, 12), (10, -4, -16)]))
         assert (res.det_u, res.det_v) == (det(res.u), det(res.v))
         assert abs(res.det_u) == abs(res.det_v) == 1
+        assert _checked_result(res.u, res.d, res.v) == res
+
+    @pytest.mark.parametrize(
+        "d, reason",
+        [
+            ([(1, 1), (0, 1)], "middle factor is not diagonal"),
+            ([(-1, 0), (0, 2)], "diagonal entries must be nonnegative"),
+            ([(0, 0), (0, 2)], "zero diagonal entry precedes a nonzero one"),
+        ],
+        ids=["off-diagonal", "negative", "zero-first"],
+    )
+    def test_snf_result_rejects_bad_diagonal(self, d, reason):
+        with pytest.raises(VerificationError, match=f"^smith decomposition failed its own check: {reason}$"):
+            _checked_result(IDENTITY_2, IntMatrix.from_rows(d), IDENTITY_2)
 
     def test_snf_result_rejects_broken_chain(self):
-        with pytest.raises(DomainError):
-            SnfResult(
-                IDENTITY_2,
-                IntMatrix.from_rows([(3, 0), (0, 2)]),
-                IDENTITY_2,
-            )
-        with pytest.raises(DomainError):
-            SnfResult(
-                IDENTITY_2,
-                IntMatrix.from_rows([(-1, 0), (0, 2)]),
-                IDENTITY_2,
-            )
+        with pytest.raises(VerificationError, match="failed its own check: diagonal divisor chain broken$"):
+            _checked_result(IDENTITY_2, IntMatrix.from_rows([(3, 0), (0, 2)]), IDENTITY_2)
+        # 0 divides only 0, so zeros may follow any divisor and each other.
+        for diag in ((3, 0), (0, 0)):
+            d = IntMatrix(2, 2, (diag[0], 0, 0, diag[1]))
+            assert _checked_result(IDENTITY_2, d, IDENTITY_2).divisors == diag
 
 
 class TestDet:
