@@ -11,11 +11,13 @@ option once and spelled in full, every value converting and in its choices,
 nothing left over) is read straight off the command's option table, built
 once from the parser's declared actions. Any other command line goes to
 argparse, which reads or refuses it. argparse thus stays the one declaration
-of every option, type, choice and default, and writes every refusal, usage
+of every option, type, choice and default, and words every refusal, usage
 block and `--help` text; the plain route refuses nothing itself. The
 top-level parser reads only a command line that does not start with a
 command name: `--batch`, `--help`, no command, an unknown or abbreviated
-one, or a leading `--`.
+one, or a leading `--`. Every parser's refusal goes through one hook,
+`_Parser.error`, which bounds what it echoes (`_Refusal`); `main` prints it
+as argparse would, and a batch entry's becomes one error line.
 
 Only this module and `errors` load at start, so `--help`, usage errors and a
 malformed `--batch` file exit before the exact-arithmetic layers are
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import re
 import sys
 from collections.abc import Sequence
 
@@ -276,30 +279,6 @@ def _read_json(path: str, what: str):
         raise DomainError(f"{what} holds an integer above the limit of {limit} digits for reading one") from None
 
 
-class _Integer(argparse.Action):
-    """Stores an int option. A refused value is echoed only while it is short.
-
-    A longer one gets a one-line usage error that gives its length instead:
-    argparse would echo it in full after the usage block, and a type function
-    cannot name its option.
-    """
-
-    def __call__(self, parser, namespace, text, option_string=None):
-        try:
-            value = int(text)
-        except ValueError:
-            if len(text) <= ECHOED:
-                raise argparse.ArgumentError(self, f"invalid int value: {text!r}") from None
-            digits = text.strip().lstrip("+-")
-            if digits.isdigit():
-                limit = digit_limit()
-                found = f"an integer of {len(digits)} digits, above the limit of {limit} digits for reading one"
-            else:
-                found = f"invalid int value of {len(text)} characters"
-            raise DomainError(f"argument {option_string}: {found}") from None
-        setattr(namespace, self.dest, value)
-
-
 def _echoed(text: str) -> str:
     """text quoted, or only its length once it is longer than ECHOED characters."""
     return repr(text) if len(text) <= ECHOED else f"<{len(text)} characters>"
@@ -312,7 +291,7 @@ def _rational(text: str):
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"must be a rational like 3/2, got {_echoed(text)}") from None
+        raise argparse.ArgumentTypeError(f"must be a rational like 3/2, got {text!r}") from None
 
 
 def _out_path(text: str) -> str:
@@ -322,15 +301,39 @@ def _out_path(text: str) -> str:
     return text
 
 
-def _format(text: str) -> str:
-    """A --format value; argparse checks the choice itself unless the value is too long to echo."""
-    if len(text) > ECHOED:
-        raise argparse.ArgumentTypeError(f"invalid choice: {_echoed(text)} (choose from 'table', 'json')")
-    return text
+# A refusal's message is cut to this many characters, once each token in it
+# longer than ECHOED characters is shown by its length.
+REFUSAL_CHARS = 300
+
+# A token of a refusal message: a value as argparse quotes it, or a run of
+# non-space characters. re compiles it on the first refusal, not at start.
+_TOKEN = r"""(['"])(?:(?!\1)[^\\]|\\.)*\1|\S+"""
+
+
+def _shown(token: re.Match) -> str:
+    """A token of a refusal message, or its length, quotes not counted, once it is longer than ECHOED characters."""
+    size = len(token[0]) - (2 if token[1] else 0)
+    return token[0] if size <= ECHOED else f"<{size} characters>"
+
+
+class _Refusal(Exception):
+    """A parser's refusal of a command line: the parser, and argparse's message within REFUSAL_CHARS."""
+
+    def __init__(self, parser: argparse.ArgumentParser, message: str):
+        message = re.sub(_TOKEN, _shown, message)
+        super().__init__(message if len(message) <= REFUSAL_CHARS else message[: REFUSAL_CHARS - 4] + " ...")
+        self.parser = parser
+
+
+class _Parser(argparse.ArgumentParser):
+    """The top-level parser and, through add_subparsers, each command's: every refusal raises _Refusal."""
+
+    def error(self, message):
+        raise _Refusal(self, message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="coverhom",
         description=(
             "Exact homological invariants of cyclic branched covers of symplectic "
@@ -354,27 +357,27 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument(f"--area{number}", type=_rational, default="1", help=summary)
 
     e2 = command("example2", cmd_example2, "grid branched cover of a product of positive-genus surfaces")
-    e2.add_argument("--g1", action=_Integer, default=1, help="genus of the first factor (default 1)")
-    e2.add_argument("--g2", action=_Integer, default=1, help="genus of the second factor (default 1)")
-    e2.add_argument("--m1", action=_Integer, default=1, help="multiplicity of the first surface family")
-    e2.add_argument("--m2", action=_Integer, default=1, help="multiplicity of the second surface family")
-    e2.add_argument("-d", action=_Integer, default=2, help="cover degree (at least 2)")
+    e2.add_argument("--g1", type=int, default=1, help="genus of the first factor (default 1)")
+    e2.add_argument("--g2", type=int, default=1, help="genus of the second factor (default 1)")
+    e2.add_argument("--m1", type=int, default=1, help="multiplicity of the first surface family")
+    e2.add_argument("--m2", type=int, default=1, help="multiplicity of the second surface family")
+    e2.add_argument("-d", type=int, default=2, help="cover degree (at least 2)")
     areas(e2, "horizontal", "vertical")
     e2.add_argument("--kaehler", action="store_true", help="record the holomorphic-smoothing variant")
 
     kt = command(
         "kodaira-thurston", cmd_kodaira_thurston, "grid branched cover of the symplectic non-Kaehler torus bundle"
     )
-    kt.add_argument("--m1", action=_Integer, default=1, help="number of fiber families is m1*d")
-    kt.add_argument("--m2", action=_Integer, default=1, help="number of section copies is m2*d")
-    kt.add_argument("-d", action=_Integer, default=2, help="cover degree (at least 2)")
+    kt.add_argument("--m1", type=int, default=1, help="number of fiber families is m1*d")
+    kt.add_argument("--m2", type=int, default=1, help="number of section copies is m2*d")
+    kt.add_argument("-d", type=int, default=2, help="cover degree (at least 2)")
     areas(kt, "section", "fiber")
 
     tw = command("tower7", cmd_tower7, "two-stage tower separating the omega and c1 vanishing conditions")
-    tw.add_argument("-d", action=_Integer, default=2, help="stage-2 cover degree (at least 2)")
+    tw.add_argument("-d", type=int, default=2, help="stage-2 cover degree (at least 2)")
 
     cat = command("catalog", cmd_catalog, "all four combinations of the two vanishing conditions")
-    cat.add_argument("-d", action=_Integer, default=2, help="degree used for the live tower witness")
+    cat.add_argument("-d", type=int, default=2, help="degree used for the live tower witness")
 
     ko = command("kollar", cmd_kollar, "pullback vanishing criterion")
     for flag, summary in (
@@ -387,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     sn.add_argument("matrix", help="path to a JSON object with rows, cols, entries")
 
     for sp in sub.choices.values():
-        sp.add_argument("--format", type=_format, choices=("table", "json"), default="table")
+        sp.add_argument("--format", choices=("table", "json"), default="table")
         summary = "write the report to this file instead of stdout"
         sp.add_argument("--out", type=_out_path, metavar="PATH", help=summary)
     return p
@@ -407,7 +410,7 @@ class _Options:
         actions = [action for action in sp._actions if action.default is not argparse.SUPPRESS]
         self.flags, self.valued, self.positional, defaults = {}, {}, None, {}
         for action in actions:
-            convert = int if isinstance(action, _Integer) else action.type or str
+            convert = action.type or str
             read = (action.dest, convert, action.choices)
             if not action.option_strings:
                 self.positional = read
@@ -423,7 +426,7 @@ class _Options:
         self.defaults = {**sp._defaults, **defaults}
         self.dests = set(defaults)
         self.required = {action.dest for action in actions if action.required}
-        self.integers = {action.dest for action in actions if isinstance(action, _Integer)}
+        self.integers = {action.dest for action in actions if action.type is int}
 
 
 _options = functools.cache(_Options)
@@ -485,7 +488,7 @@ def _entry_options(sp: argparse.ArgumentParser, index: int, entry: dict) -> list
         shown = ", ".join(_echoed(key) for key in keys[:3]) + (", ..." if len(keys) > 3 else "")
         raise DomainError(f"batch entry {index}: unknown keys [{shown}]")
     flags = {dest for dest, _ in table.flags.values()}
-    argv = []
+    argv, positional = [], []
     for key, value in entry.items():
         if key == "command":
             continue
@@ -495,7 +498,8 @@ def _entry_options(sp: argparse.ArgumentParser, index: int, entry: dict) -> list
         if not isinstance(value, kinds) or isinstance(value, bool) != (key in flags):
             raise DomainError(f"batch entry {index}: {key!r} must be {takes}, got {_json_echoed(value)}")
         if key == "matrix":
-            argv.append(value)
+            # Last, and after "--" when it would read as an option.
+            positional = ["--", value] if value.startswith("-") else [value]
         elif value is True:
             argv.append(option)
         elif value is False:
@@ -504,7 +508,7 @@ def _entry_options(sp: argparse.ArgumentParser, index: int, entry: dict) -> list
                 argv.append("--no-" + option.lstrip("-"))
         else:
             argv.append(f"{option}={value}")
-    return argv
+    return argv + positional
 
 
 def _json_echoed(value) -> str:
@@ -519,22 +523,15 @@ def _json_echoed(value) -> str:
     return text if len(text) <= ECHOED else f"an {kind} of length {len(value)}"
 
 
-class _Refused(Exception):
-    """A command parser's reason for refusing a batch entry."""
-
-
-def _refuse(message: str):
-    raise _Refused(message)
-
-
-def _parse_run(sp: argparse.ArgumentParser, command: str, argv: list[str], error) -> argparse.Namespace:
-    """One run of command, parsed by its own parser sp; arguments left over go to error, as argparse words it."""
+def _parse_run(parser: argparse.ArgumentParser, command: str, argv: list[str]) -> argparse.Namespace:
+    """One run of command, read by its own parser; arguments left over are refused as the top-level parser words it."""
+    sp = parser.commands[command]
     args = _plain_run(sp, command, argv)
     if args is not None:
         return args
     args, extras = sp.parse_known_args(argv, argparse.Namespace(command=command, batch=None))
     if extras:
-        error("unrecognized arguments: " + " ".join(extras))
+        parser.error("unrecognized arguments: " + " ".join(extras))
     return args
 
 
@@ -548,17 +545,12 @@ def _batch_runs(parser: argparse.ArgumentParser, path: str) -> list[argparse.Nam
         command = entry.get("command") if isinstance(entry, dict) else None
         if not isinstance(command, str) or command not in parser.commands:
             raise DomainError(f"batch entry {index} needs a 'command' out of {list(parser.commands)}")
-        sp = parser.commands[command]
-        argv = _entry_options(sp, index, entry)
-        # argparse's reason goes into the one error line, without its usage block.
-        sp.error = _refuse
+        argv = _entry_options(parser.commands[command], index, entry)
         try:
-            args = _parse_run(sp, command, argv, _refuse)
-        except _Refused as exc:
+            runs.append(_parse_run(parser, command, argv))
+        except _Refusal as exc:
+            # The reason alone, in one error line without the usage block.
             raise DomainError(f"batch entry {index} rejected: {command}: {exc}") from None
-        finally:
-            del sp.error
-        runs.append(args)
     return runs
 
 
@@ -579,11 +571,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         if argv and argv[0] in parser.commands:
-            args = _parse_run(parser.commands[argv[0]], argv[0], argv[1:], parser.error)
+            args = _parse_run(parser, argv[0], argv[1:])
         else:
             args = parser.parse_args(argv)
-    except SystemExit as exc:
+    except SystemExit as exc:  # --help
         return EXIT_PASS if exc.code == 0 else EXIT_USAGE
+    except _Refusal as exc:
+        # As argparse prints a refusal: the refusing parser's usage block, then the error line.
+        exc.parser.print_usage(sys.stderr)
+        print(f"{exc.parser.prog}: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

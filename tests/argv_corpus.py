@@ -1,4 +1,5 @@
-"""Command lines on which the plain-command-line walk must agree with argparse.
+"""Command lines on which the plain-command-line walk must agree with argparse,
+and long command lines whose refusal must stay within the line bound.
 
 `cli._plain_run` reads a plain command line without argparse and returns
 None for any other. Wherever it returns a run, argparse's own reading of the
@@ -6,7 +7,10 @@ same command line must be that run: the same attributes, values and types,
 and nothing left over. Wherever argparse refuses a command line, the walk
 must have returned None.
 
-The corpus and the check need only the standard library, so that they also
+Each of `LONG_REFUSALS` must exit 2 with nothing on stdout and no stderr
+line longer than `LINE_BOUND`.
+
+The corpus and the checks need only the standard library, so that they also
 run on an interpreter without pytest or hypothesis:
 
     PYTHONPATH=src python tests/argv_corpus.py
@@ -18,7 +22,6 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 from coverhom import cli
-from coverhom.errors import DomainError
 
 # Command lines the walk reads itself, command name first.
 PLAIN = [
@@ -72,6 +75,21 @@ NOT_PLAIN = {
     "stray token": ["tower7", "stray"],
 }
 
+# No stderr line of a refusal is longer: cli.REFUSAL_CHARS characters of
+# message after a prefix such as "coverhom kodaira-thurston: error: ".
+LINE_BOUND = 400
+
+# Command lines whose refusal once echoed each token in full, in error lines
+# of 3,043, 3,136, 3,041, 4,540 and 3,100 characters: an unknown option, an
+# unknown command, a stray, a stray of 1,500 words and thirty strays.
+LONG_REFUSALS = [
+    ["--" + "x" * 3000],
+    ["x" * 3000],
+    ["tower7", "x" * 3000],
+    ["tower7", " ".join(["ab"] * 1500)],
+    ["tower7"] + ["x" * 101] * 30,
+]
+
 
 def fields(args):
     """A run's attributes with the type of each value."""
@@ -85,7 +103,7 @@ def argparse_reading(argv):
     with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
         try:
             args, extras = sp.parse_known_args(rest, argparse.Namespace(command=command, batch=None))
-        except (SystemExit, DomainError):
+        except (SystemExit, cli._Refusal):
             return None
     return None if extras else args
 
@@ -117,11 +135,30 @@ def failures():
     return found
 
 
+def refusal(argv):
+    """main's exit code, stdout and stderr for argv."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def unbounded(result):
+    """Why a refusal's (exit code, stdout, stderr) breaks the bound, or None where it keeps it."""
+    code, out, err = result
+    longest = max(map(len, err.splitlines()), default=0)
+    if code != 2 or out or not err:
+        return f"exit {code} with {len(out)} characters on stdout and {len(err)} on stderr"
+    return f"a stderr line of {longest} characters" if longest > LINE_BOUND else None
+
+
 if __name__ == "__main__":
     problems = failures()
+    problems += [f"{len(argv)} tokens of {len(argv[-1])}: {why}" for argv in LONG_REFUSALS
+                 if (why := unbounded(refusal(argv)))]
     for problem in problems:
         print(problem)
     version = ".".join(map(str, sys.version_info[:3]))
-    count = len(PLAIN) + len(NOT_PLAIN)
+    count = len(PLAIN) + len(NOT_PLAIN) + len(LONG_REFUSALS)
     print(f"Python {version}: {count} command lines, {'FAILED' if problems else 'ok'}")
     sys.exit(1 if problems else 0)
