@@ -16,8 +16,8 @@ block and `--help` text; the plain route refuses nothing itself. The
 top-level parser reads only a command line that does not start with a
 command name: `--batch`, `--help`, no command, an unknown or abbreviated
 one, or a leading `--`. Every parser's refusal goes through one hook,
-`_Parser.error`, which bounds what it echoes (`_Refusal`); `main` prints it
-as argparse would, and a batch entry's becomes one error line.
+`_Parser.error`, which echoes its long tokens as `errors` does (`_Refusal`);
+`main` prints it as argparse would, and a batch entry's becomes one error line.
 
 Only this module and `errors` load at start, so `--help`, usage errors and a
 malformed `--batch` file exit before the exact-arithmetic layers are
@@ -34,7 +34,7 @@ import re
 import sys
 from collections.abc import Sequence
 
-from .errors import ECHOED, DomainError, VerificationError, digit_limit, digits, echoed_int
+from .errors import DomainError, VerificationError, digit_limit, digits, echoed, echoed_value
 
 __all__ = [
     "build_parser",
@@ -260,7 +260,7 @@ def _read_json(path: str, what: str):
     """The JSON document in a file; malformed content is a usage error that names the file."""
     import json
 
-    what = f"{what} {path if len(path) <= ECHOED else _echoed(path)}"
+    what = f"{what} {echoed(path)}"
     # With the interpreter's digit limit off, json reads an integer literal of
     # any length; its default limit then bounds them here.
     bounded = {"parse_int": _bounded_int} if sys.get_int_max_str_digits() == 0 else {}
@@ -277,11 +277,6 @@ def _read_json(path: str, what: str):
         # The other ValueError json.load raises: an integer literal past the digit limit.
         limit = digit_limit()
         raise DomainError(f"{what} holds an integer above the limit of {limit} digits for reading one") from None
-
-
-def _echoed(text: str) -> str:
-    """text quoted, or only its length once it is longer than ECHOED characters."""
-    return repr(text) if len(text) <= ECHOED else f"<{len(text)} characters>"
 
 
 def _rational(text: str):
@@ -301,19 +296,21 @@ def _out_path(text: str) -> str:
     return text
 
 
-# A refusal's message is cut to this many characters, once each token in it
-# longer than ECHOED characters is shown by its length.
+# A refusal's message is cut to this many characters, once each long token in
+# it is shown by its length.
 REFUSAL_CHARS = 300
 
 # A token of a refusal message: a value as argparse quotes it, or a run of
-# non-space characters. re compiles it on the first refusal, not at start.
-_TOKEN = r"""(['"])(?:(?!\1)[^\\]|\\.)*\1|\S+"""
+# non-space characters; and an escape, one character of a quoted value.
+# re compiles them on the first refusal, not at start.
+_TOKEN = r"""(['"])((?:(?!\1)[^\\]|\\.)*)\1|\S+"""
+_ESCAPE = r"\\(?:x..|u.{4}|U.{8}|.)"
 
 
 def _shown(token: re.Match) -> str:
-    """A token of a refusal message, or its length, quotes not counted, once it is longer than ECHOED characters."""
-    size = len(token[0]) - (2 if token[1] else 0)
-    return token[0] if size <= ECHOED else f"<{size} characters>"
+    """A token of a refusal message as argparse wrote it, or `<N characters>` where `echoed` gives that."""
+    shown = echoed(re.sub(_ESCAPE, "_", token[2]) if token[1] else token[0])  # an escape is one character
+    return shown if shown.startswith("<") else token[0]
 
 
 class _Refusal(Exception):
@@ -485,7 +482,7 @@ def _entry_options(sp: argparse.ArgumentParser, index: int, entry: dict) -> list
     unknown = set(entry) - {"command"} - table.dests
     if unknown:
         keys = sorted(unknown)
-        shown = ", ".join(_echoed(key) for key in keys[:3]) + (", ..." if len(keys) > 3 else "")
+        shown = ", ".join(echoed(key) for key in keys[:3]) + (", ..." if len(keys) > 3 else "")
         raise DomainError(f"batch entry {index}: unknown keys [{shown}]")
     flags = {dest for dest, _ in table.flags.values()}
     argv, positional = [], []
@@ -496,7 +493,7 @@ def _entry_options(sp: argparse.ArgumentParser, index: int, entry: dict) -> list
         kinds, takes = ((bool, "a boolean") if key in flags else (int, "a JSON integer") if key in table.integers
                         else (str, "a string") if key == "matrix" else ((int, str), "a string or an integer"))
         if not isinstance(value, kinds) or isinstance(value, bool) != (key in flags):
-            raise DomainError(f"batch entry {index}: {key!r} must be {takes}, got {_json_echoed(value)}")
+            raise DomainError(f"batch entry {index}: {key!r} must be {takes}, got {echoed_value(value)}")
         if key == "matrix":
             # Last, and after "--" when it would read as an option.
             positional = ["--", value] if value.startswith("-") else [value]
@@ -509,18 +506,6 @@ def _entry_options(sp: argparse.ArgumentParser, index: int, entry: dict) -> list
         else:
             argv.append(f"{option}={value}")
     return argv + positional
-
-
-def _json_echoed(value) -> str:
-    """A batch value for an error line: its JSON text up to ECHOED characters, else its type and length."""
-    import json
-
-    if isinstance(value, str):
-        return f"the string {_echoed(value)}"
-    # json.dumps meets less nesting than json.load just read; echoed_int is short.
-    text = echoed_int(value) if type(value) is int else json.dumps(value)
-    kind = "array" if isinstance(value, list) else "object"
-    return text if len(text) <= ECHOED else f"an {kind} of length {len(value)}"
 
 
 def _parse_run(parser: argparse.ArgumentParser, command: str, argv: list[str]) -> argparse.Namespace:
@@ -557,7 +542,7 @@ def _batch_runs(parser: argparse.ArgumentParser, path: str) -> list[argparse.Nam
 def _error_text(exc: Exception) -> str:
     """str(exc), but with an OSError's file name echoed only while short: str() quotes it in full."""
     if isinstance(exc, OSError) and isinstance(exc.filename, str) and exc.filename2 is None:
-        return f"[Errno {exc.errno}] {exc.strerror}: {_echoed(exc.filename)}"
+        return f"[Errno {exc.errno}] {exc.strerror}: {echoed(exc.filename)}"
     return str(exc)
 
 

@@ -22,7 +22,7 @@ from fractions import Fraction
 from operator import attrgetter
 from typing import Callable, Sequence
 
-from .errors import DimensionError, DomainError, echoed_int
+from .errors import DimensionError, DomainError, echoed_value
 from .homology import (
     MONODROMY_MATRIX,
     MONODROMY_RELATORS,
@@ -201,7 +201,7 @@ def pi_dimension_bound(k: int, d: int) -> int:
     if _as_int(k) < 0:
         raise DomainError("double point count must be nonnegative")
     if _as_int(d) < 2:
-        raise DomainError(f"cover degree must be at least 2, got {echoed_int(d)}")
+        raise DomainError(f"cover degree must be at least 2, got {echoed_value(d)}")
     return k * (d - 1)
 
 
@@ -550,8 +550,8 @@ def build_tower7(d: int) -> tuple[CoverReport, CoverReport]:
     copies once, so its chern pairing is 2*(1-d) != 0 while the lifted
     symplectic class still kills every spherical class.
     """
-    if d < 2:
-        raise DomainError(f"tower degree must be at least 2, got {echoed_int(d)}")
+    if _as_int(d) < 2:
+        raise DomainError(f"tower degree must be at least 2, got {echoed_value(d)}")
     spec1, cover1 = build_cyclic_cover(SurfaceConfig(g1=1, g2=1, m1=1, m2=1, d=2), product_base_model)
 
     sphere = _installed_generator(spec1, "sphere S (two lifted vanishing disks)", (0, 0), (0,))

@@ -1,4 +1,7 @@
-"""Exception types shared across the package, and the bounds of its error lines."""
+"""Exception types shared across the package, and the one rule for what an error line echoes.
+
+A value is echoed in full while short, and past that by its size: text by `echoed`, a JSON value by `echoed_value`.
+"""
 
 import sys
 
@@ -18,11 +21,32 @@ def digits(n: int) -> int:
     return count
 
 
-def echoed_int(n: int) -> str:
-    """n for an error line: in full while it is at most ECHOED characters, else its number of digits."""
-    if -(10 ** (ECHOED - 1)) < n < 10**ECHOED:
-        return str(n)
-    return f"{'a negative' if n < 0 else 'an'} integer of {digits(n)} digits"
+def echoed(text: str) -> str:
+    """text for an error line: quoted while that fits in ECHOED characters besides the quotes, else `<N characters>`."""
+    quoted = repr(text)  # an escaped character, such as \x01, takes more than one
+    return quoted if len(quoted) <= ECHOED + 2 else f"<{len(text)} characters>"
+
+
+def echoed_value(value) -> str:
+    """A JSON value or a Python int for an error line: its JSON text while short, else its kind and size.
+
+    `a string of N characters`, `an array of length N`, `an object of length N`,
+    or `(a negative|an) integer of N digits`, counted by `digits`, as str() of a
+    long int may pass the interpreter's digit limit.
+    """
+    if type(value) is int:
+        if -(10 ** (ECHOED - 1)) < value < 10**ECHOED:
+            return str(value)
+        return f"{'a negative' if value < 0 else 'an'} integer of {digits(value)} digits"
+    import json
+
+    # json.dumps meets no more nesting than json.load read to give the value.
+    text = json.dumps(value)
+    if len(text) <= ECHOED:
+        return text
+    if isinstance(value, str):
+        return f"a string of {len(value)} characters"
+    return f"{'an array' if isinstance(value, list) else 'an object'} of length {len(value)}"
 
 
 def digit_limit() -> int:

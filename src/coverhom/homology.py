@@ -19,7 +19,7 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import DimensionError, DomainError, echoed_int
+from .errors import DimensionError, DomainError, echoed_value
 from .intlinalg import IntMatrix, RationalVector, abelianized_b1, _as_fraction, _as_int
 from .plumbing import LinearChain
 
@@ -68,7 +68,7 @@ class SurfaceConfig:
         if self.m1 < 1 or self.m2 < 1:
             raise DomainError("multiplicities m1, m2 must be at least 1")
         if self.d < 2:
-            raise DomainError(f"cover degree must be at least 2, got {echoed_int(self.d)}")
+            raise DomainError(f"cover degree must be at least 2, got {echoed_value(self.d)}")
         areas = tuple(_as_fraction(a) for a in self.omega_areas)
         if len(areas) != 2 or any(a <= 0 for a in areas):
             raise DomainError("omega_areas must be two positive rationals")
@@ -91,7 +91,7 @@ class SmoothedSurface:
     def __post_init__(self):
         chi = _as_int(self.euler_characteristic)
         if self.connected and (chi % 2 != 0 or chi > 2):
-            raise DomainError(f"a connected surface has even euler characteristic at most 2, got {echoed_int(chi)}")
+            raise DomainError(f"a connected surface has even euler characteristic at most 2, got {echoed_value(chi)}")
         if self.class_vector is not None:
             object.__setattr__(self, "class_vector", tuple(_as_int(x) for x in self.class_vector))
 

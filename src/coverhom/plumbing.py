@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DomainError, echoed_int
+from .errors import DomainError, echoed_value
 from .intlinalg import _as_int
 
 __all__ = [
@@ -55,8 +55,8 @@ def milnor_fiber_2_2_d(d: int) -> LinearChain:
     A chain of d - 1 spheres of square -2; d = 1 gives the empty chain
     (a multiplicity-1 sheet contributes no spheres).
     """
-    if d < 1:
-        raise DomainError(f"cover multiplicity must be at least 1, got {echoed_int(d)}")
+    if _as_int(d) < 1:
+        raise DomainError(f"cover multiplicity must be at least 1, got {echoed_value(d)}")
     return LinearChain(d - 1, PlumbingVertex(-2, 0))
 
 

@@ -16,7 +16,7 @@ import json
 from fractions import Fraction
 
 from .cover import CoverReport
-from .errors import ECHOED, DimensionError, DomainError, digit_limit, digits, echoed_int
+from .errors import DomainError, digit_limit, digits, echoed_value
 from .homology import ChainBlock
 from .intlinalg import IntMatrix
 from .plumbing import LinearChain
@@ -70,14 +70,6 @@ def encode_int(n: int) -> int | str:
     return n if -_SAFE < n < _SAFE else decimal(n)
 
 
-def _shown_entry(value) -> str:
-    """A JSON value for an error line: its text while short, else its JSON type and length."""
-    if isinstance(value, (list, dict)):
-        return f"{'an array' if isinstance(value, list) else 'an object'} of length {len(value)}"
-    text = json.dumps(value)
-    return text if len(text) <= ECHOED else f"a string of length {len(value)}"
-
-
 def decode_int(value, index: int) -> int:
     """Matrix entry `index`: a JSON integer, or a decimal string as `decimal` writes it.
 
@@ -95,7 +87,7 @@ def decode_int(value, index: int) -> int:
                     f"matrix entry {index}: integer string of {len(unsigned)} digits, above the limit of {limit} digits"
                 )
             return int(value)
-    raise DomainError(f"matrix entry {index} must be an integer or a decimal string, got {_shown_entry(value)}")
+    raise DomainError(f"matrix entry {index} must be an integer or a decimal string, got {echoed_value(value)}")
 
 
 def encode_fraction(q: Fraction) -> str:
@@ -135,7 +127,7 @@ def matrix_from_json(obj) -> IntMatrix:
         raise DomainError("rows and cols must be integers")
     if rows > MAX_MATRIX_SIDE or cols > MAX_MATRIX_SIDE:
         raise DomainError(
-            f"matrix is {echoed_int(rows)} by {echoed_int(cols)}, "
+            f"matrix is {echoed_value(rows)} by {echoed_value(cols)}, "
             f"above the limit of {MAX_MATRIX_SIDE} rows and {MAX_MATRIX_SIDE} columns"
         )
     if not isinstance(entries, list):
@@ -144,8 +136,6 @@ def matrix_from_json(obj) -> IntMatrix:
         decoded = tuple(entries)
     else:
         decoded = tuple(decode_int(e, i) for i, e in enumerate(entries))
-    if len(decoded) != rows * cols:
-        raise DimensionError(f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(decoded)}")
     return IntMatrix(rows, cols, decoded)
 
 

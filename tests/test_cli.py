@@ -20,7 +20,7 @@ import coverhom.cli
 import coverhom.cover
 import coverhom.intlinalg
 from coverhom.cli import build_parser, main
-from coverhom.errors import DomainError, echoed_int
+from coverhom.errors import DomainError, echoed, echoed_value
 from coverhom.intlinalg import IntMatrix
 from coverhom.reportio import (
     MAX_MATRIX_SIDE,
@@ -793,17 +793,17 @@ class TestBatch:
             ({"command": "example2", "d": 2.5}, "'d' must be a JSON integer, got 2.5"),
             ({"command": "kollar", "omega_pullback": None}, "'omega_pullback' must be a boolean, got null"),
             ({"command": "example2", "kaehler": 5}, "'kaehler' must be a boolean, got 5"),
-            ({"command": "example2", "kaehler": "yes"}, "'kaehler' must be a boolean, got the string 'yes'"),
+            ({"command": "example2", "kaehler": "yes"}, "'kaehler' must be a boolean, got \"yes\""),
             ({"command": "example2", "area1": [1, 2]}, "'area1' must be a string or an integer, got [1, 2]"),
             ({"command": "tower7", "out": {"p": None}}, """'out' must be a string or an integer, got {"p": null}"""),
-            # Past ECHOED characters a value is named by its type and length.
+            # Past ECHOED characters a value is named by its kind and size.
             ({"command": "example2", "area2": [1] * 40},
              "'area2' must be a string or an integer, got an array of length 40"),
             ({"command": "catalog", "format": {str(k): k for k in range(20)}},
              "'format' must be a string or an integer, got an object of length 20"),
             ({"command": "kollar", "target_pi2_trivial": 10**100},
              "'target_pi2_trivial' must be a boolean, got an integer of 101 digits"),
-            ({"command": "tower7", "d": "9" * 101}, "'d' must be a JSON integer, got the string <101 characters>"),
+            ({"command": "tower7", "d": "9" * 101}, "'d' must be a JSON integer, got a string of 101 characters"),
         ],
         ids=["d-false", "d-true", "matrix-true", "matrix-int", "matrix-null", "d-null", "d-float", "flag-null",
              "flag-int", "flag-string", "rational-array", "out-object", "long-array", "long-object", "long-int",
@@ -913,8 +913,93 @@ def long_batch_entries(draw):
     ))
 
 
+# The measured refusals of matrix files that once broke the one-line bound:
+# an error line of 8,040 characters, the interpreter's digit-limit message,
+# and a negative entry count.
+NEGATIVE_ROWS = '{"rows": -%s, "cols": 2, "entries": [1]}' % ("9" * 4000)
+NEGATIVE_SHAPE = '{"rows": -%s, "cols": -%s, "entries": [1]}' % ("9" * 4000, "9" * 4000)
+NEGATIVE_COUNT = '{"rows": -3, "cols": 2, "entries": [1]}'
+
+
+def integer_literals(max_digits):
+    """JSON integer literals: small ones, and runs of nines up to max_digits, past the digit limit too."""
+    long = st.builds(lambda sign, size: sign + "9" * size, st.sampled_from(["", "-"]), st.integers(1, max_digits))
+    return st.one_of(st.integers(-3, 70).map(str), long)
+
+
+def value_literals(max_digits):
+    """JSON literals of every kind: integers, decimal strings, other strings, long ones, and the rest."""
+    strings = st.one_of(st.text(max_size=12), long_tokens(101), st.integers(1, max_digits).map(lambda k: "7" * k))
+    scalars = st.one_of(
+        integer_literals(max_digits),
+        strings.map(json.dumps),
+        st.sampled_from(["true", "false", "null", "2.5", "-0.0", "1e400", "NaN", "-Infinity"]),
+    )
+    containers = st.lists(scalars, max_size=4).map(lambda items: "[" + ", ".join(items) + "]")
+    return st.one_of(scalars, containers, containers.map(lambda array: '{"k": %s}' % array))
+
+
+@st.composite
+def matrix_files(draw):
+    """The text of a matrix file: a shape its entries fill, small enough to run, or any shape and entries at all."""
+    entry = st.one_of(st.integers(-9, 9).map(str), value_literals(4400))
+    if draw(st.booleans()):
+        rows, cols = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+        shape = {"rows": str(rows), "cols": str(cols)}
+        entries = "[" + ", ".join(draw(st.lists(entry, min_size=rows * cols, max_size=rows * cols))) + "]"
+    else:
+        shape = {key: draw(integer_literals(5000)) for key in ("rows", "cols")}
+        if draw(st.integers(0, 3)) == 0:
+            shape[draw(st.sampled_from(sorted(shape)))] = draw(value_literals(5000))
+        arrays = st.lists(entry, max_size=8).map(lambda items: "[" + ", ".join(items) + "]")
+        entries = draw(st.one_of(value_literals(5000), arrays))
+    fields = {**shape, "entries": entries}
+    kept = draw(st.sets(st.sampled_from(sorted(fields)), min_size=2)) if draw(st.integers(0, 9)) == 0 else fields
+    return "{" + ", ".join(f'"{key}": {fields[key]}' for key in sorted(kept)) + "}"
+
+
+# Path components: ".", a folder, names with spaces and quotes, names of up to
+# 100 characters of any kind, control characters included, and long names.
+# Never "..", and the path never starts with "/", so that each path stays
+# within the folder it is run in.
+PATH_PARTS = st.one_of(
+    st.sampled_from([".", "a", "out.txt", "x y", "it's"]),
+    st.text(st.characters(codec="utf-8", exclude_characters="/"), min_size=1, max_size=100),
+    st.builds(lambda piece, size: (piece * size)[:size], st.text("\x01\x1b\x7f\t\n\\\u200b", min_size=1,
+                                                                 max_size=3), st.integers(1, 100)),
+    long_tokens(101),
+).filter(lambda part: part != "..")
+
+
+def out_paths():
+    """An --out path of one to four components, at most 5,000 characters in all."""
+    return st.lists(PATH_PARTS, min_size=1, max_size=4).map("/".join).filter(lambda path: len(path) <= 5000)
+
+
+def broken_contract(result):
+    """Why a run's (exit code, stdout, stderr) breaks the refusal contract, or None where it keeps it.
+
+    The run exits 0 or 1, or it exits 2 with nothing on stdout, no stderr line
+    longer than LINE_BOUND, exactly one error line, and no traceback.
+    """
+    code, _, err = result
+    if code in (0, 1):
+        return None
+    errors = [line for line in err.splitlines() if "error: " in line]
+    if len(errors) != 1 or "Traceback" in err:
+        return f"{len(errors)} error lines in {err[:400]!r}"
+    return argv_corpus.unbounded(result)
+
+
 class TestRefusalBound:
-    """Every refusal of a long command line or batch entry exits 2 with stderr lines of at most LINE_BOUND."""
+    """Every refusal exits 2 with one error line, and no stderr line longer than LINE_BOUND.
+
+    The inputs are long command lines, batch entries, `snf` matrix files and
+    `--out` paths. A matrix file or an --out path may also be read and run: the
+    run then exits 0 or 1. How long a run may take is not checked here: a 6x6
+    matrix of 3,400-digit entries passes the snf budget and runs for seconds
+    (ROADMAP item 1), so the matrix files that run are kept to 3x3.
+    """
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(long_command_lines())
@@ -923,6 +1008,7 @@ class TestRefusalBound:
     @example(argv_corpus.LONG_REFUSALS[2])
     @example(argv_corpus.LONG_REFUSALS[3])
     @example(argv_corpus.LONG_REFUSALS[4])
+    @example(["\\" * 300])
     def test_command_line(self, argv):
         with tempfile.TemporaryDirectory() as folder, contextlib.chdir(folder):
             assert argv_corpus.unbounded(argv_corpus.refusal(argv)) is None
@@ -936,6 +1022,32 @@ class TestRefusalBound:
             result = argv_corpus.refusal(["--batch", "batch.json"])
         assert argv_corpus.unbounded(result) is None
         assert result[2].startswith("error: ") and result[2].count("\n") == 1
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(matrix_files(), st.sampled_from(["table", "json"]))
+    @example(NEGATIVE_ROWS, "table")
+    @example(NEGATIVE_SHAPE, "table")
+    @example(NEGATIVE_COUNT, "table")
+    def test_matrix_file(self, text, fmt):
+        with tempfile.TemporaryDirectory() as folder, contextlib.chdir(folder):
+            with open("m.json", "w") as fh:
+                fh.write(text)
+            assert broken_contract(argv_corpus.refusal(["snf", "--format", fmt, "m.json"])) is None
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(out_paths(), st.sampled_from(["option", "equals", "batch"]))
+    @example("\x01" * 95 + "/x", "option")  # once a line of 428 characters: each \x01 quoted as four
+    def test_out_path(self, path, form):
+        with tempfile.TemporaryDirectory() as folder, contextlib.chdir(folder):
+            os.mkdir("a")
+            if form == "batch":
+                with open("batch.json", "w") as fh:
+                    entry = {"command": "kollar", "omega_pullback": True, "target_pi2_trivial": True, "out": path}
+                    json.dump([entry], fh)
+                argv = ["--batch", "batch.json"]
+            else:
+                argv = ["tower7", *(["--out", path] if form == "option" else [f"--out={path}"])]
+            assert broken_contract(argv_corpus.refusal(argv)) is None
 
     def test_parent_cases_bounded_by_length(self, capsys):
         # Each long token is given by its length; the two lines of many tokens are cut.
@@ -967,8 +1079,8 @@ class TestErrorBoundary:
         "entry, fragment",
         [
             (list(range(100000)), "entry 1 must be an integer or a decimal string, got an array of length 100000"),
-            ({"n": 1}, "got an object of length 1"),
-            ("x" * 100000, "got a string of length 100000"),
+            ({"n": 1}, 'got {"n": 1}'),
+            ("x" * 100000, "got a string of 100000 characters"),
             ("12x", 'got "12x"'),
             ("1_0", 'got "1_0"'),
             ("  12  ", 'got "  12  "'),
@@ -1000,13 +1112,13 @@ class TestErrorBoundary:
     @pytest.mark.parametrize(
         "command, text, fragment",
         [
-            ("--batch", '[{"command": "example2", "m1": 1%s}]' % ("0" * 5000), "{path} holds an integer above"),
-            ("snf", '{"rows": 1, "cols": 1, "entries": [1%s]}' % ("0" * 5000), "{path} holds an integer above"),
+            ("--batch", '[{"command": "example2", "m1": 1%s}]' % ("0" * 5000), "'{path}' holds an integer above"),
+            ("snf", '{"rows": 1, "cols": 1, "entries": [1%s]}' % ("0" * 5000), "'{path}' holds an integer above"),
             ("snf", '{"rows": 1, "cols": 1, "entries": ["1%s"]}' % ("0" * 5000), "5001 digits, above the limit"),
-            ("--batch", '[{"command": "kollar"', "{path} is not valid JSON: Expecting"),
-            ("snf", '{"rows": 1, "cols"', "{path} is not valid JSON: Expecting"),
-            ("snf", "[" * 100000, "{path} nests its JSON too deeply"),
-            ("snf", "\xff[", "{path} is not"),
+            ("--batch", '[{"command": "kollar"', "'{path}' is not valid JSON: Expecting"),
+            ("snf", '{"rows": 1, "cols"', "'{path}' is not valid JSON: Expecting"),
+            ("snf", "[" * 100000, "'{path}' nests its JSON too deeply"),
+            ("snf", "\xff[", "'{path}' is not"),
         ],
         ids=["batch-digits", "matrix-digits", "matrix-string-digits", "batch-truncated", "matrix-truncated",
              "matrix-deep", "matrix-not-utf8"],
@@ -1084,8 +1196,8 @@ class TestErrorBoundary:
             (["example2", "-d", HUGE], "error: example2: g1, g2, m1, m2 and d give report integers of up to "),
             (["tower7", "-d", HUGE], "error: tower7: d gives report integers of up to "),
             (["snf", "m.json"], "error: matrix entry 0: integer string of 5001 digits, "),
-            (["snf", "literal.json"], "error: matrix file literal.json holds an integer above the limit"),
-            (["--batch", "batch.json"], "error: batch file batch.json holds an integer above the limit"),
+            (["snf", "literal.json"], "error: matrix file 'literal.json' holds an integer above the limit"),
+            (["--batch", "batch.json"], "error: batch file 'batch.json' holds an integer above the limit"),
         ],
         ids=["example2", "tower7", "snf", "snf-literal", "batch-literal"],
     )
@@ -1184,19 +1296,57 @@ class TestErrorBoundary:
         # A short one is echoed.
         assert run_main(capsys, command, "-d", "-5")[2] == f"error: {word} degree must be at least 2, got -5\n"
 
-    def test_echoed_int_counts_the_digits_of_a_long_integer(self):
-        # In full up to ECHOED characters, the sign included.
-        for n in (0, 10**100 - 1, -(10**99 - 1)):
-            assert echoed_int(n) == str(n)
-        assert echoed_int(10**100) == "an integer of 101 digits"
-        assert echoed_int(-(10**99)) == "a negative integer of 100 digits"
+    @pytest.mark.parametrize(
+        "text, shown",
+        [
+            ("", "''"),
+            ("m.json", "'m.json'"),
+            ("x" * 100, repr("x" * 100)),
+            ("x" * 101, "<101 characters>"),
+            ("it's", '"it\'s"'),
+            ("\\" * 50, repr("\\" * 50)),
+            ("\\" * 51, "<51 characters>"),
+            ("\x01" * 25, repr("\x01" * 25)),
+            ("\x01" * 26, "<26 characters>"),
+            ("\u00e9" * 100, repr("\u00e9" * 100)),
+            ("\u00e9" * 100000, "<100000 characters>"),
+        ],
+        ids=["empty", "short", "at-bound", "past-bound", "quote", "backslashes-at-bound", "backslashes-past-bound",
+             "control-at-bound", "control-past-bound", "letters-at-bound", "long"],
+    )
+    def test_echoed_quotes_short_text_and_sizes_long_text(self, text, shown):
+        # The quoted form is bounded, an escape counted in full; N counts the text's characters.
+        assert echoed(text) == shown
+
+    def test_echoed_value_gives_json_text_or_kind_and_size(self):
+        # The JSON text up to ECHOED characters, quotes and an int's sign included.
+        table = [
+            (0, "0"),
+            (10**100 - 1, "9" * 100),
+            (-(10**99 - 1), "-" + "9" * 99),
+            (10**100, "an integer of 101 digits"),
+            (-(10**99), "a negative integer of 100 digits"),
+            (True, "true"),
+            (None, "null"),
+            (2.5, "2.5"),
+            ("yes", '"yes"'),
+            ("\u0661", '"\\u0661"'),
+            ("x" * 98, '"' + "x" * 98 + '"'),
+            ("x" * 99, "a string of 99 characters"),
+            ([1, 2], "[1, 2]"),
+            ([10] + [1] * 32, "[10, " + ", ".join(["1"] * 32) + "]"),
+            ([10] + [1] * 33, "an array of length 34"),
+            ({"p": None}, '{"p": null}'),
+            ({str(k): k for k in range(20)}, "an object of length 20"),
+        ]
+        # A long int is sized by its digits, never through str() past the digit limit.
         for k in (101, 333, 1000, 4300, 5000, 20000):
-            assert echoed_int(10**k - 1) == f"an integer of {k} digits"
-            assert echoed_int(-(10**k)) == f"a negative integer of {k + 1} digits"
+            table += [(10**k - 1, f"an integer of {k} digits"), (-(10**k), f"a negative integer of {k + 1} digits")]
         # Powers of two sit at the ends of the bit-length estimate.
         for b in range(333, 14000, 97):
-            for n in (2**b - 1, 2**b, 2**b + 1):
-                assert echoed_int(n) == f"an integer of {len(str(n))} digits"
+            table += [(n, f"an integer of {len(str(n))} digits") for n in (2**b - 1, 2**b, 2**b + 1)]
+        for value, shown in table:
+            assert echoed_value(value) == shown
 
     def test_short_bad_integer_option_keeps_the_parser_message(self, capsys):
         code, out, err = run_main(capsys, "example2", "--m1", "12x")
@@ -1223,23 +1373,67 @@ class TestErrorBoundary:
         assert len(err.encode()) < 1000 and "<5000 characters>" in err
 
     @pytest.mark.parametrize(
-        "option, message",
+        "argv, shown",
         [
-            ("--area1", "must be a rational like 3/2, got 'abc'"),
-            ("--format", "invalid choice: 'abc' (choose from 'table', 'json')"),
+            (["\\" * 300], "<300 characters>"),
+            (["catalog", "--format", "\x01" * 101], "<101 characters>"),
+            (["catalog", "--format", "\\" * 100], repr("\\" * 100)),
         ],
+        ids=["backslashes", "control-characters", "backslashes-at-bound"],
     )
-    def test_short_bad_option_value_is_echoed(self, capsys, option, message):
+    def test_quoted_value_sized_by_its_characters(self, capsys, argv, shown):
+        # argparse quotes a value by repr; each escape in it is one character of the value.
+        code, out, err = run_main(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert f": invalid choice: {shown} (choose from " in err.splitlines()[-1]
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            (NEGATIVE_ROWS, "error: matrix dimensions must be nonnegative\n"),
+            (NEGATIVE_SHAPE, "error: matrix dimensions must be nonnegative\n"),
+            (NEGATIVE_COUNT, "error: matrix dimensions must be nonnegative\n"),
+            ('{"rows": 1, "cols": 1, "entries": %s}' % ([7] * 100000),
+             "error: 1x1 matrix needs 1 entries, got 100000\n"),
+        ],
+        ids=["negative-rows", "negative-shape", "negative-count", "too-many-entries"],
+    )
+    def test_matrix_shape_checked_once(self, capsys, tmp_path, text, line):
+        # IntMatrix checks the shape, then the entry count; the reader checks neither again.
+        path = tmp_path / "m.json"
+        path.write_text(text)
+        assert run_main(capsys, "snf", str(path)) == (2, "", line)
+
+    @pytest.mark.parametrize(
+        "option, fragment",
+        [("--area1", "must be a rational like 3/2, got 'abc'"), ("--format", "invalid choice: 'abc' (choose from ")],
+    )
+    def test_short_bad_option_value_is_echoed(self, capsys, option, fragment):
+        # The error line is the running argparse's own: Python 3.13 no longer quotes the choices.
+        sp = coverhom.cli._parser().commands["example2"]
+        action = next(action for action in sp._actions if option in action.option_strings)
+        with pytest.raises(argparse.ArgumentError) as refused:
+            sp._get_values(action, ["abc"])
         code, out, err = run_main(capsys, "example2", option, "abc")
         assert (code, out) == (2, "")
         assert err.startswith("usage: coverhom example2 [-h]")
-        assert err.endswith(f"\ncoverhom example2: error: argument {option}: {message}\n")
+        assert err.endswith(f"\ncoverhom example2: error: {refused.value}\n") and fragment in err
 
-    @pytest.mark.parametrize("key", ["area1", "area2", "format", "d"])
-    def test_long_batch_value_named_by_its_length(self, capsys, tmp_path, key):
+    @pytest.mark.parametrize(
+        "key, shown",
+        [
+            ("area1", "<100000 characters>"),
+            ("area2", "<100000 characters>"),
+            ("format", "<100000 characters>"),
+            ("d", "a string of 100000 characters"),
+        ],
+        ids=["area1", "area2", "format", "d"],
+    )
+    def test_long_batch_value_named_by_its_length(self, capsys, tmp_path, key, shown):
+        # argparse refuses the first three; a string for d is refused as a JSON value.
         result = run_batch(capsys, tmp_path, [{"command": "example2", key: "x" * 100000}])
         self.assert_one_line_usage_error(result)
-        assert len(result[2].encode()) < 300 and "<100000 characters>" in result[2]
+        assert len(result[2].encode()) < 300 and shown in result[2]
 
     @pytest.mark.parametrize("where", ["out", "batch-out", "matrix"])
     def test_long_file_name_named_by_its_length(self, capsys, tmp_path, where):
@@ -1276,8 +1470,9 @@ class TestErrorBoundary:
             (["x" * 100000], "[<100000 characters>]"),
             ([f"k{i}" for i in range(10000)], "['k0', 'k1', 'k10', ...]"),
             (["zz", "aa"], "['aa', 'zz']"),
+            (["\x01" * 100, "\x02" * 100, "\x03" * 100], "[<100 characters>, <100 characters>, <100 characters>]"),
         ],
-        ids=["long-key", "many-keys", "short-keys"],
+        ids=["long-key", "many-keys", "short-keys", "escaped-keys"],
     )
     def test_unknown_batch_keys_echoed_briefly(self, capsys, tmp_path, keys, shown):
         result = run_batch(capsys, tmp_path, [{"command": "example2", **dict.fromkeys(keys, 1)}])
