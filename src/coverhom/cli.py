@@ -1,29 +1,25 @@
-"""Command-line front end: the argument parser and one function per command.
+"""Command-line front end: the parsers, batch reading, dispatch, the size bound and the error boundary.
 
-Each command function takes the parsed arguments and returns the result dict
-that `--format json` prints; `reportio` renders it as JSON or as a table.
-Exit codes: 0 when every verdict in the result passes, 1 on a verification
-failure, 2 on usage or parameter errors.
+Each command function hands its parsed arguments to the layer it reports on,
+and that layer's answer to `reportio`, which builds the result dict and
+renders it as JSON or as a table. Exit codes: 0 when every verdict in the
+result passes, 1 on a verification failure, 2 on usage or parameter errors.
 
 Every run, on the command line and in `--batch`, is read against its
-command's own parser, by one of two routes. A plain command line (each
-option once and spelled in full, every value converting and in its choices,
-nothing left over) is read straight off the command's option table, built
-once from the parser's declared actions. Any other command line goes to
-argparse, which reads or refuses it. argparse thus stays the one declaration
-of every option, type, choice and default, and words every refusal, usage
-block and `--help` text; the plain route refuses nothing itself. The
-top-level parser reads only a command line that does not start with a
-command name: `--batch`, `--help`, no command, an unknown or abbreviated
-one, or a leading `--`. Every parser's refusal goes through one hook,
-`_Parser.error`, which echoes its long tokens as `errors` does (`_Refusal`);
-`main` prints it as argparse would, and a batch entry's becomes one error line.
+command's own parser. A plain command line (each option once and spelled in
+full, every value converting and in its choices, nothing left over) is read
+straight off the command's option table, built once from the parser's
+declared actions; argparse reads or refuses any other, and stays the one
+declaration of every option and the words of every refusal, usage block and
+`--help` text. The top-level parser reads only a command line that does not
+start with a command name. Every refusal goes through `_Parser.error`, which
+echoes long tokens as `errors` does; `main` prints it as argparse would.
 
-Only this module and `errors` load at start, so `--help`, usage errors and a
-malformed `--batch` file exit before the exact-arithmetic layers are
-imported. `main` imports them once every run has been parsed and checked,
-and the command functions reach library functions through the layer
-modules (`cover.build_tower7`), so that a replaced module attribute applies.
+Only this module and `errors` load at start: `main` imports the library
+layers once every run has been parsed and checked, so `--help`, usage errors
+and a malformed `--batch` file exit without them. The command functions
+reach the layers through their modules (`cover.catalog`), so that a
+replaced module attribute applies.
 """
 
 from __future__ import annotations
@@ -70,156 +66,26 @@ def cmd_kodaira_thurston(args: argparse.Namespace) -> dict:
 def cmd_tower7(args: argparse.Namespace) -> dict:
     from . import cover, reportio
 
-    stages = [reportio.report_to_dict(s) for s in cover.build_tower7(args.d)]
-    return {"family": "tower7", "parameters": {"d": args.d}, "stages": stages}
-
-
-def _pairings_text(signature: tuple[str, str]) -> str:
-    """A live report's (omega, c1) signature in words."""
-    zero = " and ".join(name for name, s in zip(("omega", "c1"), signature) if s == "zero")
-    nonzero = " and ".join(name for name, s in zip(("omega", "c1"), signature) if s == "nonzero")
-    parts = []
-    if zero:
-        parts.append(f"all {zero} pairings exactly 0")
-    if nonzero:
-        parts.append(f"some {nonzero} pairing nonzero")
-    return ", ".join(parts)
-
-
-def _tower_text(signatures: list[tuple[str, str]], pairing: int, d: int) -> str:
-    """The tower's c1 and omega findings in words, from the signatures of its two live stages."""
-    if signatures[1][1] == "zero":
-        c1 = "c1 pairings zero at stage 2"
-    else:
-        c1 = f"lifted-sphere chern pairing {pairing} = 2*(1-{d})"
-    nonzero = " and ".join(str(k) for k, s in enumerate(signatures, 1) if s[0] == "nonzero")
-    omega = f"omega pairings nonzero at stage {nonzero}" if nonzero else "omega pairings zero at both stages"
-    return f"{c1}, {omega}"
+    return reportio.tower_to_dict(args.d, cover.build_tower7(args.d))
 
 
 def cmd_catalog(args: argparse.Namespace) -> dict:
-    """All four combinations of the two vanishing conditions, with witnesses."""
-    from . import cover, homology, reportio
+    from . import cover, reportio
 
-    d = args.d
-    live = cover.product_family_report(homology.SurfaceConfig(g1=1, g2=1, m1=1, m2=1, d=2))
-    stage1, stage2 = cover.build_tower7(d)
-    pairing = stage2.cover.spherical_generators[0].c1_pairing
-    grid = live.signature
-    tower = [stage1.signature, stage2.signature]
-    # (name, omega on pi, c1 on pi, witness, source): "computed" entries are
-    # recomputed live, "catalog" entries are classical facts.
-    rows = [
-        (
-            "grid branched cover of the 4-torus",
-            *grid,
-            f"recomputed live: spherical bound {live.pi_lower_bound}, {_pairings_text(grid)}",
-            "computed",
-        ),
-        (
-            "K3 surface",
-            "nonzero",
-            "zero",
-            "catalog fact: simply connected, so spherical classes span all of H2; "
-            "c1 = 0 while the symplectic form has positive total area",
-            "catalog",
-        ),
-        (
-            "simply connected Kaehler surface other than K3",
-            "nonzero",
-            "nonzero",
-            "catalog fact: the projective plane, for instance; both classes pair "
-            "nontrivially with H2, which is spanned by spherical classes",
-            "catalog",
-        ),
-        (
-            "two-stage branched-cover tower",
-            *tower[1],
-            f"recomputed live: {_tower_text(tower, pairing, d)}",
-            "computed",
-        ),
-    ]
-    keys = ("name", "omega_on_pi", "c1_on_pi", "witness", "source")
-    entries = [dict(zip(keys, row)) for row in rows]
-    signatures = sorted((e["omega_on_pi"], e["c1_on_pi"]) for e in entries)
-    wanted = [("nonzero", "nonzero"), ("nonzero", "zero"), ("zero", "nonzero"), ("zero", "zero")]
-    verdicts = (
-        cover.Verdict(
-            "each of the four vanishing signatures has exactly one entry",
-            signatures == wanted,
-            f"signatures {signatures}",
-        ),
-        cover.Verdict(
-            "live witness for (zero, zero) verified",
-            live.passed,
-            f"grid cover report {'passed' if live.passed else 'FAILED'}",
-        ),
-        cover.Verdict(
-            "live witness for (zero, nonzero) verified",
-            stage1.passed and stage2.passed,
-            f"tower reports {'passed' if stage1.passed and stage2.passed else 'FAILED'}; pairing {pairing}",
-        ),
-    )
-    return {
-        "family": "catalog",
-        "parameters": {"d": d},
-        "entries": entries,
-        "verdicts": reportio.verdicts_to_json(verdicts),
-        "assumptions": ["entries marked 'catalog' cite classical facts and are not recomputed here"],
-    }
+    return reportio.catalog_to_dict(args.d, cover.catalog(args.d))
 
 
 def cmd_kollar(args: argparse.Namespace) -> dict:
-    """Pullback vanishing criterion (`cover.pullback_criterion`) on hypotheses given by the flags."""
     from . import cover, reportio
 
-    failed = cover.pullback_criterion(args.omega_pullback, args.target_pi2_trivial)
-    conclusion = "no conclusion" if failed else "omega vanishes on all spherical classes"
-    # The hypotheses are taken as given, so the verdict restates the criterion and checks nothing.
-    verdict = cover.Verdict(
-        "restates the criterion: both hypotheses give the conclusion, a failed one gives none",
-        True,
-        f"hypotheses taken as given, not checked: {'; '.join(failed) or conclusion}",
-    )
-    return {
-        "family": "kollar",
-        "parameters": {"omega_pullback": args.omega_pullback, "target_pi2_trivial": args.target_pi2_trivial},
-        "conclusion": conclusion,
-        "concluded": not failed,
-        "failed_hypotheses": failed,
-        "verdicts": reportio.verdicts_to_json((verdict,)),
-    }
+    hypotheses = (args.omega_pullback, args.target_pi2_trivial)
+    return reportio.kollar_to_dict(hypotheses, cover.kollar(*hypotheses))
 
 
 def cmd_snf(args: argparse.Namespace) -> dict:
-    """Run the exact Smith decomposition on a JSON matrix file."""
-    from . import cover, intlinalg, reportio
+    from . import reportio
 
-    a = reportio.matrix_from_json(_read_json(args.matrix, "matrix file"))
-    reportio.check_snf_budget(a)
-    # snf raises VerificationError unless u*a*v == d, u and v are unimodular
-    # and d is a divisor chain, so the verdict restates the checks already
-    # run instead of repeating them.
-    res = intlinalg.snf(a)
-    diag = res.divisors
-    checks = (
-        cover.Verdict(
-            "restates the checks snf ran: u*a*v equals d, u and v unimodular, divisor chain",
-            True,
-            f"{a.rows}x{a.cols} input; det u = {res.det_u}, det v = {res.det_v}; "
-            f"divisors [{', '.join(map(reportio.decimal, diag))}]",
-        ),
-    )
-    return {
-        "family": "snf",
-        "parameters": {"matrix": args.matrix},
-        "input": reportio.matrix_to_json(a),
-        "u": reportio.matrix_to_json(res.u),
-        "d": reportio.matrix_to_json(res.d),
-        "v": reportio.matrix_to_json(res.v),
-        "divisors": [reportio.encode_int(x) for x in diag],
-        "verdicts": reportio.verdicts_to_json(checks),
-    }
+    return reportio.snf_report(args.matrix, _read_json(args.matrix, "matrix file"))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ compares a stored or computed value with a second computation that does
 not share its route (adjunction against the lift formulas and the smoothing
 count, the monodromy's Hermite form against the stored presentation).
 `_report` assembles every report, with the assumptions and trace keys they
-share.
+share. `catalog` (its witnesses recomputed live) and `kollar` build the two
+results drawn from reports and criteria; `reportio` writes each as a dict.
 """
 
 from __future__ import annotations
@@ -36,13 +37,12 @@ from .homology import (
     product_base_model,
     smoothed_grid,
 )
-from .intlinalg import IntMatrix, RationalVector, _as_int, hermite, same_row_lattice
+from .intlinalg import IntMatrix, RationalVector, Verdict, _as_int, hermite, same_row_lattice
 from .plumbing import chain_rank, milnor_fiber_2_2_d
 
 __all__ = [
     "BranchComponent",
     "CoverSpec",
-    "Verdict",
     "CoverReport",
     "lift_omega_pairing",
     "lift_chern_pairing",
@@ -56,6 +56,8 @@ __all__ = [
     "product_family_report",
     "kodaira_thurston_family_report",
     "build_tower7",
+    "catalog",
+    "kollar",
 ]
 
 
@@ -103,13 +105,6 @@ class CoverSpec:
     @property
     def preimage_connected(self) -> bool:
         return len(self.components) == 1
-
-
-@dataclass(frozen=True)
-class Verdict:
-    name: str
-    passed: bool
-    evidence: str
 
 
 @dataclass(frozen=True)
@@ -602,3 +597,67 @@ def build_tower7(d: int) -> tuple[CoverReport, CoverReport]:
         ),
     )
     return report1, report2
+
+
+# ---------------------------------------------------------------------------
+# Results drawn from the reports: the catalog and Kollar's criterion
+
+
+def _pairings_text(signature: tuple[str, str]) -> str:
+    """A live report's (omega, c1) signature in words."""
+    named = [" and ".join(n for n, s in zip(("omega", "c1"), signature) if s == kind) for kind in ("zero", "nonzero")]
+    texts = (f"all {named[0]} pairings exactly 0", f"some {named[1]} pairing nonzero")
+    return ", ".join(text for text, name in zip(texts, named) if name)
+
+
+def _tower_text(signatures: list[tuple[str, str]], pairing: int, d: int) -> str:
+    """The tower's c1 and omega findings in words, from the signatures of its two live stages."""
+    zero_c1 = signatures[1][1] == "zero"
+    c1 = "c1 pairings zero at stage 2" if zero_c1 else f"lifted-sphere chern pairing {pairing} = 2*(1-{d})"
+    nonzero = " and ".join(str(k) for k, s in enumerate(signatures, 1) if s[0] == "nonzero")
+    omega = f"omega pairings nonzero at stage {nonzero}" if nonzero else "omega pairings zero at both stages"
+    return f"{c1}, {omega}"
+
+
+def catalog(d: int) -> tuple[list[tuple[str, ...]], tuple[Verdict, ...], tuple[str, ...]]:
+    """All four combinations of the two vanishing conditions, with witnesses: entries, verdicts, assumptions.
+
+    Each entry is (name, omega on pi, c1 on pi, witness, source). "computed"
+    entries are recomputed live, from a grid report and the tower of degree
+    d; "catalog" entries are classical facts.
+    """
+    live = product_family_report(SurfaceConfig(g1=1, g2=1, m1=1, m2=1, d=2))
+    stage1, stage2 = build_tower7(d)
+    pairing = stage2.cover.spherical_generators[0].c1_pairing
+    grid, tower = live.signature, [stage1.signature, stage2.signature]
+    entries = [
+        ("grid branched cover of the 4-torus", *grid,
+         f"recomputed live: spherical bound {live.pi_lower_bound}, {_pairings_text(grid)}", "computed"),
+        ("K3 surface", "nonzero", "zero", "catalog fact: simply connected, so spherical classes span all of H2; "
+         "c1 = 0 while the symplectic form has positive total area", "catalog"),
+        ("simply connected Kaehler surface other than K3", "nonzero", "nonzero", "catalog fact: the projective plane, "
+         "for instance; both classes pair nontrivially with H2, which is spanned by spherical classes", "catalog"),
+        ("two-stage branched-cover tower", *tower[1], f"recomputed live: {_tower_text(tower, pairing, d)}", "computed"),
+    ]
+    signatures = sorted(entry[1:3] for entry in entries)
+    wanted = [("nonzero", "nonzero"), ("nonzero", "zero"), ("zero", "nonzero"), ("zero", "zero")]
+    tower_passed = stage1.passed and stage2.passed
+    verdicts = (
+        Verdict("each of the four vanishing signatures has exactly one entry", signatures == wanted,
+                f"signatures {signatures}"),
+        Verdict("live witness for (zero, zero) verified", live.passed,
+                f"grid cover report {'passed' if live.passed else 'FAILED'}"),
+        Verdict("live witness for (zero, nonzero) verified", tower_passed,
+                f"tower reports {'passed' if tower_passed else 'FAILED'}; pairing {pairing}"),
+    )
+    return entries, verdicts, ("entries marked 'catalog' cite classical facts and are not recomputed here",)
+
+
+def kollar(omega_pullback: bool, target_pi2_trivial: bool) -> tuple[str, list[str], Verdict]:
+    """`pullback_criterion` on hypotheses taken as given: its conclusion, the failed hypotheses, and a verdict."""
+    failed = pullback_criterion(omega_pullback, target_pi2_trivial)
+    conclusion = "no conclusion" if failed else "omega vanishes on all spherical classes"
+    # The hypotheses are taken as given, so the verdict restates the criterion and checks nothing.
+    name = "restates the criterion: both hypotheses give the conclusion, a failed one gives none"
+    evidence = f"hypotheses taken as given, not checked: {'; '.join(failed) or conclusion}"
+    return conclusion, failed, Verdict(name, True, evidence)

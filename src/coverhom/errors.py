@@ -1,6 +1,7 @@
 """Exception types shared across the package, and the one rule for what an error line echoes.
 
-A value is echoed in full while short, and past that by its size: text by `echoed`, a JSON value by `echoed_value`.
+A value is echoed in full while short, and past that by its size: text or a
+library argument by `echoed`, a JSON value by `echoed_value`.
 """
 
 import sys
@@ -21,10 +22,23 @@ def digits(n: int) -> int:
     return count
 
 
-def echoed(text: str) -> str:
-    """text for an error line: quoted while that fits in ECHOED characters besides the quotes, else `<N characters>`."""
-    quoted = repr(text)  # an escaped character, such as \x01, takes more than one
-    return quoted if len(quoted) <= ECHOED + 2 else f"<{len(text)} characters>"
+def echoed(value) -> str:
+    """A value for an error line: its repr while that fits in ECHOED characters (a text's quotes aside), else its size.
+
+    The size reads `<N characters>` for text, `<int of N digits>` or `<Fraction of N/M digits>`, counted by
+    `digits` before any repr(), which may pass the interpreter's digit limit, and `<type>` for anything else.
+    """
+    if isinstance(value, str):
+        quoted = repr(value)  # an escaped character, such as \x01, takes more than one
+        return quoted if len(quoted) <= ECHOED + 2 else f"<{len(value)} characters>"
+    kind = type(value).__name__
+    if isinstance(getattr(value, "denominator", None), int):  # an int or a Fraction
+        sizes = [digits(value.numerator)] + ([] if isinstance(value, int) else [digits(value.denominator)])
+        kind += f" of {'/'.join(map(str, sizes))} digits"
+        if sum(sizes) > ECHOED:
+            return f"<{kind}>"
+    shown = repr(value)
+    return shown if len(shown) <= ECHOED else f"<{kind}>"
 
 
 def echoed_value(value) -> str:

@@ -2,7 +2,9 @@
 
 Matrix entries are arbitrary-precision Python ints and vector coordinates
 are fractions.Fraction, so equality with zero is always decidable.
-Floating point is rejected at every constructor.
+Floating point is rejected at every constructor. `Verdict`, the pass/fail
+check that every command's result carries, is defined here: every command
+loads this module, and `--help` does not.
 """
 
 from __future__ import annotations
@@ -13,12 +15,13 @@ from fractions import Fraction
 from itertools import chain
 from typing import Sequence
 
-from .errors import DimensionError, DomainError, VerificationError
+from .errors import DimensionError, DomainError, VerificationError, echoed
 
 __all__ = [
     "IntMatrix",
     "SnfResult",
     "RationalVector",
+    "Verdict",
     "snf",
     "det",
     "rank",
@@ -30,7 +33,7 @@ __all__ = [
 
 def _as_int(value) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise DomainError(f"integer required, got {value!r}")
+        raise DomainError(f"integer required, got {echoed(value)}")
     return value
 
 
@@ -38,10 +41,13 @@ def _as_fraction(value) -> Fraction:
     if type(value) is Fraction:
         return value  # immutable, so Fraction(value) would only copy it
     if isinstance(value, bool):
-        raise DomainError(f"rational required, got {value!r}")
+        raise DomainError(f"rational required, got {echoed(value)}")
     if isinstance(value, float):
-        raise DomainError(f"floating point rejected, got {value!r}; use int, str or Fraction")
-    return Fraction(value)
+        raise DomainError(f"floating point rejected, got {echoed(value)}; use int, str or Fraction")
+    try:
+        return Fraction(value)
+    except ValueError:  # Fraction's own message repeats a refused string in full
+        raise DomainError(f"rational required, got {echoed(value)}") from None
 
 
 @dataclass(frozen=True)
@@ -128,6 +134,15 @@ class RationalVector:
             raise DimensionError(f"dot of length {len(self.coords)} with length {len(other)}")
         xs = [x if type(x) is int else _as_fraction(x) for x in other]  # checked before 0 is skipped
         return sum((c * x for c, x in zip(self.coords, xs) if x), Fraction(0))
+
+
+@dataclass(frozen=True)
+class Verdict:
+    """One pass/fail check of a result, with the evidence it rests on."""
+
+    name: str
+    passed: bool
+    evidence: str
 
 
 @dataclass(frozen=True)

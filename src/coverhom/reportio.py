@@ -1,4 +1,7 @@
-"""Report serialization: every command's result dict, as JSON or as an ASCII table.
+"""Report serialization: every command's result dict, and that dict as JSON or as an ASCII table.
+
+Each command's result dict is made here, from what the layer it reports on
+returns; `snf_report` also runs `snf` on a matrix document.
 
 Rationals serialize as "p/q" strings. Integers serialize as JSON numbers
 while they fit in 53 bits and as decimal strings beyond that, so exactness
@@ -15,10 +18,11 @@ import functools
 import json
 from fractions import Fraction
 
+from . import intlinalg
 from .cover import CoverReport
 from .errors import DomainError, digit_limit, digits, echoed_value
 from .homology import ChainBlock
-from .intlinalg import IntMatrix
+from .intlinalg import IntMatrix, Verdict
 from .plumbing import LinearChain
 
 __all__ = [
@@ -32,6 +36,10 @@ __all__ = [
     "matrix_from_json",
     "check_snf_budget",
     "report_to_dict",
+    "tower_to_dict",
+    "catalog_to_dict",
+    "kollar_to_dict",
+    "snf_report",
     "render_json",
     "render_table",
     "all_pass",
@@ -207,6 +215,44 @@ def report_to_dict(r: CoverReport) -> dict:
         "kaehler": r.cover.kaehler,
         "trace": {k: v for k, v in r.trace},
     }
+
+
+def tower_to_dict(d: int, stages: tuple[CoverReport, CoverReport]) -> dict:
+    """The tower7 result, from `cover.build_tower7(d)`."""
+    return {"family": "tower7", "parameters": {"d": d}, "stages": [report_to_dict(s) for s in stages]}
+
+
+def catalog_to_dict(d: int, catalog: tuple) -> dict:
+    """The catalog result, from the entries, verdicts and assumptions of `cover.catalog(d)`."""
+    entries, verdicts, assumptions = catalog
+    keys = ("name", "omega_on_pi", "c1_on_pi", "witness", "source")
+    entries = [dict(zip(keys, entry)) for entry in entries]
+    return {"family": "catalog", "parameters": {"d": d}, "entries": entries,
+            "verdicts": verdicts_to_json(verdicts), "assumptions": list(assumptions)}
+
+
+def kollar_to_dict(hypotheses: tuple[bool, bool], kollar: tuple) -> dict:
+    """The kollar result, from the conclusion, failed hypotheses and verdict of `cover.kollar(*hypotheses)`."""
+    conclusion, failed, verdict = kollar
+    parameters = dict(zip(("omega_pullback", "target_pi2_trivial"), hypotheses))
+    return {"family": "kollar", "parameters": parameters, "conclusion": conclusion, "concluded": not failed,
+            "failed_hypotheses": failed, "verdicts": verdicts_to_json((verdict,))}
+
+
+def snf_report(path: str, doc) -> dict:
+    """The snf result: the exact Smith decomposition of the matrix document doc, read from the file path."""
+    a = matrix_from_json(doc)
+    check_snf_budget(a)
+    # snf raises VerificationError unless u*a*v == d, u and v are unimodular
+    # and d is a divisor chain, so the verdict restates those checks. It is
+    # read off its module at call time, so that a replaced intlinalg.snf applies.
+    res = intlinalg.snf(a)
+    divisors = ", ".join(map(decimal, res.divisors))
+    evidence = f"{a.rows}x{a.cols} input; det u = {res.det_u}, det v = {res.det_v}; divisors [{divisors}]"
+    verdict = Verdict("restates the checks snf ran: u*a*v equals d, u and v unimodular, divisor chain", True, evidence)
+    matrices = {key: matrix_to_json(m) for key, m in zip(("input", "u", "d", "v"), (a, res.u, res.d, res.v))}
+    return {"family": "snf", "parameters": {"matrix": path}, **matrices,
+            "divisors": [encode_int(x) for x in res.divisors], "verdicts": verdicts_to_json((verdict,))}
 
 
 _key = json.encoder.encode_basestring_ascii

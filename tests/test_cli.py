@@ -10,6 +10,7 @@ import sys
 import tempfile
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -1347,6 +1348,27 @@ class TestErrorBoundary:
             table += [(n, f"an integer of {len(str(n))} digits") for n in (2**b - 1, 2**b, 2**b + 1)]
         for value, shown in table:
             assert echoed_value(value) == shown
+
+    @pytest.mark.parametrize(
+        "value, shown",
+        [
+            (2.5, "2.5"),
+            (True, "True"),
+            (Fraction(3, 2), "Fraction(3, 2)"),
+            ("x", "'x'"),
+            (10**99, "1" + "0" * 99),
+            (10**100, "<int of 101 digits>"),
+            (-(10**99), "<int of 100 digits>"),
+            (Fraction(10**5000, 3), "<Fraction of 5001/1 digits>"),
+            (Fraction(1, 10**5000), "<Fraction of 1/5001 digits>"),
+            ([1] * 50, "<list>"),
+        ],
+        ids=["float", "bool", "fraction", "text", "int-at-bound", "int-past-bound", "negative-past-bound",
+             "fraction-past-digit-limit", "denominator-past-digit-limit", "list"],
+    )
+    def test_echoed_shows_a_short_repr_and_sizes_a_long_value(self, value, shown):
+        # A number is sized by its digits before any repr(), which raises past the digit limit.
+        assert echoed(value) == shown
 
     def test_short_bad_integer_option_keeps_the_parser_message(self, capsys):
         code, out, err = run_main(capsys, "example2", "--m1", "12x")

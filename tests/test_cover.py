@@ -1,4 +1,3 @@
-import argparse
 import os
 import subprocess
 import sys
@@ -10,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import coverhom.cli
 import coverhom.cover
 from coverhom.cover import (
     BranchComponent,
@@ -39,7 +37,7 @@ from coverhom.homology import (
     product_base_model,
     smoothed_grid,
 )
-from coverhom.intlinalg import IntMatrix, rank
+from coverhom.intlinalg import IntMatrix, Verdict, rank
 from coverhom.plumbing import LinearChain, PlumbingVertex, chain_rank, milnor_fiber_2_2_d
 from coverhom.reportio import report_to_dict
 
@@ -480,9 +478,9 @@ class TestPullbackCriterion:
     def test_patched_criterion_moves_kollar_and_the_omega_prediction(self, monkeypatch, holds):
         monkeypatch.setattr(coverhom.cover, "pullback_criterion", lambda *hypotheses: [] if holds else ["patched"])
         # Hypotheses and bases for which the real criterion gives the opposite answer.
-        kollar = coverhom.cli.cmd_kollar(argparse.Namespace(omega_pullback=not holds, target_pi2_trivial=not holds))
-        assert kollar["concluded"] is holds
-        assert kollar["failed_hypotheses"] == ([] if holds else ["patched"])
+        conclusion, failed, _ = coverhom.cover.kollar(not holds, not holds)
+        assert (conclusion == "omega vanishes on all spherical classes") is holds
+        assert failed == ([] if holds else ["patched"])
         base = non_aspherical_base if holds else product_base_model
         monkeypatch.setattr(coverhom.cover, "product_base_model", base)
         report = product_family_report(make_cfg())
@@ -598,7 +596,7 @@ def failing_grid_report(monkeypatch):
 
     def failing(cfg, kaehler=False):
         report = build(cfg, kaehler)
-        return replace(report, verdicts=report.verdicts + (coverhom.cover.Verdict("injected", False, ""),))
+        return replace(report, verdicts=report.verdicts + (Verdict("injected", False, ""),))
 
     monkeypatch.setattr(coverhom.cover, "product_family_report", failing)
 
@@ -616,7 +614,7 @@ def stage(number):
 
 
 def catalog():
-    return [(v["name"], v["pass"]) for v in coverhom.cli.cmd_catalog(argparse.Namespace(d=2))["verdicts"]]
+    return [(v.name, v.passed) for v in coverhom.cover.catalog(2)[1]]
 
 
 MUTATIONS = [

@@ -2,8 +2,9 @@
 
 `python -m coverhom` loads only `cli` and `errors` until a command is about
 to run, so help, usage errors and a malformed `--batch` file cost no more
-than the parser. Once a command runs, every library layer is loaded; the
-benchmark's tracer wraps functions in all of them after its untraced passes.
+than the parser, and `--help` imports no `dataclasses`. Once a command runs,
+every library layer is loaded; the benchmark's tracer wraps functions in all
+of them after its untraced passes. Each command's module set is pinned.
 """
 
 import ast
@@ -22,7 +23,7 @@ import coverhom
 ROOT = Path(__file__).resolve().parent.parent
 
 # Runs `python -m coverhom ARGS...` in process, then prints its exit code and
-# the coverhom modules it loaded.
+# the modules it loaded out of the coverhom ones and dataclasses.
 SCRIPT = """
 import contextlib, io, json, runpy, sys
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
@@ -30,8 +31,12 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
         runpy.run_module("coverhom", run_name="__main__", alter_sys=True)
     except SystemExit as exc:
         code = exc.code
-print(json.dumps({"code": code, "loaded": sorted(m for m in sys.modules if m.startswith("coverhom"))}))
+loaded = sorted(m for m in sys.modules if m.startswith("coverhom") or m == "dataclasses")
+print(json.dumps({"code": code, "loaded": loaded}))
 """
+
+START = {"coverhom", "coverhom.cli", "coverhom.errors"}
+EVERY_LAYER = START | {f"coverhom.{m}" for m in ("intlinalg", "plumbing", "homology", "cover", "reportio")}
 
 
 def run_module(tmp_path, *argv):
@@ -69,7 +74,28 @@ def test_no_library_layer_before_a_command_runs(tmp_path, argv, code):
                                                       "target_pi2_trivial": True}, {"command": "snf"}]))
     got, loaded = run_module(tmp_path, *argv)
     assert got == code
-    assert loaded == {"coverhom", "coverhom.cli", "coverhom.errors"}
+    assert loaded == START
+
+
+@pytest.mark.parametrize(
+    "argv, modules",
+    [
+        (["--help"], START),
+        (["example2"], EVERY_LAYER | {"dataclasses"}),
+        (["kodaira-thurston"], EVERY_LAYER | {"dataclasses"}),
+        (["tower7"], EVERY_LAYER | {"dataclasses"}),
+        (["catalog"], EVERY_LAYER | {"dataclasses"}),
+        (["kollar", "--omega-pullback", "--target-pi2-trivial"], EVERY_LAYER | {"dataclasses"}),
+        (["snf", "m.json"], EVERY_LAYER | {"dataclasses"}),
+    ],
+    ids=["help", "example2", "kodaira-thurston", "tower7", "catalog", "kollar", "snf"],
+)
+def test_each_command_loads_its_module_set(tmp_path, argv, modules):
+    # --help costs no more than the parser, and dataclasses no import time; every command loads every layer.
+    (tmp_path / "m.json").write_text(json.dumps({"rows": 1, "cols": 1, "entries": [2]}))
+    got, loaded = run_module(tmp_path, *argv)
+    assert got == 0
+    assert loaded == modules
 
 
 @pytest.mark.parametrize("command", ["kollar", "snf"])

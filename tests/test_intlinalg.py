@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import coverhom.intlinalg
+from coverhom.cover import build_tower7
 from coverhom.errors import DimensionError, DomainError, VerificationError
 from coverhom.intlinalg import (
     IntMatrix,
@@ -20,6 +21,7 @@ from coverhom.intlinalg import (
     same_row_lattice,
     snf,
 )
+from coverhom.homology import SurfaceConfig
 
 from oracles import (
     det_cofactor,
@@ -781,3 +783,34 @@ class TestRationalVector:
         assert coords[0] is q
         assert [type(c) for c in coords] == [Fraction] * 4
         assert coords == (q, Fraction(2, 3), Fraction(4), Fraction(5, 6))
+
+
+class TestRefusedValues:
+    @pytest.mark.parametrize(
+        "convert, value, message",
+        [
+            ("_as_fraction", 2.5, "floating point rejected, got 2.5; use int, str or Fraction"),
+            ("_as_fraction", True, "rational required, got True"),
+            ("_as_int", Fraction(3, 2), "integer required, got Fraction(3, 2)"),
+            ("_as_int", "x", "integer required, got 'x'"),
+            ("_as_fraction", "x", "rational required, got 'x'"),
+        ],
+    )
+    def test_short_value_echoed_in_full(self, convert, value, message):
+        with pytest.raises(DomainError) as caught:
+            getattr(coverhom.intlinalg, convert)(value)
+        assert str(caught.value) == message
+
+    def test_long_or_unprintable_value_named_by_kind_and_size(self):
+        # Each raised an unbounded DomainError, or the interpreter's bare ValueError past its digit limit.
+        huge = "<Fraction of 5001/1 digits>"
+        cases = [
+            (lambda: SurfaceConfig(1, 1, 1, 1, "x" * 100000), "integer required, got <100000 characters>"),
+            (lambda: SurfaceConfig(1, 1, 1, 1, 2, ("x" * 100000, 1)), "rational required, got <100000 characters>"),
+            (lambda: coverhom.intlinalg._as_int(Fraction(10**5000, 3)), f"integer required, got {huge}"),
+            (lambda: build_tower7(Fraction(10**5000, 7)), f"integer required, got {huge}"),
+        ]
+        for build, message in cases:
+            with pytest.raises(DomainError) as caught:
+                build()
+            assert str(caught.value) == message
