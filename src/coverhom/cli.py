@@ -8,12 +8,13 @@ result passes, 1 on a verification failure, 2 on usage or parameter errors.
 Every run, on the command line and in `--batch`, is read against its
 command's own parser. A plain command line (each option once and spelled in
 full, every value converting and in its choices, nothing left over) is read
-straight off the command's option table, built once from the parser's
-declared actions; argparse reads or refuses any other, and stays the one
-declaration of every option and the words of every refusal, usage block and
-`--help` text. The top-level parser reads only a command line that does not
-start with a command name. Every refusal goes through `_Parser.error`, which
-echoes long tokens as `errors` does; `main` prints it as argparse would.
+by a walk over the parser's own actions, and a batch entry's keys become
+options through the same actions; argparse reads or refuses any other line,
+and stays the one declaration of every option and the words of every
+refusal, usage block and `--help` text. The top-level parser reads only a
+command line that does not start with a command name. Every refusal goes
+through `_Parser.error`, which echoes long tokens as `errors` does; `main`
+prints it as argparse would.
 
 Only this module and `errors` load at start: `main` imports the library
 layers once every run has been parsed and checked, so `--help`, usage errors
@@ -259,40 +260,15 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-class _Options:
-    """A command parser's declared options, read once from its actions (help left out).
-
-    `flags` maps an option that takes no value to its dest and the value its
-    action stores, and `valued` maps an option that takes one to its dest,
-    conversion and choices; `positional` holds the same for the positional,
-    or is None. `defaults` holds what argparse fills in for a run that gives
-    nothing, with string defaults converted as argparse converts them.
-    """
-
-    def __init__(self, sp: argparse.ArgumentParser):
-        actions = [action for action in sp._actions if action.default is not argparse.SUPPRESS]
-        self.flags, self.valued, self.positional, defaults = {}, {}, None, {}
-        for action in actions:
-            convert = action.type or str
-            read = (action.dest, convert, action.choices)
-            if not action.option_strings:
-                self.positional = read
-            for option in action.option_strings:
-                if action.nargs == 0:
-                    stored = argparse.Namespace()
-                    action(sp, stored, None, option)
-                    self.flags[option] = (action.dest, getattr(stored, action.dest))
-                else:
-                    self.valued[option] = read
+@functools.cache
+def _defaults(sp: argparse.ArgumentParser) -> dict:
+    """What argparse fills in for a run of sp that gives nothing, string defaults converted as argparse does."""
+    defaults = {}
+    for action in sp._actions:
+        if action.default is not argparse.SUPPRESS:
             default = action.default
-            defaults[action.dest] = convert(default) if isinstance(default, str) else default
-        self.defaults = {**sp._defaults, **defaults}
-        self.dests = set(defaults)
-        self.required = {action.dest for action in actions if action.required}
-        self.integers = {action.dest for action in actions if action.type is int}
-
-
-_options = functools.cache(_Options)
+            defaults[action.dest] = (action.type or str)(default) if isinstance(default, str) else default
+    return {**sp._defaults, **defaults}
 
 
 def _plain_run(sp: argparse.ArgumentParser, command: str, argv: list[str]) -> argparse.Namespace | None:
@@ -304,73 +280,67 @@ def _plain_run(sp: argparse.ArgumentParser, command: str, argv: list[str]) -> ar
     positional given. Anything else, "-h" and "--" included, is left to
     argparse, which reads or refuses it and words every refusal.
     """
-    table = _options(sp)
-    given = {}
+    run = argparse.Namespace(command=command, batch=None, **_defaults(sp))
+    given = set()
     tokens = iter(argv)
     for token in tokens:
-        if not token.startswith("-"):
-            if table.positional is None:
-                return None
-            dest, convert, choices = table.positional
-            text = token
-        else:
+        if token.startswith("-"):
             option, equals, text = token.partition("=")
-            if option in table.flags and not equals:
-                dest, value = table.flags[option]
-                if dest in given:
-                    return None
-                given[dest] = value
-                continue
-            if option not in table.valued:
+            action = sp._option_string_actions.get(option)
+        else:
+            option, equals, text = None, "", token
+            action = next((action for action in sp._actions if not action.option_strings), None)
+        # An unknown option, -h or --help, a second positional, or a repeat.
+        if action is None or action.default is argparse.SUPPRESS or action.dest in given:
+            return None
+        given.add(action.dest)
+        if action.nargs == 0:
+            if equals:
                 return None
-            dest, convert, choices = table.valued[option]
-            if not equals:
-                text = next(tokens, "-")  # a missing value is refused as one starting with "-"
-            if text.startswith("-"):
-                return None
-        if dest in given:
+            action(sp, run, None, option)  # stores the flag's value
+            continue
+        if option and not equals:
+            text = next(tokens, "-")  # a missing value is refused as one starting with "-"
+        if text.startswith("-"):
             return None
         try:
-            value = convert(text)
+            value = (action.type or str)(text)
         except (TypeError, ValueError, argparse.ArgumentTypeError):
             return None
-        if choices is not None and value not in choices:
+        if action.choices is not None and value not in action.choices:
             return None
-        given[dest] = value
-    if not table.required <= given.keys():
+        setattr(run, action.dest, value)
+    if any(action.required and action.dest not in given for action in sp._actions):
         return None
-    return argparse.Namespace(command=command, batch=None, **{**table.defaults, **given})
+    return run
 
 
 def _entry_options(sp: argparse.ArgumentParser, index: int, entry: dict) -> list[str]:
-    """The command line of one batch entry after its command; keys are the command's option names."""
-    table = _options(sp)
-    unknown = set(entry) - {"command"} - table.dests
+    """The command line of one batch entry after its command; keys are the dests of the command's actions."""
+    actions = {action.dest: action for action in sp._actions if action.default is not argparse.SUPPRESS}
+    unknown = set(entry) - {"command"} - actions.keys()
     if unknown:
         keys = sorted(unknown)
         shown = ", ".join(echoed(key) for key in keys[:3]) + (", ..." if len(keys) > 3 else "")
         raise DomainError(f"batch entry {index}: unknown keys [{shown}]")
-    flags = {dest for dest, _ in table.flags.values()}
     argv, positional = [], []
     for key, value in entry.items():
         if key == "command":
             continue
-        option = ("-" if len(key) == 1 else "--") + key.replace("_", "-")
-        kinds, takes = ((bool, "a boolean") if key in flags else (int, "a JSON integer") if key in table.integers
-                        else (str, "a string") if key == "matrix" else ((int, str), "a string or an integer"))
-        if not isinstance(value, kinds) or isinstance(value, bool) != (key in flags):
+        action = actions[key]
+        flag = action.nargs == 0
+        kinds, takes = ((bool, "a boolean") if flag else (int, "a JSON integer") if action.type is int
+                        else (str, "a string") if not action.option_strings else ((int, str), "a string or an integer"))
+        if not isinstance(value, kinds) or isinstance(value, bool) != flag:
             raise DomainError(f"batch entry {index}: {key!r} must be {takes}, got {echoed_value(value)}")
-        if key == "matrix":
+        if not action.option_strings:
             # Last, and after "--" when it would read as an option.
             positional = ["--", value] if value.startswith("-") else [value]
-        elif value is True:
-            argv.append(option)
-        elif value is False:
-            # A flag that is off by default has no --no- form.
-            if table.defaults.get(key) is not False:
-                argv.append("--no-" + option.lstrip("-"))
+        elif flag:
+            # An action's second option string is its --no- form; a flag off by default has none.
+            argv += action.option_strings[:1] if value else action.option_strings[1:]
         else:
-            argv.append(f"{option}={value}")
+            argv.append(f"{action.option_strings[0]}={value}")
     return argv + positional
 
 
@@ -387,7 +357,12 @@ def _parse_run(parser: argparse.ArgumentParser, command: str, argv: list[str]) -
 
 
 def _batch_runs(parser: argparse.ArgumentParser, path: str) -> list[argparse.Namespace]:
-    """Parse every entry of a batch file, so that a bad entry stops the batch before any run."""
+    """Parse every entry of a batch file, so that an entry the parsers refuse stops the batch before any entry runs.
+
+    `main`'s size bound also holds before any entry runs. A refusal raised
+    while an entry runs (a degree below 2, a missing matrix file) stops the
+    batch at that entry, after the entries before it have written.
+    """
     entries = _read_json(path, "batch file")
     if not isinstance(entries, list):
         raise DomainError("batch file must hold a JSON array of run configurations")

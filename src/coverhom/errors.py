@@ -26,7 +26,8 @@ def echoed(value) -> str:
     """A value for an error line: its repr while that fits in ECHOED characters (a text's quotes aside), else its size.
 
     The size reads `<N characters>` for text, `<int of N digits>` or `<Fraction of N/M digits>`, counted by
-    `digits` before any repr(), which may pass the interpreter's digit limit, and `<type>` for anything else.
+    `digits` before any repr(), which may pass the interpreter's digit limit, and `<type>` for anything else,
+    or for a value whose repr() fails.
     """
     if isinstance(value, str):
         quoted = repr(value)  # an escaped character, such as \x01, takes more than one
@@ -37,7 +38,10 @@ def echoed(value) -> str:
         kind += f" of {'/'.join(map(str, sizes))} digits"
         if sum(sizes) > ECHOED:
             return f"<{kind}>"
-    shown = repr(value)
+    try:
+        shown = repr(value)
+    except (ValueError, RecursionError):  # a container holding an int past the digit limit, or nested too deeply
+        return f"<{kind}>"
     return shown if len(shown) <= ECHOED else f"<{kind}>"
 
 

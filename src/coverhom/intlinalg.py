@@ -46,7 +46,7 @@ def _as_fraction(value) -> Fraction:
         raise DomainError(f"floating point rejected, got {echoed(value)}; use int, str or Fraction")
     try:
         return Fraction(value)
-    except ValueError:  # Fraction's own message repeats a refused string in full
+    except (TypeError, ValueError, ZeroDivisionError):  # Fraction's own messages repeat a refused string in full
         raise DomainError(f"rational required, got {echoed(value)}") from None
 
 

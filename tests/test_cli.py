@@ -657,25 +657,38 @@ ODD_TOKENS = [
 GOOD_VALUES = {"area1": "3/2", "area2": "5", "format": "json", "out": "o.txt", "matrix": "m.json"}
 
 
+def declared(command):
+    """A command's declared actions, --help left out, as its parser holds them."""
+    sp = coverhom.cli._parser().commands[command]
+    return [action for action in sp._actions if action.default is not argparse.SUPPRESS]
+
+
+def option_strings(command, flags):
+    """The option strings of a command's flags, or of its options that take a value."""
+    return sorted(option for action in declared(command) if (action.nargs == 0) == flags
+                  for option in action.option_strings)
+
+
 @st.composite
 def command_lines(draw):
     """A command line of one command, from its own option strings: plain and odd values, = forms, repeats, strays."""
     command = draw(st.sampled_from(sorted(coverhom.cli._parser().commands)))
-    table = coverhom.cli._options(coverhom.cli._parser().commands[command])
+    actions = coverhom.cli._parser().commands[command]._option_string_actions
 
     def good(option):
-        return st.just(GOOD_VALUES.get(table.valued[option][0], "3"))
+        return st.just(GOOD_VALUES.get(actions[option].dest, "3"))
 
     def any_value(option):
         return st.one_of(good(option), st.sampled_from(ODD_TOKENS))
 
-    option = st.sampled_from(sorted(table.valued))
+    option = st.sampled_from(option_strings(command, flags=False))
     items = [st.sampled_from(ODD_TOKENS + ["m.json"]).map(lambda token: [token])]
     for value in (good, any_value):
         items.append(option.flatmap(lambda o, value=value: value(o).map(lambda v: [o, v])))
         items.append(option.flatmap(lambda o, value=value: value(o).map(lambda v: [f"{o}={v}"])))
-    if table.flags:
-        items.append(st.sampled_from(sorted(table.flags)).map(lambda flag: [flag]))
+    flags = option_strings(command, flags=True)
+    if flags:
+        items.append(st.sampled_from(flags).map(lambda flag: [flag]))
     chosen = draw(st.lists(st.one_of(items), max_size=5))
     return [command] + [token for item in chosen for token in item]
 
@@ -712,6 +725,39 @@ class TestPlainCommandLines:
     @given(command_lines())
     def test_walk_reads_only_what_argparse_reads_the_same(self, argv):
         assert argv_corpus.disagreement(argv) is None
+
+
+def key_entries():
+    """For every command and key, batch entries that give the key each value it takes: true and false for a flag,
+    a good value otherwise and a path starting with "-" for the matrix, over every key or only the required ones."""
+    for command in sorted(coverhom.cli._parser().commands):
+        actions = declared(command)
+        good = {action.dest: True if action.nargs == 0 else 3 if action.type is int else GOOD_VALUES[action.dest]
+                for action in actions}
+        required = {action.dest: good[action.dest] for action in actions if action.required}
+        for action in actions:
+            values = [True, False] if action.nargs == 0 else [good[action.dest]]
+            values += ["-m.json"] if not action.option_strings else []
+            for base in (good, required):
+                for value in values:
+                    yield {"command": command, **base, action.dest: value}
+
+
+class TestBatchKeys:
+    """A batch entry's keys become the options of its command's actions, read as argparse reads them."""
+
+    @pytest.mark.parametrize("entry", list(key_entries()), ids=lambda entry: json.dumps(entry)[:60])
+    def test_entry_read_as_argparse_reads_its_options(self, entry):
+        command = entry["command"]
+        argv = [command, *coverhom.cli._entry_options(coverhom.cli._parser().commands[command], 0, entry)]
+        assert argv_corpus.disagreement(argv) is None
+        # The walk reads every such entry but one whose matrix follows "--".
+        assert (argv_corpus.walk(argv) is None) == ("--" in argv)
+        run = argv_corpus.argparse_reading(argv)
+        for action in declared(command):
+            if action.dest in entry:
+                value = entry[action.dest]
+                assert getattr(run, action.dest) == (value if action.nargs == 0 else (action.type or str)(str(value)))
 
 
 class TestBatch:
@@ -859,6 +905,17 @@ class TestBatch:
         assert run_batch(capsys, tmp_path, entries)[0] == 2
         assert not first.exists()
 
+    @pytest.mark.parametrize("entry, message", [
+        ({"command": "example2", "d": 1}, "error: cover degree must be at least 2, got 1\n"),
+        ({"command": "snf", "matrix": "missing.json"}, "error: [Errno 2] No such file or directory: 'missing.json'\n"),
+    ], ids=["degree", "missing-matrix"])
+    def test_refusal_while_an_entry_runs_stops_the_batch_there(self, capsys, tmp_path, monkeypatch, entry, message):
+        # The parsers accept the entry; its refusal comes when it runs, after the entries before it wrote.
+        monkeypatch.chdir(tmp_path)
+        entries = [{"command": "tower7", "d": 3, "out": "o1.txt"}, entry, {"command": "tower7", "out": "o3.txt"}]
+        assert run_batch(capsys, tmp_path, entries) == (2, "", message)
+        assert (tmp_path / "o1.txt").exists() and not (tmp_path / "o3.txt").exists()
+
     def test_matrix_path_starting_with_a_dash(self, capsys, tmp_path, monkeypatch):
         # The path goes last, after "--", so that it is not read as an option.
         monkeypatch.chdir(tmp_path)
@@ -888,7 +945,7 @@ def long_command_lines(draw):
     """A command line with long tokens: unknown options, a command, strays, many at once, or an option's value."""
     parser = coverhom.cli._parser()
     command = draw(st.sampled_from(sorted(parser.commands)))
-    valued = sorted(coverhom.cli._options(parser.commands[command]).valued)
+    valued = option_strings(command, flags=False)
     token, value = long_tokens(101), long_tokens(256)
     return draw(st.one_of(
         token.map(lambda t: ["--" + t]),
@@ -905,7 +962,7 @@ def long_batch_entries(draw):
     """A batch entry with long strings: the command, unknown keys, or the value of one of a command's keys."""
     parser = coverhom.cli._parser()
     command = draw(st.sampled_from(sorted(parser.commands)))
-    keys = sorted(coverhom.cli._options(parser.commands[command]).dests)
+    keys = sorted(action.dest for action in declared(command))
     token, value = long_tokens(101), long_tokens(256)
     return draw(st.one_of(
         token.map(lambda t: {"command": t}),

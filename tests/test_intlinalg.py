@@ -802,13 +802,23 @@ class TestRefusedValues:
         assert str(caught.value) == message
 
     def test_long_or_unprintable_value_named_by_kind_and_size(self):
-        # Each raised an unbounded DomainError, or the interpreter's bare ValueError past its digit limit.
+        # Each raised an unbounded DomainError, or let an error of repr() or Fraction() escape: the digit limit,
+        # the recursion limit, a TypeError or a ZeroDivisionError.
         huge = "<Fraction of 5001/1 digits>"
+        nested = []
+        for _ in range(100_000):
+            nested = [nested]
         cases = [
             (lambda: SurfaceConfig(1, 1, 1, 1, "x" * 100000), "integer required, got <100000 characters>"),
             (lambda: SurfaceConfig(1, 1, 1, 1, 2, ("x" * 100000, 1)), "rational required, got <100000 characters>"),
             (lambda: coverhom.intlinalg._as_int(Fraction(10**5000, 3)), f"integer required, got {huge}"),
             (lambda: build_tower7(Fraction(10**5000, 7)), f"integer required, got {huge}"),
+            (lambda: IntMatrix(1, 1, ([10**5000],)), "integer required, got <list>"),
+            (lambda: coverhom.intlinalg._as_int([10**5000]), "integer required, got <list>"),
+            (lambda: coverhom.intlinalg._as_int(nested), "integer required, got <list>"),
+            (lambda: RationalVector((None,)), "rational required, got None"),
+            (lambda: RationalVector(([1],)), "rational required, got [1]"),
+            (lambda: RationalVector(("1/0",)), "rational required, got '1/0'"),
         ]
         for build, message in cases:
             with pytest.raises(DomainError) as caught:
