@@ -31,7 +31,7 @@ import re
 import sys
 from collections.abc import Sequence
 
-from .errors import DomainError, VerificationError, digit_limit, digits, echoed, echoed_value
+from .errors import DomainError, VerificationError, admit, admit_rational, digit_limit, digits, echoed, echoed_value
 
 __all__ = [
     "build_parser",
@@ -94,12 +94,10 @@ def cmd_snf(args: argparse.Namespace) -> dict:
 
 
 def _check_grid_size(args: argparse.Namespace) -> None:
-    # The one size bound. A report's cost grows with the digits of its
-    # parameters, not their values. Every integer a grid report prints, the
-    # Euler characteristic the largest, is at most 8*d^3*(m1+g1+1)*(m2+g2+1)
-    # in absolute value; tower7 and catalog print none above stage 2's Euler
-    # characteristic 8*d. Its exact digit count is held against the
-    # interpreter's digit limit, or its default when the limit is off.
+    # A report's cost grows with the digits of its parameters, not their
+    # values. Every integer a grid report prints, the Euler characteristic the
+    # largest, is at most 8*d^3*(m1+g1+1)*(m2+g2+1) in absolute value; tower7
+    # and catalog print none above stage 2's Euler characteristic 8*d.
     if args.command in ("tower7", "catalog"):
         names, largest = "d gives", 8 * args.d
     elif args.command in ("example2", "kodaira-thurston") and min(args.m1, args.m2, args.d) >= 1:
@@ -108,19 +106,7 @@ def _check_grid_size(args: argparse.Namespace) -> None:
         largest = 8 * args.d**3 * (args.m1 + abs(g1) + 1) * (args.m2 + abs(g2) + 1)
     else:
         return
-    size, limit = digits(largest), digit_limit()
-    if size > limit:
-        raise DomainError(
-            f"{args.command}: {names} report integers of up to {size} digits, "
-            f"above the limit of {limit} digits for printing an integer"
-        )
-
-
-def _bounded_int(literal: str) -> int:
-    """A JSON integer literal, refused past the digit limit as json refuses it while the limit is on."""
-    if len(literal) - literal.startswith("-") > digit_limit():
-        raise ValueError("integer literal above the digit limit")
-    return int(literal)
+    admit(f"{args.command}: {names} report integers of up to", digits(largest), digit_limit(), "digits")
 
 
 def _read_json(path: str, what: str):
@@ -128,12 +114,19 @@ def _read_json(path: str, what: str):
     import json
 
     what = f"{what} {echoed(path)}"
+
+    def bounded_int(literal: str) -> int:
+        admit(f"{what} holds an integer literal of", len(literal) - literal.startswith("-"), digit_limit(), "digits")
+        return int(literal)
+
     # With the interpreter's digit limit off, json reads an integer literal of
-    # any length; its default limit then bounds them here.
-    bounded = {"parse_int": _bounded_int} if sys.get_int_max_str_digits() == 0 else {}
+    # any length, so bounded_int reads each one; with it on, json's own parser
+    # refuses one past the limit, and bounded_int sizes it on a second reading.
+    bounded = {"parse_int": bounded_int} if sys.get_int_max_str_digits() == 0 else {}
     try:
         with open(path) as fh:
-            return json.load(fh, **bounded)
+            text = fh.read()
+        return json.loads(text, **bounded)
     except json.JSONDecodeError as exc:
         raise DomainError(f"{what} is not valid JSON: {exc}") from None
     except RecursionError:
@@ -141,17 +134,19 @@ def _read_json(path: str, what: str):
     except UnicodeDecodeError as exc:
         raise DomainError(f"{what} is not text: {exc.reason}") from None
     except ValueError:
-        # The other ValueError json.load raises: an integer literal past the digit limit.
-        limit = digit_limit()
-        raise DomainError(f"{what} holds an integer above the limit of {limit} digits for reading one") from None
+        # An integer literal past the digit limit: read again, bounded_int refuses it with its size.
+        return json.loads(text, parse_int=bounded_int)
 
 
 def _rational(text: str):
-    """The exact rational that text like 3/2 names; argparse also applies it to the default "1"."""
+    """The exact rational that text like 3/2 names, sized first; argparse also applies it to the default "1"."""
     from fractions import Fraction
 
     try:
+        admit_rational(text)
         return Fraction(text)
+    except DomainError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"must be a rational like 3/2, got {text!r}") from None
 

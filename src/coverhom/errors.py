@@ -1,7 +1,11 @@
-"""Exception types shared across the package, and the one rule for what an error line echoes.
+"""Exception types shared across the package, the one rule for what an error line echoes, and every input-size limit.
 
 A value is echoed in full while short, and past that by its size: text or a
 library argument by `echoed`, a JSON value by `echoed_value`.
+
+An input is admitted or refused by its size here: each reader computes the
+size it bounds and calls `admit` with its limit (`digit_limit()`,
+`MAX_MATRIX_SIDE` or `SNF_BUDGET`), which words every refusal alike.
 """
 
 import sys
@@ -68,8 +72,63 @@ def echoed_value(value) -> str:
 
 
 def digit_limit() -> int:
-    """The interpreter's limit on integer string digits, or its default when the limit is off."""
+    """The interpreter's limit on integer string digits, or its default when the limit is off.
+
+    It bounds the digits of every integer a report prints, of every integer
+    read from JSON, and of the integers a rational string gives.
+    """
     return sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+
+
+# The most rows, and the most columns, of a matrix file. Smith decomposition
+# builds transforms of rows^2 and cols^2 entries, so the shape is refused
+# before any of them is allocated.
+MAX_MATRIX_SIDE = 64
+
+# The most n^2 * bits(H) a matrix file may give, where n = max(rows, cols) and
+# H is the product of the norms of its nonzero rows, or of its nonzero columns
+# when it has fewer columns than rows. H bounds every minor of the matrix, and
+# so every divisor (Hadamard's inequality). snf's time grows with the bound:
+# in-process, a random 64x64 with entries in [-99, 99] (2.3 million) takes
+# 1.8 s and an 8x8 with 1,450-digit entries (2.5 million) 2.5 s. Large
+# entries at small n take longest for their bound (README, "Command line").
+SNF_BUDGET = 2_500_000
+
+
+def admit(subject: str, size: int, limit: int, unit: str) -> None:
+    """Refuse a size past its limit: DomainError `<subject> <size> <unit>, above the limit of <limit> <unit>`.
+
+    The size is shown by `echoed_value`, so a huge one still gives one short line.
+    """
+    if size > limit:
+        raise DomainError(f"{subject} {echoed_value(size)} {unit}, above the limit of {limit} {unit}")
+
+
+# Fraction's string grammar on Python 3.11-3.13 once its underscores are
+# taken out, or wider: a sign, then digits, "/" and digits, or digits, a
+# point, digits and an exponent. Before 3.13 it also takes a run of the letter
+# d, in either case, after the point, and Fraction() computes 10**len(run)
+# before int() refuses the run. re compiles it on the first rational read.
+_RATIONAL = r"\s*[-+]?(?=\.?\d)(\d*)(?:\s*/\s*(\d+)|(?:\.(\d*|[dD]*))?(?:[eE]([-+]?\d+))?)\s*"
+
+
+def admit_rational(text: str) -> None:
+    """Refuse a rational string that needs an integer past `digit_limit()`, before Fraction() builds one.
+
+    The integers are sized from the text as Fraction() reads it: its exponent
+    first, then the numerator and the denominator it gives before cancelling.
+    Text outside the grammar is left to Fraction() to refuse.
+    """
+    import re
+
+    match = re.fullmatch(_RATIONAL, text.replace("_", ""))
+    if match is None:
+        return
+    num, denom, point, exponent = match.groups(default="")
+    subject, limit = f"rational {echoed(text)} needs an integer of", digit_limit()
+    admit(subject, len(exponent.lstrip("+-")), limit, "digits")
+    shift = int(exponent or 0)
+    admit(subject, max(len(num) + len(point) + shift, len(denom) or 1 + len(point) - shift), limit, "digits")
 
 
 class DimensionError(ValueError):

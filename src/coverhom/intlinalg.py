@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import chain
 from typing import Sequence
 
-from .errors import DimensionError, DomainError, VerificationError, echoed
+from .errors import DimensionError, DomainError, VerificationError, admit_rational, echoed
 
 __all__ = [
     "IntMatrix",
@@ -44,6 +44,8 @@ def _as_fraction(value) -> Fraction:
         raise DomainError(f"rational required, got {echoed(value)}")
     if isinstance(value, float):
         raise DomainError(f"floating point rejected, got {echoed(value)}; use int, str or Fraction")
+    if isinstance(value, str):
+        admit_rational(value)
     try:
         return Fraction(value)
     except (TypeError, ValueError, ZeroDivisionError):  # Fraction's own messages repeat a refused string in full

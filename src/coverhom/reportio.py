@@ -20,14 +20,12 @@ from fractions import Fraction
 
 from . import intlinalg
 from .cover import CoverReport
-from .errors import DomainError, digit_limit, digits, echoed_value
+from .errors import MAX_MATRIX_SIDE, SNF_BUDGET, DomainError, admit, digit_limit, digits, echoed_value
 from .homology import ChainBlock
 from .intlinalg import IntMatrix, Verdict
 from .plumbing import LinearChain
 
 __all__ = [
-    "MAX_MATRIX_SIDE",
-    "SNF_BUDGET",
     "decimal",
     "encode_int",
     "encode_fraction",
@@ -47,20 +45,6 @@ __all__ = [
 ]
 
 _SAFE = 2**53
-
-# The most rows, and the most columns, of a matrix file. Smith decomposition
-# builds transforms of rows^2 and cols^2 entries, so the shape is refused
-# before any of them is allocated.
-MAX_MATRIX_SIDE = 64
-
-# The most n^2 * bits(H) a matrix file may give, where n = max(rows, cols) and
-# H is the product of the norms of its nonzero rows, or of its nonzero columns
-# when it has fewer columns than rows. H bounds every minor of the matrix, and
-# so every divisor (Hadamard's inequality). snf's time grows with the bound:
-# in-process, a random 64x64 with entries in [-99, 99] (2.3 million) takes
-# 1.8 s and an 8x8 with 1,450-digit entries (2.5 million) 2.5 s. Large
-# entries at small n take longest for their bound (README, "Command line").
-SNF_BUDGET = 2_500_000
 
 
 def decimal(n: int) -> str:
@@ -89,11 +73,7 @@ def decode_int(value, index: int) -> int:
     if isinstance(value, str):
         unsigned = value[1:] if value.startswith("-") else value
         if unsigned.isascii() and unsigned.isdigit():
-            limit = digit_limit()
-            if len(unsigned) > limit:
-                raise DomainError(
-                    f"matrix entry {index}: integer string of {len(unsigned)} digits, above the limit of {limit} digits"
-                )
+            admit(f"matrix entry {index}: integer string of", len(unsigned), digit_limit(), "digits")
             return int(value)
     raise DomainError(f"matrix entry {index} must be an integer or a decimal string, got {echoed_value(value)}")
 
@@ -133,11 +113,8 @@ def matrix_from_json(obj) -> IntMatrix:
         raise DomainError(f"matrix JSON lacks key {missing}") from None
     if not isinstance(rows, int) or not isinstance(cols, int) or isinstance(rows, bool) or isinstance(cols, bool):
         raise DomainError("rows and cols must be integers")
-    if rows > MAX_MATRIX_SIDE or cols > MAX_MATRIX_SIDE:
-        raise DomainError(
-            f"matrix is {echoed_value(rows)} by {echoed_value(cols)}, "
-            f"above the limit of {MAX_MATRIX_SIDE} rows and {MAX_MATRIX_SIDE} columns"
-        )
+    admit("matrix has", rows, MAX_MATRIX_SIDE, "rows")
+    admit("matrix has", cols, MAX_MATRIX_SIDE, "columns")
     if not isinstance(entries, list):
         raise DomainError("entries must be an array")
     if set(map(type, entries)) <= {int}:
@@ -157,16 +134,13 @@ def check_snf_budget(a: IntMatrix) -> None:
         lines = (a.entries[i * a.cols : (i + 1) * a.cols] for i in range(a.rows))
     else:
         lines = (a.entries[j :: a.cols] for j in range(a.cols))
+    subject = (f"snf: a {a.rows}x{a.cols} matrix, with n = max(rows, cols) and H = the product of its row or column "
+               "norms, gives n^2*bits(H) of at least")
     squares = 1
     for line in lines:
         squares *= sum(x * x for x in line) or 1
         # H = sqrt(squares), and bits(isqrt(s)) == (bits(s) + 1) // 2 for every s >= 1.
-        bound = n * n * ((squares.bit_length() + 1) // 2)
-        if bound > SNF_BUDGET:
-            raise DomainError(
-                f"snf: a {a.rows}x{a.cols} matrix gives n^2*bits(H) of at least {bound}, above the budget of "
-                f"{SNF_BUDGET} (n = max(rows, cols), H = the product of its row or column norms)"
-            )
+        admit(subject, n * n * ((squares.bit_length() + 1) // 2), SNF_BUDGET, "bits")
 
 
 def _chain_to_json(chain: LinearChain) -> dict:
@@ -304,6 +278,8 @@ def _dump(value, outer: str) -> str:
 
 def render_json(obj) -> str:
     """obj in the layout of json.dumps with an indent of 2, and a newline."""
+    if json.encoder.c_make_encoder is None:  # no _json module, whose encoder _dump calls
+        return json.dumps(obj, indent=2) + "\n"
     return _dump(obj, "") + "\n"
 
 

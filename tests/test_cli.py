@@ -1,14 +1,17 @@
 import argparse
 import contextlib
+import fractions
 import io
 import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import tempfile
 import time
+import unittest.mock
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
@@ -21,16 +24,9 @@ import coverhom.cli
 import coverhom.cover
 import coverhom.intlinalg
 from coverhom.cli import build_parser, main
-from coverhom.errors import DomainError, echoed, echoed_value
+from coverhom.errors import MAX_MATRIX_SIDE, SNF_BUDGET, DomainError, admit, echoed, echoed_value
 from coverhom.intlinalg import IntMatrix
-from coverhom.reportio import (
-    MAX_MATRIX_SIDE,
-    SNF_BUDGET,
-    all_pass,
-    check_snf_budget,
-    matrix_from_json,
-    matrix_to_json,
-)
+from coverhom.reportio import all_pass, check_snf_budget, matrix_from_json, matrix_to_json
 
 from oracles import matmul_rows
 
@@ -491,8 +487,8 @@ class TestSnfCli:
         path.write_text(json.dumps({"rows": rows, "cols": cols, "entries": [1] * min(rows * cols, 100)}))
         code, out, err = run_main(capsys, "snf", str(path))
         assert (code, out) == (2, "")
-        limit = MAX_MATRIX_SIDE
-        assert err == f"error: matrix is {rows} by {cols}, above the limit of {limit} rows and {limit} columns\n"
+        size, unit = (rows, "rows") if rows > MAX_MATRIX_SIDE else (cols, "columns")
+        assert err == f"error: matrix has {size} {unit}, above the limit of {MAX_MATRIX_SIDE} {unit}\n"
 
     @pytest.mark.parametrize(
         "rows, cols, below, inside",
@@ -531,15 +527,17 @@ class TestSnfCli:
             assert (code, err) == (0, "") and elapsed < 20
         else:
             assert (code, out) == (2, "") and elapsed < 2
-            assert err.startswith(f"error: snf: a {rows}x{cols} matrix gives n^2*bits(H) of at least ")
-            assert err.endswith(
-                f"above the budget of {SNF_BUDGET} (n = max(rows, cols), H = the product of its row or column norms)\n"
+            assert err.startswith(
+                f"error: snf: a {rows}x{cols} matrix, with n = max(rows, cols) and H = the product of its row or "
+                "column norms, gives n^2*bits(H) of at least "
             )
+            assert err.endswith(f" bits, above the limit of {SNF_BUDGET} bits\n")
 
     def test_budget_holds_to_the_bit(self):
         # A 1x1 matrix [x] has n = 1 and H = |x|, so its bound is the bit length of x.
         check_snf_budget(IntMatrix(1, 1, (2 ** (SNF_BUDGET - 1),)))
-        with pytest.raises(DomainError, match=f"of at least {SNF_BUDGET + 1}, above the budget of {SNF_BUDGET} "):
+        message = f"of at least {SNF_BUDGET + 1} bits, above the limit of {SNF_BUDGET} bits$"
+        with pytest.raises(DomainError, match=message):
             check_snf_budget(IntMatrix(1, 1, (-(2**SNF_BUDGET),)))
 
     @pytest.mark.parametrize("fmt", ["json", "table"])
@@ -940,6 +938,30 @@ def long_tokens(min_size):
     return st.builds(lambda piece, size: (piece * size)[:size], pieces, st.integers(min_size, 5000))
 
 
+def refused_areas():
+    """Area values that need an integer past the 4,300-digit limit, each written in a few to 6,000 characters.
+
+    Exponents of either sign from 4,300 to 10^7 or of 4,301 to 6,000 digits,
+    runs of 4,301 to 6,000 digits, decimals of as many places, "/" forms with a
+    long numerator or denominator, and digits grouped by underscores.
+    """
+    short = st.integers(1, 30).map(lambda k: "7" * k)
+    run = st.integers(4301, 6000).map(lambda k: "9" * k)
+    exponent = st.one_of(st.integers(4300, 10**7).map(str), run)
+    return st.one_of(
+        st.tuples(short, st.sampled_from("eE"), st.sampled_from(["", "+", "-"]), exponent).map("".join),
+        st.tuples(short, st.just("."), short, st.just("e-"), exponent).map("".join),
+        run,
+        run.map(lambda digits: "0." + digits),
+        st.tuples(run, short).map("/".join),
+        st.tuples(short, run).map("/".join),
+        st.integers(1434, 2000).map(lambda k: "_".join(["999"] * k)),
+    )
+
+
+AREA_COMMANDS = st.sampled_from(["example2", "kodaira-thurston"])
+
+
 @st.composite
 def long_command_lines(draw):
     """A command line with long tokens: unknown options, a command, strays, many at once, or an option's value."""
@@ -954,6 +976,7 @@ def long_command_lines(draw):
         st.lists(token, min_size=1, max_size=40).map(lambda ts: [command, *ts]),
         st.tuples(st.sampled_from(valued), value).map(lambda ov: [command, *ov]),
         st.tuples(st.sampled_from(valued), value).map(lambda ov: [command, f"{ov[0]}={ov[1]}"]),
+        st.tuples(AREA_COMMANDS, st.sampled_from(["--area1", "--area2"]), refused_areas()).map(list),
     ))
 
 
@@ -968,6 +991,8 @@ def long_batch_entries(draw):
         token.map(lambda t: {"command": t}),
         st.lists(token, min_size=1, max_size=40).map(lambda ts: {"command": command, **dict.fromkeys(ts, 1)}),
         st.tuples(st.sampled_from(keys), value).map(lambda kv: {"command": command, kv[0]: kv[1]}),
+        st.tuples(AREA_COMMANDS, st.sampled_from(["area1", "area2"]), refused_areas()).map(
+            lambda t: {"command": t[0], t[1]: t[2]}),
     ))
 
 
@@ -1049,14 +1074,24 @@ def broken_contract(result):
     return argv_corpus.unbounded(result)
 
 
+# The most seconds one refused command line or batch file may take. The
+# slowest of the 506 examples below took 4.2 ms (median 0.42 ms), in-process
+# under Python 3.11.7 on a shared 2-vCPU host; the bound leaves a wide margin
+# for such a host. Before rationals were sized, `--area1 1e2000000` took 0.59 s
+# and `--area1 1e20000000` 21 s.
+REFUSAL_SECONDS = 0.25
+
+
 class TestRefusalBound:
     """Every refusal exits 2 with one error line, and no stderr line longer than LINE_BOUND.
 
     The inputs are long command lines, batch entries, `snf` matrix files and
     `--out` paths. A matrix file or an --out path may also be read and run: the
-    run then exits 0 or 1. How long a run may take is not checked here: a 6x6
-    matrix of 3,400-digit entries passes the snf budget and runs for seconds
-    (ROADMAP item 1), so the matrix files that run are kept to 3x3.
+    run then exits 0 or 1. A refused command line or batch entry, area values
+    past the digit limit among them, also takes less than REFUSAL_SECONDS. A
+    matrix file is not timed: a 6x6 matrix of 3,400-digit entries passes the
+    snf budget and runs for seconds (ROADMAP item 4), so the matrix files that
+    run are kept to 3x3.
     """
 
     @settings(max_examples=300, deadline=None, derandomize=True)
@@ -1069,7 +1104,10 @@ class TestRefusalBound:
     @example(["\\" * 300])
     def test_command_line(self, argv):
         with tempfile.TemporaryDirectory() as folder, contextlib.chdir(folder):
-            assert argv_corpus.unbounded(argv_corpus.refusal(argv)) is None
+            start = time.perf_counter()
+            result = argv_corpus.refusal(argv)
+            elapsed = time.perf_counter() - start
+        assert argv_corpus.unbounded(result) is None and elapsed < REFUSAL_SECONDS
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(long_batch_entries())
@@ -1077,8 +1115,10 @@ class TestRefusalBound:
         with tempfile.TemporaryDirectory() as folder, contextlib.chdir(folder):
             with open("batch.json", "w") as fh:
                 json.dump([entry], fh)
+            start = time.perf_counter()
             result = argv_corpus.refusal(["--batch", "batch.json"])
-        assert argv_corpus.unbounded(result) is None
+            elapsed = time.perf_counter() - start
+        assert argv_corpus.unbounded(result) is None and elapsed < REFUSAL_SECONDS
         assert result[2].startswith("error: ") and result[2].count("\n") == 1
 
     @settings(max_examples=300, deadline=None, derandomize=True)
@@ -1117,6 +1157,83 @@ class TestRefusalBound:
         for line in lines[3:]:
             assert line.startswith("coverhom: error: unrecognized arguments: ") and line.endswith(" ...")
             assert len(line) == len("coverhom: error: ") + coverhom.cli.REFUSAL_CHARS
+
+
+class TestRationalLimit:
+    """An area is sized from its text, and refused past the digit limit before Fraction() builds it."""
+
+    @pytest.mark.parametrize(
+        "area, size",
+        [("1e5000", 5001), ("1e2000000", 2000001), ("1e20000000", 20000001), ("1e-2000000", 2000001)],
+    )
+    def test_long_exponent_refused_in_milliseconds(self, capsys, tmp_path, area, size):
+        # Each once built 10**exponent while its command line was read, for 0.04 s, 0.58 s and 21 s (the
+        # first three), and then exited 2 with the interpreter's bare digit-limit line.
+        line = f"argument --area1: rational '{area}' needs an integer of {size} digits, above the limit of 4300 digits"
+        start = time.perf_counter()
+        code, out, err = run_main(capsys, "example2", "--area1", area)
+        assert time.perf_counter() - start < REFUSAL_SECONDS
+        assert (code, out) == (2, "") and err.splitlines()[-1] == f"coverhom example2: error: {line}"
+        start = time.perf_counter()
+        result = run_batch(capsys, tmp_path, [{"command": "example2", "area1": area}])
+        assert time.perf_counter() - start < REFUSAL_SECONDS
+        assert result == (2, "", f"error: batch entry 0 rejected: example2: {line}\n")
+
+    @pytest.mark.parametrize(
+        "area, shown, size",
+        [
+            ("9" * 4301, "<4301 characters>", 4301),
+            ("1e4300", "'1e4300'", 4301),
+            ("1e-4300", "'1e-4300'", 4301),
+            ("0." + "7" * 4300, "<4302 characters>", 4301),
+            ("1/" + "7" * 4301, "<4303 characters>", 4301),
+            ("1_0" * 2200 + "e+300", "<6605 characters>", 4400 + 300),
+            ("1e" + "9" * 4301, "<4303 characters>", 4301),
+            ("\u0669" * 4301, "<4301 characters>", 4301),
+        ],
+        ids=["digits", "exponent", "negative-exponent", "decimal", "denominator", "underscores", "exponent-digits",
+             "arabic-indic-digits"],
+    )
+    def test_each_form_sized_to_the_digit(self, capsys, area, shown, size):
+        # The numerator and the denominator before cancelling, or an exponent by its own digits.
+        code, out, err = run_main(capsys, "kodaira-thurston", f"--area2={area}")
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == (f"coverhom kodaira-thurston: error: argument --area2: rational {shown} "
+                                        f"needs an integer of {size} digits, above the limit of 4300 digits")
+
+    @pytest.mark.parametrize(
+        "area",
+        ["9" * 4299, "9" * 4300, "1e4299", "1e-4299", "1." + "2" * 4298, "0." + "3" * 4299,
+         "7" * 4300 + "/" + "9" * 4300, "1_0" * 2000 + "e299", "+5E4299", ".5e-4298"],
+        ids=["4299-nines", "4300-nines", "exponent", "negative-exponent", "decimal", "places", "fraction",
+             "underscores", "signed", "point-first"],
+    )
+    def test_area_within_the_limit_runs(self, capsys, area):
+        code, out, err = run_main(capsys, "example2", "--area1", area, "-d", "1000", "--m1", "50", "--format", "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["parameters"]["area1"] == coverhom.reportio.encode_fraction(Fraction(area))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.from_regex(fractions._RATIONAL_FORMAT))
+    def test_sizing_never_skips_a_text_fraction_reads(self, text):
+        # Every text the running Fraction's own grammar matches, its underscores taken out, is sized.
+        assert re.fullmatch(coverhom.errors._RATIONAL, text.replace("_", "")) is not None
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.from_regex(r"[-+]?(\d{1,3}(_\d{1,3}){0,2})?(/\d{1,4}|(\.\d{0,4})?([eE][-+]?\d{1,2})?)", fullmatch=True),
+           st.integers(1, 8))
+    def test_admitted_text_builds_no_longer_integer(self, text, limit):
+        # Held to a limit of `limit` digits, a text sizing admits gives a rational of no more digits.
+        try:
+            value = Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            return
+        with unittest.mock.patch.object(coverhom.errors, "digit_limit", lambda: limit):
+            try:
+                coverhom.errors.admit_rational(text)
+            except DomainError:
+                return
+        assert max(len(str(abs(value.numerator))), len(str(value.denominator))) <= limit
 
 
 class TestErrorBoundary:
@@ -1170,8 +1287,10 @@ class TestErrorBoundary:
     @pytest.mark.parametrize(
         "command, text, fragment",
         [
-            ("--batch", '[{"command": "example2", "m1": 1%s}]' % ("0" * 5000), "'{path}' holds an integer above"),
-            ("snf", '{"rows": 1, "cols": 1, "entries": [1%s]}' % ("0" * 5000), "'{path}' holds an integer above"),
+            ("--batch", '[{"command": "example2", "m1": 1%s}]' % ("0" * 5000),
+             "'{path}' holds an integer literal of 5001 digits, above the limit of 4300 digits\n"),
+            ("snf", '{"rows": 1, "cols": 1, "entries": [1%s]}' % ("0" * 5000),
+             "'{path}' holds an integer literal of 5001 digits, above the limit of 4300 digits\n"),
             ("snf", '{"rows": 1, "cols": 1, "entries": ["1%s"]}' % ("0" * 5000), "5001 digits, above the limit"),
             ("--batch", '[{"command": "kollar"', "'{path}' is not valid JSON: Expecting"),
             ("snf", '{"rows": 1, "cols"', "'{path}' is not valid JSON: Expecting"),
@@ -1254,18 +1373,20 @@ class TestErrorBoundary:
             (["example2", "-d", HUGE], "error: example2: g1, g2, m1, m2 and d give report integers of up to "),
             (["tower7", "-d", HUGE], "error: tower7: d gives report integers of up to "),
             (["snf", "m.json"], "error: matrix entry 0: integer string of 5001 digits, "),
-            (["snf", "literal.json"], "error: matrix file 'literal.json' holds an integer above the limit"),
-            (["--batch", "batch.json"], "error: batch file 'batch.json' holds an integer above the limit"),
+            (["snf", "literal.json"], "error: matrix file 'literal.json' holds an integer literal of 300000 digits, "),
+            (["--batch", "batch.json"], "error: batch file 'batch.json' holds an integer literal of 300000 digits, "),
+            (["--batch", "area.json"], "error: batch entry 0 rejected: example2: argument --area1: rational "),
         ],
-        ids=["example2", "tower7", "snf", "snf-literal", "batch-literal"],
+        ids=["example2", "tower7", "snf", "snf-literal", "batch-literal", "batch-area"],
     )
     def test_bounds_hold_with_the_digit_limit_off(self, tmp_path, argv, message):
         # With the interpreter's limit off, its default still bounds the digits read and printed,
-        # JSON integer literals of 300,000 digits included.
+        # JSON integer literals of 300,000 digits and an area of 4,301 digits included.
         (tmp_path / "m.json").write_text(json.dumps({"rows": 1, "cols": 1, "entries": [self.HUGE]}))
         literal = "9" * 300_000
         (tmp_path / "literal.json").write_text(f'{{"rows": 1, "cols": 1, "entries": [{literal}]}}')
         (tmp_path / "batch.json").write_text(f'[{{"command": "example2", "d": {literal}}}]')
+        (tmp_path / "area.json").write_text(json.dumps([{"command": "example2", "area1": "9" * 4301}]))
         src = os.path.dirname(os.path.dirname(coverhom.cli.__file__))
         env = dict(os.environ, PYTHONPATH=src, PYTHONINTMAXSTRDIGITS="0")
         start = time.perf_counter()
@@ -1426,6 +1547,13 @@ class TestErrorBoundary:
     def test_echoed_shows_a_short_repr_and_sizes_a_long_value(self, value, shown):
         # A number is sized by its digits before any repr(), which raises past the digit limit.
         assert echoed(value) == shown
+
+    def test_admit_words_every_size_refusal_alike(self):
+        admit("matrix has", 64, 64, "rows")
+        for size, shown in [(65, "65"), (10**200, "an integer of 201 digits")]:
+            with pytest.raises(DomainError) as caught:
+                admit("matrix has", size, 64, "rows")
+            assert str(caught.value) == f"matrix has {shown} rows, above the limit of 64 rows"
 
     def test_short_bad_integer_option_keeps_the_parser_message(self, capsys):
         code, out, err = run_main(capsys, "example2", "--m1", "12x")

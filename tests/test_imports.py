@@ -123,6 +123,13 @@ def unused_top_level_imports(source: str) -> list[str]:
     return sorted(bound - read)
 
 
+def test_every_size_refusal_is_worded_by_admit():
+    # errors.admit words every size refusal; no other module writes its phrase, or the budget's old one.
+    for path in sorted((ROOT / "src" / "coverhom").glob("*.py")):
+        if path.name != "errors.py":
+            assert not re.search("above the (limit|budget) of", path.read_text()), path.name
+
+
 def test_unused_import_detection():
     source = "import os.path\nimport json\nfrom x import y, z as w\n__all__ = ['y']\nprint(json.dumps(w))\n"
     assert unused_top_level_imports(source) == ["os"]

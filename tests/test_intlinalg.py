@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import coverhom.intlinalg
 from coverhom.cover import build_tower7
-from coverhom.errors import DimensionError, DomainError, VerificationError
+from coverhom.errors import DimensionError, DomainError, VerificationError, echoed
 from coverhom.intlinalg import (
     IntMatrix,
     RationalVector,
@@ -800,6 +800,20 @@ class TestRefusedValues:
         with pytest.raises(DomainError) as caught:
             getattr(coverhom.intlinalg, convert)(value)
         assert str(caught.value) == message
+
+    @pytest.mark.parametrize(
+        "text, size",
+        [("1e3000000", 3000001), ("1e-3000000", 3000001), ("9" * 4301, 4301), ("1/" + "9" * 5000, 5000)],
+        ids=["exponent", "negative-exponent", "digits", "denominator"],
+    )
+    def test_long_rational_string_refused_before_it_is_built(self, text, size):
+        # RationalVector(("1e3000000",)) once returned after 1.0 s, holding a 3,000,001-digit numerator.
+        start = time.perf_counter()
+        with pytest.raises(DomainError) as caught:
+            RationalVector((text,))
+        assert time.perf_counter() - start < 0.25
+        assert str(caught.value) == (f"rational {echoed(text)} needs an integer of {size} digits, "
+                                     "above the limit of 4300 digits")
 
     def test_long_or_unprintable_value_named_by_kind_and_size(self):
         # Each raised an unbounded DomainError, or let an error of repr() or Fraction() escape: the digit limit,

@@ -14,7 +14,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from coverhom.cli import build_parser
+from coverhom import reportio
+from coverhom.cli import build_parser, main
 from coverhom.reportio import decimal, render_json
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -68,6 +69,18 @@ def test_every_json_golden_is_rewritten_byte_for_byte(path):
     text = path.read_text()
     doc = json.loads(text)
     assert render_json(doc) == text == oracle(doc)
+
+
+def test_every_json_golden_without_the_c_encoder(monkeypatch, capsys):
+    # An interpreter without json's C module has json.encoder.c_make_encoder = None; render_json then
+    # takes json.dumps. With the C encoder cached by _flat_encoder cleared, no call can reach it.
+    monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+    reportio._flat_encoder.cache_clear()
+    for path in sorted(GOLDEN.glob("*_json.out")):
+        text = path.read_text()
+        assert render_json(json.loads(text)) == text, path.name
+    assert main(["example2", "--format", "json"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "example2_default_blocks_json.out").read_text()
 
 
 def test_no_pure_python_encoder_on_a_dense_snf_report(tmp_path, monkeypatch):
