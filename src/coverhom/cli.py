@@ -31,7 +31,7 @@ import re
 import sys
 from collections.abc import Sequence
 
-from .errors import DomainError, VerificationError, admit, admit_rational, digit_limit, digits, echoed, echoed_value
+from .errors import DomainError, VerificationError, admit, digit_limit, digits, echoed, echoed_value, rational
 
 __all__ = [
     "build_parser",
@@ -139,16 +139,11 @@ def _read_json(path: str, what: str):
 
 
 def _rational(text: str):
-    """The exact rational that text like 3/2 names, sized first; argparse also applies it to the default "1"."""
-    from fractions import Fraction
-
+    """The rational a text like 3/2 names, by `errors.rational`; argparse also applies it to the default "1"."""
     try:
-        admit_rational(text)
-        return Fraction(text)
+        return rational(text)
     except DomainError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"must be a rational like 3/2, got {text!r}") from None
 
 
 def _out_path(text: str) -> str:

@@ -1,4 +1,5 @@
-"""Exception types shared across the package, the one rule for what an error line echoes, and every input-size limit.
+"""Exception types shared across the package, the one rule for what an error line echoes, every input-size limit,
+and the one rule that turns text into a rational.
 
 A value is echoed in full while short, and past that by its size: text or a
 library argument by `echoed`, a JSON value by `echoed_value`.
@@ -6,6 +7,8 @@ library argument by `echoed`, a JSON value by `echoed_value`.
 An input is admitted or refused by its size here: each reader computes the
 size it bounds and calls `admit` with its limit (`digit_limit()`,
 `MAX_MATRIX_SIDE` or `SNF_BUDGET`), which words every refusal alike.
+`rational` reads a text like 3/2 by one grammar on every Python, and sizes
+each integer it gives before building it.
 """
 
 import sys
@@ -104,31 +107,41 @@ def admit(subject: str, size: int, limit: int, unit: str) -> None:
         raise DomainError(f"{subject} {echoed_value(size)} {unit}, above the limit of {limit} {unit}")
 
 
-# Fraction's string grammar on Python 3.11-3.13 once its underscores are
-# taken out, or wider: a sign, then digits, "/" and digits, or digits, a
-# point, digits and an exponent. Before 3.13 it also takes a run of the letter
-# d, in either case, after the point, and Fraction() computes 10**len(run)
-# before int() refuses the run. re compiles it on the first rational read.
-_RATIONAL = r"\s*[-+]?(?=\.?\d)(\d*)(?:\s*/\s*(\d+)|(?:\.(\d*|[dD]*))?(?:[eE]([-+]?\d+))?)\s*"
+# Python 3.13's Fraction string grammar, the same on every version: a sign,
+# then digits, "/" and digits, with white space allowed around "/", or digits,
+# a point, digits and an exponent. Digits are grouped by single underscores.
+# re compiles it on the first rational read.
+_RATIONAL = (r"\s*([-+]?)(?=\.?\d)(\d*|\d+(?:_\d+)*)"
+             r"(?:\s*/\s*(\d+(?:_\d+)*)|(?:\.(\d*|\d+(?:_\d+)*))?(?:[eE]([-+]?\d+(?:_\d+)*))?)\s*")
 
 
-def admit_rational(text: str) -> None:
-    """Refuse a rational string that needs an integer past `digit_limit()`, before Fraction() builds one.
+def rational(text: str) -> "fractions.Fraction":
+    """The exact rational a text like 3/2 names, each integer sized against `digit_limit()` before it is built.
 
-    The integers are sized from the text as Fraction() reads it: its exponent
-    first, then the numerator and the denominator it gives before cancelling.
-    Text outside the grammar is left to Fraction() to refuse.
+    The exponent is sized first, then the numerator and the denominator that
+    the text gives before cancelling; a refusal names the larger. Text outside
+    `_RATIONAL`, or with a zero denominator, is refused as malformed.
     """
     import re
+    from fractions import Fraction
 
-    match = re.fullmatch(_RATIONAL, text.replace("_", ""))
-    if match is None:
-        return
-    num, denom, point, exponent = match.groups(default="")
-    subject, limit = f"rational {echoed(text)} needs an integer of", digit_limit()
-    admit(subject, len(exponent.lstrip("+-")), limit, "digits")
-    shift = int(exponent or 0)
-    admit(subject, max(len(num) + len(point) + shift, len(denom) or 1 + len(point) - shift), limit, "digits")
+    match = re.fullmatch(_RATIONAL, text)
+    if match:
+        sign, num, denom, point, exponent = [group.replace("_", "") for group in match.groups(default="")]
+        limit = digit_limit()
+        size = len(exponent.lstrip("+-"))
+        if size <= limit:
+            shift = int(exponent or 0)
+            size = max(len(num) + len(point) + max(shift, 0), len(denom) or 1 + len(point) + max(-shift, 0))
+        if size > limit:  # so the subject is formatted only for a refusal
+            admit(f"rational {echoed(text)} needs an integer of", size, limit, "digits")
+        if denom:
+            numerator, denominator = int(sign + num), int(denom)
+        else:
+            numerator, denominator = int(sign + num + point) * 10 ** max(shift, 0), 10 ** (len(point) + max(-shift, 0))
+        if denominator:
+            return Fraction(numerator, denominator)
+    raise DomainError(f"must be a rational like 3/2, got {echoed(text)}")
 
 
 class DimensionError(ValueError):

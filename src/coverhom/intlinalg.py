@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import chain
 from typing import Sequence
 
-from .errors import DimensionError, DomainError, VerificationError, admit_rational, echoed
+from .errors import DimensionError, DomainError, VerificationError, echoed, rational
 
 __all__ = [
     "IntMatrix",
@@ -40,16 +40,13 @@ def _as_int(value) -> int:
 def _as_fraction(value) -> Fraction:
     if type(value) is Fraction:
         return value  # immutable, so Fraction(value) would only copy it
-    if isinstance(value, bool):
-        raise DomainError(f"rational required, got {echoed(value)}")
+    if isinstance(value, str):
+        return rational(value)
     if isinstance(value, float):
         raise DomainError(f"floating point rejected, got {echoed(value)}; use int, str or Fraction")
-    if isinstance(value, str):
-        admit_rational(value)
-    try:
-        return Fraction(value)
-    except (TypeError, ValueError, ZeroDivisionError):  # Fraction's own messages repeat a refused string in full
-        raise DomainError(f"rational required, got {echoed(value)}") from None
+    if not isinstance(value, (int, Fraction)) or isinstance(value, bool):
+        raise DomainError(f"rational required, got {echoed(value)}")
+    return Fraction(value)
 
 
 @dataclass(frozen=True)
@@ -395,48 +392,40 @@ def _bareiss_step(m: list[list[int]], r: int, c: int, prev: int) -> int:
     return p
 
 
-def det(a: IntMatrix) -> int:
-    """Exact determinant (Bareiss elimination); the 0x0 matrix has det 1."""
-    if a.rows != a.cols:
-        raise DimensionError(f"determinant of non-square {a.rows}x{a.cols} matrix")
-    n = a.rows
-    if n == 0:
-        return 1
-    m = a.to_rows()
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        prev = _bareiss_step(m, k, k, prev)
-    return sign * m[n - 1][n - 1]
-
-
-def rank(a: IntMatrix) -> int:
-    """Rank over the rationals, by fraction-free (Bareiss) row elimination.
+def _bareiss(a: IntMatrix) -> tuple[int, int]:
+    """Fraction-free (Bareiss) row elimination: the rank of a, and its last pivot signed by the row swaps.
 
     After r pivots every remaining entry is an (r+1)x(r+1) minor of a, so
-    dividing by the previous pivot (an r x r minor) is exact, as in det.
+    dividing by the previous pivot (an r x r minor) is exact. When a is square
+    and of full rank, the signed last pivot is det(a).
     """
     rows = a.to_rows()
-    r = 0
-    prev = 1
+    r, sign, prev = 0, 1, 1
     for c in range(a.cols):
         piv = next((i for i in range(r, a.rows) if rows[i][c] != 0), None)
         if piv is None:
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
+            sign = -sign
         prev = _bareiss_step(rows, r, c, prev)
         r += 1
         if r == a.rows:
             break
-    return r
+    return r, sign * prev
+
+
+def det(a: IntMatrix) -> int:
+    """Exact determinant (Bareiss elimination); the 0x0 matrix has det 1."""
+    if a.rows != a.cols:
+        raise DimensionError(f"determinant of non-square {a.rows}x{a.cols} matrix")
+    r, pivot = _bareiss(a)
+    return pivot if r == a.rows else 0
+
+
+def rank(a: IntMatrix) -> int:
+    """Rank over the rationals, by fraction-free (Bareiss) row elimination."""
+    return _bareiss(a)[0]
 
 
 def abelianized_b1(generators: int, relators: Sequence[Sequence[int]]) -> int:
@@ -447,17 +436,7 @@ def abelianized_b1(generators: int, relators: Sequence[Sequence[int]]) -> int:
     """
     if generators < 0:
         raise DomainError("generator count must be nonnegative")
-    rel = []
-    for vec in relators:
-        v = tuple(_as_int(x) for x in vec)
-        if len(v) != generators:
-            raise DimensionError(
-                f"relator of length {len(v)} in a presentation with {generators} generators"
-            )
-        rel.append(v)
-    if not rel:
-        return generators
-    return generators - rank(IntMatrix.from_rows(rel))
+    return generators - rank(IntMatrix.from_rows(relators, cols=generators))
 
 
 def hermite(a: IntMatrix) -> IntMatrix:

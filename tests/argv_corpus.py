@@ -10,6 +10,10 @@ must have returned None.
 Each of `LONG_REFUSALS` must exit 2 with nothing on stdout and no stderr
 line longer than `LINE_BOUND`.
 
+On each of `AREAS` and `NEAR_MISSES`, `errors.rational` must read the text as
+the running `Fraction` does: the same value, or a refusal where `Fraction`
+refuses it.
+
 The corpus and the checks need only the standard library, so that they also
 run on an interpreter without pytest or hypothesis:
 
@@ -18,10 +22,12 @@ run on an interpreter without pytest or hypothesis:
 
 import argparse
 import io
+import re
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
-from coverhom import cli
+from coverhom import cli, errors
 
 # Command lines the walk reads itself, command name first.
 PLAIN = [
@@ -90,6 +96,43 @@ LONG_REFUSALS = [
     ["tower7"] + ["x" * 101] * 30,
 ]
 
+# Areas at or just inside the digit limit, each of which runs.
+AREAS = ["9" * 4299, "9" * 4300, "1e4299", "1e-4299", "1." + "2" * 4298, "0." + "3" * 4299,
+         "7" * 4300 + "/" + "9" * 4300, "1_0" * 2000 + "e299", "+5E4299", ".5e-4298"]
+
+# Texts near the edge of the rational grammar: white space around "/",
+# misplaced underscores, signs, letter-d runs and non-ASCII digits.
+NEAR_MISSES = [
+    "1 / 2", " 3\t/\n4 ", "1 /2", "1/ 2", "1/2 ", " -1/2",
+    "1__0", "_1", "1_", "1_/2", "1/_2", "1._5", "1.5_", "1_.5", "1e_5", "1e5_", "1_0e1_0", "1.0_1",
+    "+-1", "--1", "- 1", "+.5", "-1/-2", "1/+2", "-0", "+5.", "-.5e-1",
+    "1.d", "1.ddd", "1.D", "1.dD", "1.de5", ".d", "1d", "1.5d",
+    "\u0669\u0660", "\uff11/\uff12", "\u0663.\u0665e-\u0662", "\u00b2", "\u2155", "1\u00a0/\u00a02",
+    "1/0", "0/0", "0e0", "1e", ".e1", ".", "", " ", "1.2.3", "1/2/3", "1/2.5", "1/2e3", "inf", "nan", "0x10",
+]
+
+
+def misread(text):
+    """How `errors.rational` and the running `Fraction` differ on text, or None where they agree.
+
+    Where the rule refuses a text by its size, Fraction is not run: it would
+    build the integer. Before 3.12, Fraction alone refuses white space around
+    "/", so there the rule is held to its reading of the text without it.
+    """
+    try:
+        got = errors.rational(text)
+    except errors.DomainError as exc:
+        if " needs an integer of " in str(exc):
+            return None
+        got = None
+    try:
+        expected = Fraction(re.sub(r"\s*/\s*", "/", text) if sys.version_info < (3, 12) else text)
+    except (ValueError, ZeroDivisionError):
+        expected = None
+    if got != expected or type(got) is not type(expected):
+        return f"errors.rational gives {got!r}, Fraction {expected!r}"
+    return None
+
 
 def fields(args):
     """A run's attributes with the type of each value."""
@@ -156,9 +199,11 @@ if __name__ == "__main__":
     problems = failures()
     problems += [f"{len(argv)} tokens of {len(argv[-1])}: {why}" for argv in LONG_REFUSALS
                  if (why := unbounded(refusal(argv)))]
+    problems += [f"rational {errors.echoed(text)}: {why}" for text in AREAS + NEAR_MISSES if (why := misread(text))]
     for problem in problems:
         print(problem)
     version = ".".join(map(str, sys.version_info[:3]))
     count = len(PLAIN) + len(NOT_PLAIN) + len(LONG_REFUSALS)
-    print(f"Python {version}: {count} command lines, {'FAILED' if problems else 'ok'}")
+    texts = len(AREAS) + len(NEAR_MISSES)
+    print(f"Python {version}: {count} command lines and {texts} rational texts, {'FAILED' if problems else 'ok'}")
     sys.exit(1 if problems else 0)

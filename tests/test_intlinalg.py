@@ -1,5 +1,7 @@
+import numbers
 import random
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -793,7 +795,7 @@ class TestRefusedValues:
             ("_as_fraction", True, "rational required, got True"),
             ("_as_int", Fraction(3, 2), "integer required, got Fraction(3, 2)"),
             ("_as_int", "x", "integer required, got 'x'"),
-            ("_as_fraction", "x", "rational required, got 'x'"),
+            ("_as_fraction", "x", "must be a rational like 3/2, got 'x'"),
         ],
     )
     def test_short_value_echoed_in_full(self, convert, value, message):
@@ -815,6 +817,16 @@ class TestRefusedValues:
         assert str(caught.value) == (f"rational {echoed(text)} needs an integer of {size} digits, "
                                      "above the limit of 4300 digits")
 
+    def test_only_int_fraction_and_str_are_read(self):
+        # Each was once read through Fraction(): Decimal("1e3000000") in 1.0 s, into a 3,000,001-digit numerator.
+        ratio = type("Ratio", (numbers.Rational,), dict.fromkeys(numbers.Rational.__abstractmethods__, 2))
+        for value in (Decimal("1e3000000"), Decimal("1.5"), ratio()):
+            start = time.perf_counter()
+            with pytest.raises(DomainError) as caught:
+                RationalVector((value,))
+            assert time.perf_counter() - start < 0.25
+            assert str(caught.value) == f"rational required, got {echoed(value)}"
+
     def test_long_or_unprintable_value_named_by_kind_and_size(self):
         # Each raised an unbounded DomainError, or let an error of repr() or Fraction() escape: the digit limit,
         # the recursion limit, a TypeError or a ZeroDivisionError.
@@ -824,7 +836,7 @@ class TestRefusedValues:
             nested = [nested]
         cases = [
             (lambda: SurfaceConfig(1, 1, 1, 1, "x" * 100000), "integer required, got <100000 characters>"),
-            (lambda: SurfaceConfig(1, 1, 1, 1, 2, ("x" * 100000, 1)), "rational required, got <100000 characters>"),
+            (lambda: SurfaceConfig(1, 1, 1, 1, 2, ("x" * 100000, 1)), "must be a rational like 3/2, got <100000 characters>"),
             (lambda: coverhom.intlinalg._as_int(Fraction(10**5000, 3)), f"integer required, got {huge}"),
             (lambda: build_tower7(Fraction(10**5000, 7)), f"integer required, got {huge}"),
             (lambda: IntMatrix(1, 1, ([10**5000],)), "integer required, got <list>"),
@@ -832,7 +844,7 @@ class TestRefusedValues:
             (lambda: coverhom.intlinalg._as_int(nested), "integer required, got <list>"),
             (lambda: RationalVector((None,)), "rational required, got None"),
             (lambda: RationalVector(([1],)), "rational required, got [1]"),
-            (lambda: RationalVector(("1/0",)), "rational required, got '1/0'"),
+            (lambda: RationalVector(("1/0",)), "must be a rational like 3/2, got '1/0'"),
         ]
         for build, message in cases:
             with pytest.raises(DomainError) as caught:
