@@ -159,18 +159,43 @@ class SnfResult:
         return self.d.diagonal()
 
 
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Return (g, x, y) with g = gcd(a, b) >= 0 and x*a + y*b = g."""
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    r0, r1 = a, b
-    while r1:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    if r0 < 0:
-        r0, x0, y0 = -r0, -x0, -y0
-    return r0, x0, y0
+def _clear_below(rows: list[list[int]], r: int, c: int) -> None:
+    """Make column c zero below the pivot rows[r][c] by row steps, in place.
+
+    Each step subtracts the rounded multiple q = floor(x/p + 1/2) of the
+    pivot row from a row whose entry x lies below the pivot p, which leaves
+    |x - q*p| <= |p|/2. A pass steps every row below r and tracks the least
+    remainder left (the first if tied); while one is left, it is swapped in
+    as the pivot, so |p| shrinks and the loop ends with rows[r][c] = +-the
+    gcd of the column. A step walks only the pivot row's nonzero entries,
+    taken once per pass. snf and hermite both eliminate by it.
+    """
+    m = len(rows)
+    while True:
+        lead = rows[r]
+        p = lead[c]
+        support, nxt, least = None, None, 0
+        for i in range(r + 1, m):
+            row = rows[i]
+            x = row[c]
+            if not x:
+                continue
+            q = (2 * x + p) // (2 * p)
+            if q:
+                if support is None:
+                    support = [(j, y) for j, y in enumerate(lead) if y]
+                for j, y in support:
+                    row[j] -= q * y
+                x = row[c]
+            if x and (nxt is None or abs(x) < least):
+                nxt, least = i, abs(x)
+        if nxt is None:
+            return
+        # Every remainder is at most |p|/2, so |p| falls at each swap and
+        # the loop ends; a larger one is a fault of the step.
+        if 2 * least > abs(p):
+            raise VerificationError("row elimination left a remainder above half its pivot")
+        rows[r], rows[nxt] = rows[nxt], rows[r]
 
 
 def snf(a: IntMatrix) -> SnfResult:
@@ -187,14 +212,14 @@ def snf(a: IntMatrix) -> SnfResult:
     Bezout cofactor, which would grow the working entries and the
     transforms at every pivot.
 
-    A round is one pass over the rows below the pivot, which steps each row
-    and tracks the least remainder left, then, once that column is clear,
-    one pass along the pivot row. A step changes only the entries where its
-    pivot line is nonzero, so it walks the (index, value) list of those,
-    taken once per round: the pivot row of d and u for a row step, the
-    pivot column of v for a column step. On the snf-dense benchmark's
-    matrices (8x8 to 12x12, mostly dense in [-9, 9]) a row step touches
-    about 60% of its row and a column step 38% of its column of v.
+    A round clears the pivot column by `_clear_below`'s row steps, which
+    hermite shares, then takes one pass along the pivot row. A step changes
+    only the entries where its pivot line is nonzero, so it walks the
+    (index, value) list of those, taken once per pass: the pivot row of d
+    and u for a row step, the pivot column of v for a column step. On the
+    snf-dense benchmark's matrices (8x8 to 12x12, mostly dense in [-9, 9])
+    a row step touches about 60% of its row and a column step 38% of its
+    column of v.
     """
     m, n = a.rows, a.cols
     # w[i] is row i of d followed by row i of u, so one step updates both.
@@ -235,36 +260,12 @@ def snf(a: IntMatrix) -> SnfResult:
         if piv[1] != t:
             swap_cols(t, piv[1])
         while True:
-            # Subtract the rounded multiple q = floor(x/p + 1/2) of the pivot
-            # from each entry x below it, then right of it: |x - q*p| <= |p|/2.
-            # While a remainder is left, the least one (the first if tied)
-            # becomes the pivot, so |p| shrinks and the loop terminates.
+            _clear_below(w, t, t)
             lead = w[t]
             p = lead[t]
-            support, nxt, least = None, None, 0
-            for i in range(t + 1, m):
-                row = w[i]
-                x = row[t]
-                if not x:
-                    continue
-                q = (2 * x + p) // (2 * p)
-                if q:
-                    if support is None:
-                        support = [(j, y) for j, y in enumerate(lead) if y]
-                    for j, y in support:
-                        row[j] -= q * y
-                    x = row[t]
-                if x and (nxt is None or abs(x) < least):
-                    nxt, least = i, abs(x)
-            if nxt is not None:
-                # Every remainder is at most |p|/2, so |p| falls at each swap
-                # and the loop ends; a larger one is a fault of the step.
-                if 2 * least > abs(p):
-                    raise VerificationError("smith elimination left a remainder above half its pivot")
-                w[t], w[nxt] = w[nxt], w[t]
-                continue
-            # The row steps above left every row below t zero in column t, so
-            # a column step changes only the pivot row of d, and column j of v.
+            # Every row below t is now zero in column t, so a column step, by
+            # the same rounded multiple, changes only the pivot row of d and
+            # column j of v; the least remainder left becomes the pivot.
             support, nxt, least = None, None, 0
             for j in range(t + 1, n):
                 x = lead[j]
@@ -443,8 +444,10 @@ def hermite(a: IntMatrix) -> IntMatrix:
     """The nonzero rows of the row Hermite normal form of a.
 
     Pivots are positive and move right row by row, entries above a pivot lie
-    in [0, pivot): a unique form of the row lattice. It reduces modulo nothing,
-    so its entries can grow with the input; today's callers pass 1x4 matrices.
+    in [0, pivot): a unique form of the row lattice. Each column is cleared
+    by snf's row step, `_clear_below`. It reduces modulo nothing, so working
+    entries grow with the input (to about 150 bits on random 12x12 matrices
+    in [-9, 9]); today's callers pass 1x4 and 2x4 matrices.
     """
     rows = a.to_rows()
     r = 0
@@ -453,13 +456,7 @@ def hermite(a: IntMatrix) -> IntMatrix:
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        for i in range(r + 1, len(rows)):
-            p, q = rows[r][c], rows[i][c]
-            if q:
-                # (row_r, row_i) <- (x*row_r + y*row_i, (p*row_i - q*row_r) / g), det = 1
-                g, x, y = _xgcd(p, q)
-                rows[r], rows[i] = ([x * s + y * t for s, t in zip(rows[r], rows[i])],
-                                    [(p * t - q * s) // g for s, t in zip(rows[r], rows[i])])
+        _clear_below(rows, r, c)
         if rows[r][c] < 0:
             rows[r] = [-e for e in rows[r]]
         for i in range(r):

@@ -362,9 +362,9 @@ def _kollar_lines(doc: dict) -> list[str]:
 
 def _matrix_lines(m: dict) -> list[str]:
     cols = m["cols"]
-    rows = [[str(x) for x in m["entries"][i * cols : (i + 1) * cols]] for i in range(m["rows"])]
-    if not rows:
+    if not m["entries"]:  # no rows, or rows with no columns
         return ["  (empty)"]
+    rows = [[str(x) for x in m["entries"][i * cols : (i + 1) * cols]] for i in range(m["rows"])]
     widths = [max(len(r[j]) for r in rows) for j in range(cols)]
     return ["  " + "  ".join(x.rjust(w) for x, w in zip(r, widths)) for r in rows]
 

@@ -95,6 +95,47 @@ def divisor_sequence_by_minor_gcd(rows):
     return seq
 
 
+def hermite_by_bezout(rows, cols):
+    """The nonzero rows of the row Hermite normal form, by extended-gcd (Bezout) row updates.
+
+    For each column, the first row from r on with a nonzero entry p becomes
+    row r, and each row i below it with entry q replaces the pair by
+    (x*row_r + y*row_i, (p*row_i - q*row_r) / g), a step of determinant 1,
+    where x*p + y*q = g = gcd(p, q). Then the pivot is made positive and
+    the entries above it are reduced into [0, pivot).
+    """
+
+    def xgcd(a, b):
+        x0, x1, y0, y1 = 1, 0, 0, 1
+        while b:
+            q = a // b
+            a, b = b, a - q * b
+            x0, x1 = x1, x0 - q * x1
+            y0, y1 = y1, y0 - q * y1
+        return (a, x0, y0) if a >= 0 else (-a, -x0, -y0)
+
+    rows = [list(row) for row in rows]
+    r = 0
+    for c in range(cols):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        for i in range(r + 1, len(rows)):
+            p, q = rows[r][c], rows[i][c]
+            if q:
+                g, x, y = xgcd(p, q)
+                rows[r], rows[i] = ([x * s + y * t for s, t in zip(rows[r], rows[i])],
+                                    [(p * t - q * s) // g for s, t in zip(rows[r], rows[i])])
+        if rows[r][c] < 0:
+            rows[r] = [-e for e in rows[r]]
+        for i in range(r):
+            f = rows[i][c] // rows[r][c]
+            rows[i] = [e - f * y for e, y in zip(rows[i], rows[r])]
+        r += 1
+    return rows[:r]
+
+
 def in_row_lattice_by_smith(vec, divisors, v_rows):
     """Whether vec is an integer combination of the rows of a, given u @ a @ v = d in Smith form.
 

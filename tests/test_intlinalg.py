@@ -29,6 +29,7 @@ from oracles import (
     det_cofactor,
     divisor_sequence_by_minor_gcd,
     gauss_rank,
+    hermite_by_bezout,
     identity_rows,
     in_row_lattice_by_smith,
     matmul_rows,
@@ -723,11 +724,45 @@ class TestRowLattice:
             m = IntMatrix.from_rows(a, cols=cols)
             h = hermite(m)
             assert _is_hermite(h) and h.cols == cols and h.rows == gauss_rank(a)
+            assert h.to_rows() == hermite_by_bezout(a, cols)
             assert hermite(h) == h
             assert same_row_lattice_by_smith(h.to_rows(), a, cols, _smith)
             for seed in range(3):
                 mixed = _unimodular_mix(random.Random(seed), a)
                 assert hermite(IntMatrix.from_rows(mixed, cols=cols)) == h
+
+
+class TestHermiteAgainstBezout:
+    """hermite, which clears a column by snf's rounded-quotient row steps, against the Bezout route in oracles.
+
+    The Hermite form is unique, so the two must agree row for row. The
+    lattice tests above compare with it too, since their Smith forms come
+    from snf, which shares hermite's row step.
+    """
+
+    def test_consecutive_fibonacci_columns(self):
+        # Consecutive Fibonacci numbers give the longest Euclidean remainder
+        # chain for their size (Lame). With the identity beside them, each
+        # row of the form also records the row steps that made it.
+        fib = [0, 1]
+        while len(fib) < 200:
+            fib.append(fib[-1] + fib[-2])
+        for k in (2, 3, 10, 40, 93, 94, 150, 197):
+            for rows in (
+                [[fib[k], 1, 0], [fib[k + 1], 0, 1]],
+                [[fib[k + 1], 0, 0, 1], [fib[k], 0, 1, 0], [-fib[k + 2], 1, 0, 0]],
+                [[fib[k], fib[k - 1], 3], [fib[k + 1], fib[k], -5], [fib[k + 2], fib[k + 1], 7]],
+            ):
+                cols = len(rows[0])
+                assert hermite(IntMatrix.from_rows(rows)).to_rows() == hermite_by_bezout(rows, cols), k
+
+    def test_entries_past_two_to_the_64(self):
+        rnd = random.Random(15)
+        for _ in range(150):
+            m, cols = rnd.randint(1, 5), rnd.randint(1, 5)
+            bound = 2 ** rnd.choice([64, 65, 100, 300])
+            rows = [[rnd.randint(-bound, bound) if rnd.random() < 0.8 else 0 for _ in range(cols)] for _ in range(m)]
+            assert hermite(IntMatrix.from_rows(rows, cols=cols)).to_rows() == hermite_by_bezout(rows, cols), rows
 
 
 class TestRationalVector:

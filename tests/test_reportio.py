@@ -115,3 +115,18 @@ def test_decimal_writes_every_digit_past_the_limit(n):
     finally:
         sys.set_int_max_str_digits(limit)
     assert decimal(n) == expected
+
+
+
+def test_no_table_line_ends_in_white_space(tmp_path, capsys):
+    for golden in sorted(GOLDEN.glob("*_table.out")):
+        assert [line for line in golden.read_text().splitlines() if line != line.rstrip()] == [], golden.name
+    # A matrix with no entries is written "(empty)", with rows and no columns
+    # too: the 2x0 input, d and v; the 0x3 input, u and d.
+    path = tmp_path / "m.json"
+    for rows, cols, empty in ((2, 0, 3), (0, 3, 3), (2, 3, 0)):
+        path.write_text(json.dumps({"rows": rows, "cols": cols, "entries": list(range(1, rows * cols + 1))}))
+        assert main(["snf", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line for line in lines if line != line.rstrip()] == [], (rows, cols)
+        assert lines.count("  (empty)") == empty, (rows, cols)
