@@ -117,7 +117,6 @@ def test_decimal_writes_every_digit_past_the_limit(n):
     assert decimal(n) == expected
 
 
-
 def test_no_table_line_ends_in_white_space(tmp_path, capsys):
     for golden in sorted(GOLDEN.glob("*_table.out")):
         assert [line for line in golden.read_text().splitlines() if line != line.rstrip()] == [], golden.name
