@@ -124,7 +124,7 @@ def _read_json(path: str, what: str):
     # refuses one past the limit, and bounded_int sizes it on a second reading.
     bounded = {"parse_int": bounded_int} if sys.get_int_max_str_digits() == 0 else {}
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
         return json.loads(text, **bounded)
     except json.JSONDecodeError as exc:
@@ -417,7 +417,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             doc = run.run(run)
             text = reportio.render_json(doc) if run.format == "json" else reportio.render_table(doc)
             if run.out is not None:
-                with open(run.out, "w") as fh:
+                with open(run.out, "w", encoding="utf-8") as fh:
                     fh.write(text)
             else:
                 sys.stdout.write(text)

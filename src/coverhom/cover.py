@@ -393,11 +393,9 @@ def _euler_verdict(spec: CoverSpec, cover: ManifoldModel) -> Verdict:
 def _prediction_verdicts(spec: CoverSpec, cover: ManifoldModel) -> list[Verdict]:
     """The vanishing predictions whose premises hold, each against the installed pairings."""
     rows = _sphere_rows(cover)
-    # The lifted symplectic class is the pullback, so only the base's flag can fail the criterion.
-    omega_premise = not pullback_criterion(True, spec.base.symplectically_aspherical)
     c1_premise = spec.base.pi2_trivial and spec.preimage_connected
     predictions = (
-        (omega_premise, "aspherical base: omega-vanishing prediction holds", _OMEGA, "omega"),
+        (cover.symplectically_aspherical, "aspherical base: omega-vanishing prediction holds", _OMEGA, "omega"),
         (c1_premise, "trivial pi2 and connected branch preimage: c1-vanishing prediction holds", _C1, "c1"),
     )
     return [

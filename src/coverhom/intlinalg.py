@@ -12,7 +12,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, islice
 from typing import Sequence
 
 from .errors import DimensionError, DomainError, VerificationError, echoed, rational
@@ -159,43 +159,40 @@ class SnfResult:
         return self.d.diagonal()
 
 
-def _clear_below(rows: list[list[int]], r: int, c: int) -> None:
-    """Make column c zero below the pivot rows[r][c] by row steps, in place.
+def _step_below(rows: list[list[int]], r: int, c: int) -> int | None:
+    """One pass of row steps below the pivot rows[r][c], in place; the row to swap in as pivot, or None.
 
     Each step subtracts the rounded multiple q = floor(x/p + 1/2) of the
     pivot row from a row whose entry x lies below the pivot p, which leaves
-    |x - q*p| <= |p|/2. A pass steps every row below r and tracks the least
-    remainder left (the first if tied); while one is left, it is swapped in
-    as the pivot, so |p| shrinks and the loop ends with rows[r][c] = +-the
-    gcd of the column. A step walks only the pivot row's nonzero entries,
-    taken once per pass. snf and hermite both eliminate by it.
+    |x - q*p| <= |p|/2. The pass steps every row below r and returns the
+    first row of least nonzero remainder, or None when column c is clear
+    below r. Swapping that row in shrinks |p|, so callers that loop until
+    None end with rows[r][c] = +-the gcd of the column. A step walks only
+    the pivot row's nonzero entries, taken once per pass; the pivot row is
+    not changed. snf's rows, snf's columns and hermite all eliminate by it.
     """
-    m = len(rows)
-    while True:
-        lead = rows[r]
-        p = lead[c]
-        support, nxt, least = None, None, 0
-        for i in range(r + 1, m):
-            row = rows[i]
+    lead = rows[r]
+    p = lead[c]
+    support, nxt, least = None, None, 0
+    for i in range(r + 1, len(rows)):
+        row = rows[i]
+        x = row[c]
+        if not x:
+            continue
+        q = (2 * x + p) // (2 * p)
+        if q:
+            if support is None:
+                support = [(j, y) for j, y in enumerate(lead) if y]
+            for j, y in support:
+                row[j] -= q * y
             x = row[c]
-            if not x:
-                continue
-            q = (2 * x + p) // (2 * p)
-            if q:
-                if support is None:
-                    support = [(j, y) for j, y in enumerate(lead) if y]
-                for j, y in support:
-                    row[j] -= q * y
-                x = row[c]
-            if x and (nxt is None or abs(x) < least):
-                nxt, least = i, abs(x)
-        if nxt is None:
-            return
-        # Every remainder is at most |p|/2, so |p| falls at each swap and
-        # the loop ends; a larger one is a fault of the step.
-        if 2 * least > abs(p):
-            raise VerificationError("row elimination left a remainder above half its pivot")
-        rows[r], rows[nxt] = rows[nxt], rows[r]
+        if x and (nxt is None or abs(x) < least):
+            nxt, least = i, abs(x)
+    # Every remainder is at most |p|/2, so |p| falls at each swap and the
+    # callers' loops end; a larger one is a fault of the step.
+    if 2 * least > abs(p):
+        raise VerificationError("row elimination left a remainder above half its pivot")
+    return nxt
 
 
 def snf(a: IntMatrix) -> SnfResult:
@@ -212,24 +209,25 @@ def snf(a: IntMatrix) -> SnfResult:
     Bezout cofactor, which would grow the working entries and the
     transforms at every pivot.
 
-    A round clears the pivot column by `_clear_below`'s row steps, which
-    hermite shares, then takes one pass along the pivot row. A step changes
-    only the entries where its pivot line is nonzero, so it walks the
-    (index, value) list of those, taken once per pass: the pivot row of d
-    and u for a row step, the pivot column of v for a column step. On the
-    snf-dense benchmark's matrices (8x8 to 12x12, mostly dense in [-9, 9])
-    a row step touches about 60% of its row and a column step 38% of its
-    column of v.
+    Both phases run `_step_below`, the one pass that hermite shares. A round
+    clears the pivot column by passes over the rows of d and u, then takes
+    one pass along the pivot row t: vt[j] is column j of v after a slot 0
+    that holds d[t][j] for the pass, so a column step of d and v is a row
+    step of vt. A step walks only its pivot line's nonzero entries, listed
+    once per pass. On the snf-dense benchmark's matrices (8x8 to 12x12,
+    mostly dense in [-9, 9]) a row step touches about 60% of its row and a
+    column step 38% of its column of v.
     """
     m, n = a.rows, a.cols
     # w[i] is row i of d followed by row i of u, so one step updates both.
     w = [list(a.row(i)) + [0] * m for i in range(m)]
-    # vt[j] is column j of v, so column operations on v are row operations on vt.
-    vt = [[0] * n for _ in range(n)]
+    # vt[j] is slot 0, then column j of v, so column operations on v are row
+    # operations on vt; slot 0 carries d[t][j] through a column pass.
+    vt = [[0] * (n + 1) for _ in range(n)]
     for i in range(m):
         w[i][n + i] = 1
     for j in range(n):
-        vt[j][j] = 1
+        vt[j][j + 1] = 1
 
     # Rows above the pivot t are zero in the columns from t on, so a column
     # swap on d touches only the rows from t on.
@@ -260,32 +258,19 @@ def snf(a: IntMatrix) -> SnfResult:
         if piv[1] != t:
             swap_cols(t, piv[1])
         while True:
-            _clear_below(w, t, t)
+            while (i := _step_below(w, t, t)) is not None:
+                w[t], w[i] = w[i], w[t]
             lead = w[t]
             p = lead[t]
-            # Every row below t is now zero in column t, so a column step, by
-            # the same rounded multiple, changes only the pivot row of d and
-            # column j of v; the least remainder left becomes the pivot.
-            support, nxt, least = None, None, 0
-            for j in range(t + 1, n):
-                x = lead[j]
-                if not x:
-                    continue
-                q = (2 * x + p) // (2 * p)
-                if q:
-                    x -= q * p
-                    lead[j] = x
-                    if support is None:
-                        support = [(k, y) for k, y in enumerate(vt[t]) if y]
-                    col = vt[j]
-                    for k, y in support:
-                        col[k] -= q * y
-                if x and (nxt is None or abs(x) < least):
-                    nxt, least = j, abs(x)
-            if nxt is not None:
-                if 2 * least > abs(p):
-                    raise VerificationError("smith elimination left a remainder above half its pivot")
-                swap_cols(t, nxt)
+            # Every row below t is now zero in column t, so a column step changes
+            # only the pivot row of d and column j of v: a row step of vt.
+            for k in range(t, n):
+                vt[k][0] = lead[k]
+            j = _step_below(vt, t, 0)
+            for k in range(t + 1, n):
+                lead[k] = vt[k][0]
+            if j is not None:
+                swap_cols(t, j)
                 continue
             # Pivot must divide the whole trailing block for the divisor chain;
             # a unit pivot divides everything.
@@ -303,7 +288,7 @@ def snf(a: IntMatrix) -> SnfResult:
 
     u = IntMatrix(m, m, tuple(chain.from_iterable(row[n:] for row in w)))
     d = IntMatrix(m, n, tuple(chain.from_iterable(row[:n] for row in w)))
-    v = IntMatrix(n, n, tuple(chain.from_iterable(zip(*vt))))
+    v = IntMatrix(n, n, tuple(chain.from_iterable(islice(zip(*vt), 1, None))))
     if not _recomposes(u, a, v, d):
         raise VerificationError("smith decomposition does not recompose: u*a*v differs from d")
     return _checked_result(u, d, v)
@@ -445,9 +430,10 @@ def hermite(a: IntMatrix) -> IntMatrix:
 
     Pivots are positive and move right row by row, entries above a pivot lie
     in [0, pivot): a unique form of the row lattice. Each column is cleared
-    by snf's row step, `_clear_below`. It reduces modulo nothing, so working
-    entries grow with the input (to about 150 bits on random 12x12 matrices
-    in [-9, 9]); today's callers pass 1x4 and 2x4 matrices.
+    by passes of snf's row step, `_step_below`, swapping in the row each
+    pass returns. It reduces modulo nothing, so working entries grow with
+    the input (to about 150 bits on random 12x12 matrices in [-9, 9]);
+    today's callers pass 1x4 and 2x4 matrices.
     """
     rows = a.to_rows()
     r = 0
@@ -456,7 +442,8 @@ def hermite(a: IntMatrix) -> IntMatrix:
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        _clear_below(rows, r, c)
+        while (i := _step_below(rows, r, c)) is not None:
+            rows[r], rows[i] = rows[i], rows[r]
         if rows[r][c] < 0:
             rows[r] = [-e for e in rows[r]]
         for i in range(r):

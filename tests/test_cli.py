@@ -1738,3 +1738,37 @@ def test_module_invocation_subprocess():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["invariants"]["pi_lower_bound"] == 4
+
+
+def test_json_files_are_utf8_whatever_the_locale(tmp_path):
+    # JSON text is UTF-8 (RFC 8259 section 8.1): an en dash in a key snf ignores
+    # must not depend on the locale. The warning flags also fail any open() that
+    # does not name its encoding.
+    matrix = '{"rows": 1, "cols": 1, "entries": [5], "note": "Smith – form"}'
+    batch = [
+        {"command": "snf", "matrix": "m.json", "format": "table", "out": "snf.out"},
+        {"command": "catalog", "d": 2, "format": "json", "out": "catalog.out"},
+    ]
+    src = os.path.dirname(os.path.dirname(coverhom.cli.__file__))
+    locales = {
+        "default": {},
+        "C": {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"},
+    }
+    written = {}
+    for name, overrides in locales.items():
+        cwd = tmp_path / name
+        cwd.mkdir()
+        (cwd / "m.json").write_bytes(matrix.encode("utf-8"))
+        (cwd / "batch.json").write_text(json.dumps(batch), encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=src, **overrides)
+        outputs = []
+        for argv in (["snf", "m.json"], ["--batch", "batch.json"]):
+            proc = subprocess.run(
+                [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning", "-m", "coverhom", *argv],
+                capture_output=True, env=env, cwd=cwd, timeout=60,
+            )
+            assert (proc.returncode, proc.stderr) == (0, b""), (name, argv, proc.stderr)
+            outputs.append(proc.stdout)
+        written[name] = outputs + [(cwd / "snf.out").read_bytes(), (cwd / "catalog.out").read_bytes()]
+    assert written["C"] == written["default"]
+    assert b"5" in written["default"][0] and written["default"][2] == written["default"][0]

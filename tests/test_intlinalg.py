@@ -16,6 +16,7 @@ from coverhom.intlinalg import (
     RationalVector,
     _checked_result,
     _recomposes,
+    _step_below,
     abelianized_b1,
     det,
     hermite,
@@ -763,6 +764,65 @@ class TestHermiteAgainstBezout:
             bound = 2 ** rnd.choice([64, 65, 100, 300])
             rows = [[rnd.randint(-bound, bound) if rnd.random() < 0.8 else 0 for _ in range(cols)] for _ in range(m)]
             assert hermite(IntMatrix.from_rows(rows, cols=cols)).to_rows() == hermite_by_bezout(rows, cols), rows
+
+
+class TestStepBelow:
+    """One pass of `_step_below`, the row step that snf's rows, snf's columns and hermite share."""
+
+    @staticmethod
+    def _one_pass(rows, r, c):
+        """Run the pass and check it against its contract; return what it returned."""
+        before = [list(row) for row in rows]
+        lead, p = rows[r], rows[r][c]
+        nxt = _step_below(rows, r, c)
+        # The pivot row and the rows above it are not changed, nor moved.
+        assert rows[r] is lead and rows[: r + 1] == before[: r + 1]
+        for i in range(r + 1, len(rows)):
+            # Row i, still in place, minus one integer multiple of the pivot row, within |p|/2 of zero in column c.
+            q, rest = divmod(before[i][c] - rows[i][c], p)
+            assert rest == 0 and rows[i] == [x - q * y for x, y in zip(before[i], before[r])], (i, before)
+            assert 2 * abs(rows[i][c]) <= abs(p), (i, before)
+        remainders = [abs(row[c]) for row in rows[r + 1 :]]
+        left = [x for x in remainders if x]
+        assert nxt == (r + 1 + remainders.index(min(left)) if left else None), before
+        return nxt
+
+    def test_returns_the_first_row_of_least_remainder(self):
+        # 7, -4 and 5 leave 1, -1 and -1 against the pivot 3; the zero row is skipped.
+        rows = [[3, 1, 0], [7, 2, 5], [-4, 0, 1], [0, 9, 9], [5, 5, 5]]
+        assert self._one_pass(rows, 0, 0) == 1
+        assert rows == [[3, 1, 0], [1, 0, 5], [-1, 1, 1], [0, 9, 9], [-1, 3, 5]]
+        # 2, -2 and 3 leave 2, -2 and -2 against 5: a tie goes to the first.
+        assert self._one_pass([[5, 1], [2, 0], [-2, 0], [3, 0]], 0, 0) == 1
+
+    def test_returns_none_when_the_column_is_clear(self):
+        rows = [[2, 1], [4, 3], [-6, 1]]
+        assert self._one_pass(rows, 0, 0) is None
+        assert rows == [[2, 1], [0, 1], [0, 4]]
+        rows = [[5, 1], [0, 2]]
+        assert self._one_pass(rows, 0, 0) is None and rows == [[5, 1], [0, 2]]
+        assert self._one_pass([[-7, 3]], 0, 0) is None
+
+    def test_rows_above_the_pivot_are_left_alone(self):
+        rows = [[9, 9, 9, 9], [0, 0, -4, 1], [1, 3, 10, 2], [8, 0, 6, -5]]
+        assert self._one_pass(rows, 1, 2) == 2  # 10 and 6 both leave 2 against -4
+
+    def test_column_layout_with_the_pivot_row_in_slot_zero(self):
+        # snf's column pass at t = 1: vt[j] is d[1][j] in slot 0, then column j of v.
+        vt = [[0, 1, 0, 0, 0], [4, 0, 1, 0, 0], [9, 0, 0, 1, 0], [-6, 0, 0, 0, 1]]
+        assert self._one_pass(vt, 1, 0) == 2
+        # Column 2 of v less twice column 1, column 3 plus column 1; d[1][2] = 1 and d[1][3] = -2.
+        assert vt[2] == [1, 0, -2, 1, 0] and vt[3] == [-2, 0, 1, 0, 1]
+
+    def test_random_passes(self):
+        rnd = random.Random(34)
+        for _ in range(400):
+            m, n = rnd.randint(1, 7), rnd.randint(1, 6)
+            bound = 2 ** rnd.choice([3, 20, 70])
+            rows = [[rnd.randint(-bound, bound) if rnd.random() < 0.7 else 0 for _ in range(n)] for _ in range(m)]
+            r, c = rnd.randrange(m), rnd.randrange(n)
+            rows[r][c] = rows[r][c] or 1 + rnd.randrange(bound)
+            self._one_pass(rows, r, c)
 
 
 class TestRationalVector:
